@@ -58,6 +58,9 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise BadSpec(f"unknown command {self.command!r}")
+        for name in ("gamma", "t", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise BadSpec(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
             raise BadSpec(f"gamma must be positive, got {self.gamma}")
         if self.t < 0:
@@ -165,6 +168,8 @@ def _cycle_size(w: walks.CoinedWalk) -> int:
 def _protocol_steps_from_json(items):
     steps = []
     for item in items:
+        if not isinstance(item, dict) or "coin" not in item or "generator" not in item:
+            raise BadSpec("each protocol step must be an object with 'coin' and 'generator'")
         coin = _matrix_from_json(item["coin"])
         gen = _matrix_from_json(item["generator"])
         steps.append(limits.ProtocolStep(coin=coin, generator=gen,
@@ -173,6 +178,8 @@ def _protocol_steps_from_json(items):
 
 
 def _protocol_from_json(obj, fallback_walk=None):
+    if not isinstance(obj, dict):
+        raise BadSpec(f"a protocol must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "atom":
         wspec = obj.get("walk")
@@ -288,16 +295,18 @@ def cmd_project(cfg: RunConfig):
     combos0 = limits.chiral_combinations(*limits.chiral_split(psi0, n), n)
     combost = limits.chiral_combinations(*limits.chiral_split(psit, n), n)
 
+    # A and L are real symmetric, so exp(+i*gamma*A*t) = conj(exp(-i*gamma*A*t)).
+    u_a = walks.ctqw_propagator(a, gamma, t)
+    u_l = walks.ctqw_propagator(lap, gamma, t)
     psi_res = 0.0
     phi_res = 0.0
     for i in range(4):
         sign = 1 if i < 2 else -1
-        u_a = walks.ctqw_propagator(a, sign * gamma, t)
-        psi_res = max(psi_res, float(np.linalg.norm(combost[i] - u_a @ combos0[i])))
-        u_l = walks.ctqw_propagator(lap, sign * gamma, t)
+        u_a_i, u_l_i = (u_a, u_l) if sign == 1 else (u_a.conj(), u_l.conj())
+        psi_res = max(psi_res, float(np.linalg.norm(combost[i] - u_a_i @ combos0[i])))
         phi_t = limits.phi_transform(combost[i], gamma, t, sign)
         phi_0 = limits.phi_transform(combos0[i], gamma, 0.0, sign)
-        phi_res = max(phi_res, float(np.linalg.norm(phi_t - u_l @ phi_0)))
+        phi_res = max(phi_res, float(np.linalg.norm(phi_t - u_l_i @ phi_0)))
     rec = 0.5 * (np.concatenate([combost[0], combost[1]])
                  + np.concatenate([combost[2], combost[3]]))
     rec_res = float(np.linalg.norm(rec - psit))
@@ -321,10 +330,6 @@ def cmd_project(cfg: RunConfig):
             ["pass", str(ok).lower()],
         ])
     return text, 0 if ok else 3
-
-
-def _closure_for(cfg: RunConfig, w: walks.CoinedWalk) -> liealg.LieBasis:
-    return liealg.lie_closure(liealg.generators(w), cfg.tol)
 
 
 def cmd_closure(cfg: RunConfig):
@@ -360,7 +365,7 @@ def cmd_simulable(cfg: RunConfig):
         raise DimMismatch(f"Hamiltonian is {h.shape}, walk space is {w.dim}x{w.dim}")
     if not is_hermitian(h):
         raise NonHermitian("Hamiltonian file is not Hermitian within 1e-10")
-    basis = _closure_for(cfg, w)
+    basis = liealg.lie_closure(liealg.generators(w), cfg.tol)
     residual = liealg.member_residual(basis, -1j * h)
     verdict = residual <= cfg.tol
     if cfg.format == "json":
@@ -396,7 +401,7 @@ def cmd_example(cfg: RunConfig):
                   "actual": [[v, m] for v, m in spectrum],
                   "pass": spectrum == expected_spec})
 
-    basis = _closure_for(cfg, w)
+    basis = liealg.lie_closure(liealg.generators(w), cfg.tol)
     items.append({"name": "closure_dimension", "expected": EXAMPLE_CLOSURE_DIM,
                   "actual": basis.dimension,
                   "pass": basis.dimension == EXAMPLE_CLOSURE_DIM})
@@ -487,6 +492,9 @@ def main(argv=None) -> int:
         )
         cfg.validate()
         text, code = _DISPATCH[cfg.command](cfg)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except NumericalError as exc:
         print(f"qwl: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -496,10 +504,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"qwl: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
     return code
 

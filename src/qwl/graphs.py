@@ -91,12 +91,8 @@ def adjacency(g: Graph) -> np.ndarray:
 
 def laplacian(g: Graph) -> np.ndarray:
     """L = A - diag(deg); rows and columns sum to zero exactly."""
-    a = np.zeros((g.n, g.n), dtype=int)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
-    lap = a - np.diag(a.sum(axis=1))
-    return lap.astype(complex)
+    a = adjacency(g)
+    return a - np.diag(a.sum(axis=1))
 
 
 def regular_degree(g: Graph):

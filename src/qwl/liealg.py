@@ -74,16 +74,13 @@ def su_basis(c: int):
 
 def generators(w: CoinedWalk):
     """All shift conjugates S^k (u(c) x 1) S^(r-k) of the coin algebra."""
-    r = shift_order(w)
-    s = shift_matrix(w)
-    powers = [np.eye(w.dim, dtype=complex)]
-    for _ in range(r):
-        powers.append(powers[-1] @ s)
-    eye_n = np.eye(w.walker_dim)
+    # S^r = 1, so S^k X S^(r-k) is k gathers X -> S X S^-1 by the inverse shift.
+    inv = np.argsort(w.shift)
+    conj = [kron(b, np.eye(w.walker_dim)) for b in u_basis(w.coin_dim)]
     out = []
-    for k in range(r):
-        for b in u_basis(w.coin_dim):
-            out.append(powers[k] @ kron(b, eye_n) @ powers[r - k])
+    for _ in range(shift_order(w)):
+        out += conj
+        conj = [x[np.ix_(inv, inv)] for x in conj]
     return out
 
 
@@ -208,10 +205,10 @@ def is_simulable(basis: LieBasis, h, tol: float) -> bool:
 
 def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
     """Worst distance of S b S^-1 from the span, over basis elements b."""
-    s = shift_matrix(w)
-    if s.shape[0] != basis.dim_ambient:
+    if w.dim != basis.dim_ambient:
         raise DimMismatch("walk dimension does not match the basis")
-    return max(member_residual(basis, s @ b @ s.conj().T) for b in basis.elements)
+    inv = np.argsort(w.shift)
+    return max(member_residual(basis, b[np.ix_(inv, inv)]) for b in basis.elements)
 
 
 def spectrum_multiset(h, digits: int = 8):

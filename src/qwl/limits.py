@@ -21,8 +21,8 @@ from .errors import (
     NotUnitary,
     TooSmall,
 )
-from .linalg import expm_hermitian, expm_skew, frob, is_skew_hermitian, is_unitary, kron
-from .walks import CoinedWalk, circulant_shift, cycle_walk, shift_matrix
+from .linalg import expm_hermitian, expm_skew, frob, is_permutation, is_skew_hermitian, is_unitary
+from .walks import CoinedWalk, apply_step, circulant_shift, cycle_walk, shift_matrix
 
 __all__ = [
     "ProtocolStep",
@@ -92,50 +92,40 @@ class Atom:
             if st.coin.shape != (walk.coin_dim, walk.coin_dim):
                 raise DimMismatch(
                     f"step coin is {st.coin.shape}, walk coin space is {walk.coin_dim}")
+        # apply_step scatters rows by walk.shift and leaves rows unset unless it is a
+        # permutation; a CoinedWalk built directly skips graph_coined_walk's move checks.
+        if not is_permutation(shift_matrix(walk)):
+            raise NotUnitary("walk shift is not a permutation")
         self.walk = walk
         self.steps = steps
-        s = shift_matrix(walk)
-        eye_n = np.eye(walk.walker_dim)
-        self._factors = [s @ kron(st.coin, eye_n) for st in steps]
-        t0 = self._reference_product()
+        t0 = np.eye(walk.dim, dtype=complex)
+        for st in reversed(steps):
+            t0 = apply_step(walk, st.coin, t0)
         phi = t0[0, 0]
-        dim = walk.dim
-        if abs(abs(phi) - 1) > 1e-10 or frob(t0 - phi * np.eye(dim)) > 1e-10:
+        if abs(abs(phi) - 1) > 1e-10 or frob(t0 - phi * np.eye(walk.dim)) > 1e-10:
             raise NotScalarAtZero(
                 "reference trajectory is not a scalar multiple of the identity")
         self.phase = complex(phi)
 
-    def _reference_product(self) -> np.ndarray:
-        t0 = np.eye(self.walk.dim, dtype=complex)
-        for f in self._factors:
-            t0 = t0 @ f
-        return t0
-
     def unitary(self, x: float) -> np.ndarray:
-        eye_n = np.eye(self.walk.walker_dim)
-        s = shift_matrix(self.walk)
         u = np.eye(self.walk.dim, dtype=complex)
-        for st in self.steps:
-            u = u @ s @ kron(st.coin @ expm_skew(st.generator, st.slope * x), eye_n)
+        for st in reversed(self.steps):
+            u = apply_step(self.walk, st.coin @ expm_skew(st.generator, st.slope * x), u)
         return u
 
     def hamiltonian(self) -> np.ndarray:
-        # d/dx at 0 of the step product: one term per step, with that
-        # step's exponential replaced by its generator.
-        eye_n = np.eye(self.walk.walker_dim)
-        m = len(self.steps)
-        prefix = np.eye(self.walk.dim, dtype=complex)
-        deriv = np.zeros((self.walk.dim, self.walk.dim), dtype=complex)
-        suffixes = [np.eye(self.walk.dim, dtype=complex)]
-        for f in reversed(self._factors[1:]):
-            suffixes.append(f @ suffixes[-1])
-        suffixes.reverse()
-        for j in range(m):
-            st = self.steps[j]
-            term = prefix @ self._factors[j] @ kron(st.slope * st.generator, eye_n) @ suffixes[j]
-            deriv += term
-            prefix = prefix @ self._factors[j]
-        return 1j / self.phase * deriv
+        # F_j = S (C_j x 1); R_j = F_(j+1)...F_m acts before step j, P_j = F_1...F_(j-1)
+        # after it.  T'(0) = sum_j P_j F_j (a_j E_j x 1) R_j, and T(0) = P_j F_j R_j = phi 1
+        # (checked in __init__) gives P_j = phi (F_j R_j)^dag, so H = i T'(0) / phi
+        # = i sum_j R_j^dag (a_j E_j x 1) R_j = i sum_j (F_j R_j)^dag S (a_j C_j E_j x 1) R_j.
+        r = np.eye(self.walk.dim, dtype=complex)
+        h = np.zeros_like(r)
+        for st in reversed(self.steps):
+            fr = apply_step(self.walk, st.coin, r)
+            if st.generator.any():
+                h += fr.conj().T @ apply_step(self.walk, st.slope * (st.coin @ st.generator), r)
+            r = fr
+        return 1j * h
 
 
 class Concat:

@@ -2,8 +2,9 @@
 
 Basis ordering on the coin x walker space is coin-major throughout:
 state (c_k, j) sits at index k*N + j.  Every dense matrix in the package
-relies on this convention; it is what makes the coin operation literally
-``kron(C, eye(N))``.
+relies on this convention.  ``apply_step`` applies a walk step S (C x 1) as
+a coin contraction and a row permutation; ``shift_matrix`` is the dense
+reference for S.
 """
 
 import json
@@ -25,7 +26,7 @@ from .errors import (
     TooSmall,
     Unstable,
 )
-from .linalg import as_cmatrix, expm_hermitian, frob, is_unitary, kron
+from .linalg import as_cmatrix, expm_hermitian, frob, is_unitary
 
 __all__ = [
     "CoinedWalk",
@@ -37,6 +38,7 @@ __all__ = [
     "example_walk",
     "shift_matrix",
     "shift_order",
+    "apply_step",
     "step_operator",
     "coined_to_edge_walk",
     "intertwining_residual",
@@ -189,6 +191,15 @@ def shift_order(w: CoinedWalk) -> int:
     return order
 
 
+def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """S (coin x 1) m for m of shape (dim,) or (dim, k); coin need not be unitary."""
+    c, n = w.coin_dim, w.walker_dim
+    coined = np.tensordot(coin, m.reshape((c, n) + m.shape[1:]), axes=1).reshape(m.shape)
+    out = np.empty_like(coined)
+    out[w.shift] = coined
+    return out
+
+
 def step_operator(w: CoinedWalk, coin) -> np.ndarray:
     """One walk step S (C x 1) for a unitary coin C."""
     coin = as_cmatrix(coin)
@@ -196,7 +207,7 @@ def step_operator(w: CoinedWalk, coin) -> np.ndarray:
         raise NotUnitary(f"coin must be {w.coin_dim}x{w.coin_dim}, got {coin.shape}")
     if not is_unitary(coin):
         raise NotUnitary("coin operation is not unitary within 1e-10")
-    return shift_matrix(w) @ kron(coin, np.eye(w.walker_dim))
+    return apply_step(w, coin, np.eye(w.dim, dtype=complex))
 
 
 @dataclass(frozen=True)

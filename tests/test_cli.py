@@ -284,3 +284,31 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "never.json"
     assert run(["closure", "--walk", "cycle:4", "--format", "json"], out) == 3
     assert not out.exists()
+
+
+def test_non_finite_floats_rejected(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    for flag, value in (("--t", "inf"), ("--gamma", "nan"), ("--tol", "inf")):
+        assert run(["evolve", "--walk", "cycle:5", flag, value], out) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "info.csv"
+    assert run(["info", "--walk", "cycle:5"], out) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_malformed_protocol_file(tmp_path, capsys):
+    step = {"generator": matrix_json(1j * limits.D_COIN)}
+    out = tmp_path / "never.csv"
+    for i, spec in enumerate(([{"kind": "atom"}],
+                              {"kind": "atom", "walk": "cycle:4", "steps": [step, step]})):
+        path = tmp_path / f"proto{i}.json"
+        path.write_text(json.dumps(spec))
+        assert run(["converge", "--walk", "cycle:4", "--protocol", f"file:{path}",
+                    "--m-list", "8,16"], out) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()

@@ -60,6 +60,20 @@ def test_generator_counts():
         assert is_skew_hermitian(g)
 
 
+def test_generators_match_dense_conjugates():
+    # the index-gather conjugation against dense S^k (B x 1) S^(r-k), in order
+    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk()):
+        s = walks.shift_matrix(w)
+        r = walks.shift_order(w)
+        dense = [np.linalg.matrix_power(s, k) @ kron(b, np.eye(w.walker_dim))
+                 @ np.linalg.matrix_power(s, r - k)
+                 for k in range(r) for b in liealg.u_basis(w.coin_dim)]
+        gens = liealg.generators(w)
+        assert len(gens) == len(dense)
+        for g, d in zip(gens, dense):
+            assert frob(g - d) <= 1e-12
+
+
 def test_generators_shift_conjugation_stays_in_set_span(example_closure):
     w, _ = example_closure
     gens = liealg.generators(w)

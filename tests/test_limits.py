@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qwl import graphs, limits, walks
-from qwl.errors import DomainExceeded, NotScalarAtZero, TooSmall
+from qwl.errors import DomainExceeded, NotScalarAtZero, NotUnitary, TooSmall
 from qwl.liealg import u_basis
-from qwl.linalg import commutator, expm_hermitian, frob, is_hermitian, is_unitary
+from qwl.linalg import commutator, expm_hermitian, expm_skew, frob, is_hermitian, is_unitary, kron
 from qwl.rng import LcgStream, seeded_state
 
 R = limits.R_COIN
@@ -24,6 +24,76 @@ def random_atom(seed: int, nsteps: int = 2) -> limits.Atom:
     return limits.Atom(walks.example_walk(), steps)
 
 
+def dense_factors(atom, x):
+    """The steps S (C exp(a x E) x 1) of an atom as dense matrices, step 1 first."""
+    s = walks.shift_matrix(atom.walk)
+    eye_n = np.eye(atom.walk.walker_dim)
+    return [s @ kron(st.coin @ expm_skew(st.generator, st.slope * x), eye_n)
+            for st in atom.steps]
+
+
+def dense_unitary(p, x):
+    """Dense reference for protocol_unitary: the plain left-to-right product."""
+    if isinstance(p, limits.Atom):
+        u = np.eye(p.walk.dim, dtype=complex)
+        for f in dense_factors(p, x):
+            u = u @ f
+        return u
+    if isinstance(p, limits.Concat):
+        return dense_unitary(p.left, x) @ dense_unitary(p.right, x)
+    u1, u2 = dense_unitary(p.left, np.sqrt(x)), dense_unitary(p.right, np.sqrt(x))
+    return u1 @ u2 @ u1.conj().T @ u2.conj().T
+
+
+def dense_hamiltonian(p):
+    """Dense reference for effective_hamiltonian.
+
+    An atom's H is i/phi times the derivative at 0 of its step product:
+    the sum over steps j of prefix_j F_j (a_j E_j x 1) suffix_j.
+    """
+    if isinstance(p, limits.Concat):
+        return dense_hamiltonian(p.left) + dense_hamiltonian(p.right)
+    if isinstance(p, limits.Commutator):
+        h1, h2 = dense_hamiltonian(p.left), dense_hamiltonian(p.right)
+        return -1j * commutator(h1, h2)
+    factors = dense_factors(p, 0.0)
+    eye_n = np.eye(p.walk.walker_dim)
+    dim = p.walk.dim
+    suffixes = [np.eye(dim, dtype=complex)]
+    for f in reversed(factors[1:]):
+        suffixes.append(f @ suffixes[-1])
+    suffixes.reverse()
+    prefix = np.eye(dim, dtype=complex)
+    deriv = np.zeros((dim, dim), dtype=complex)
+    for st, f, suffix in zip(p.steps, factors, suffixes):
+        deriv += prefix @ f @ kron(st.slope * st.generator, eye_n) @ suffix
+        prefix = prefix @ f
+    return 1j / p.phase * deriv
+
+
+def random_u2_atom(n, stream, perturbed):
+    """Identity-coin atom on the n-cycle (reference S^n = 1) with random
+    u(2) generators on the steps listed in ``perturbed``."""
+    basis = u_basis(2)
+    steps = []
+    for j in range(n):
+        gen = sum(stream.gauss_pair()[0] * b for b in basis) if j in perturbed \
+            else np.zeros((2, 2), dtype=complex)
+        steps.append(limits.ProtocolStep(np.eye(2, dtype=complex), gen, 0.5 + j / n))
+    return limits.Atom(walks.cycle_walk(n), steps)
+
+
+def test_structured_atoms_match_dense_oracle():
+    stream = LcgStream(5)
+    a, b, c = (random_u2_atom(8, stream, perturbed) for perturbed in ({0, 3}, {2, 5, 7}, {1, 6}))
+    composite = limits.Commutator(limits.Concat(a, b), c)
+    for p in (limits.strauch_protocol(8), limits.evencyc_protocol(8), a, composite):
+        h = limits.effective_hamiltonian(p)
+        assert frob(h - dense_hamiltonian(p)) <= 1e-12
+        for x in (0.0, 0.01, 0.3):
+            assert frob(limits.protocol_unitary(p, x) - dense_unitary(p, x)) <= 1e-12
+
+
 def test_strauch_coin():
     assert np.array_equal(limits.strauch_coin(0.0), R)
     assert is_unitary(limits.strauch_coin(0.3), 1e-12)
@@ -39,6 +109,15 @@ def test_reference_phases():
         limits.Atom(walks.cycle_walk(4),
                     [limits.ProtocolStep(np.eye(2, dtype=complex),
                                          np.zeros((2, 2), dtype=complex))])
+
+
+def test_atom_rejects_non_permutation_shift():
+    # Built directly, so graph_coined_walk's bijection check never runs.
+    moves = np.array([[1, 2, 3, 0], [1, 2, 3, 1]])
+    w = walks.CoinedWalk(2, 4, moves, graphs.cycle_graph(4))
+    step = limits.ProtocolStep(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
+    with pytest.raises(NotUnitary):
+        limits.Atom(w, [step] * 4)
 
 
 def test_protocol_unitary_at_zero():

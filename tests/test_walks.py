@@ -14,7 +14,7 @@ from qwl.errors import (
     Unstable,
 )
 from qwl.linalg import frob, is_permutation, is_unitary, kron
-from qwl.rng import seeded_unitary
+from qwl.rng import seeded_state, seeded_unitary
 
 R = np.array([[0, -1j], [-1j, 0]])
 
@@ -115,6 +115,27 @@ def test_step_operator():
     assert frob(step.conj().T @ step - np.eye(8)) <= 1e-12 * 8
     with pytest.raises(NotUnitary):
         walks.step_operator(w, 2 * np.eye(2))
+
+    # apply_step against the dense S (C x 1) m, for a state and for a
+    # matrix's columns, with a unitary coin and a non-unitary product
+    perm = [3, 0, 4, 1, 2]
+    cyc = walks.cycle_walk(5)
+    relabelled = walks.walk_from_json({
+        "graph": {"n": 5, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
+        "coin_dim": 2,
+        "moves": [[int(perm[row[perm.index(j)]]) for j in range(5)] for row in cyc.moves]})
+    for w in (cyc, walks.lattice_walk(3, 2), walks.example_walk(), relabelled):
+        c = w.coin_dim
+        unitary = seeded_unitary(c, 2)
+        product = seeded_unitary(c, 1) @ np.diag(np.arange(1, c + 1) * 1j)
+        vec = seeded_state(w.dim, 3)
+        mat = np.stack([seeded_state(w.dim, s) for s in (4, 5, 6)], axis=1)
+        for coin in (unitary, product):
+            dense = walks.shift_matrix(w) @ kron(coin, np.eye(w.walker_dim))
+            assert frob(walks.apply_step(w, coin, vec) - dense @ vec) <= 1e-12
+            assert frob(walks.apply_step(w, coin, mat) - dense @ mat) <= 1e-12
+        assert frob(walks.step_operator(w, unitary)
+                    - walks.shift_matrix(w) @ kron(unitary, np.eye(w.walker_dim))) <= 1e-12
 
 
 def test_shift_is_permutation_with_exact_order():
