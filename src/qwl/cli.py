@@ -38,6 +38,8 @@ COMMANDS = ("info", "converge", "evolve", "project", "closure", "simulable", "ex
 PROJECT_TOL = 1e-10
 EXAMPLE_CLOSURE_DIM = 33
 EXAMPLE_MEMBER_TOL = 1e-8
+# protocol trees are parsed and evaluated recursively; keep clear of the recursion limit
+MAX_PROTOCOL_DEPTH = 256
 
 
 @dataclass
@@ -115,6 +117,17 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise BadSpec(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise BadSpec(f"{path}: JSON nested too deeply") from exc
+
+
+def _json_float(value, what: str) -> float:
+    """A finite real number read from JSON; bools and strings are rejected."""
+    # abs(v) <= max compares big ints exactly and is false for nan and inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise BadSpec(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _matrix_to_json(m: np.ndarray):
@@ -166,20 +179,24 @@ def _cycle_size(w: walks.CoinedWalk) -> int:
 
 
 def _protocol_steps_from_json(items):
+    if not isinstance(items, list):
+        raise BadSpec(f"protocol 'steps' must be a list, got {type(items).__name__}")
     steps = []
     for item in items:
         if not isinstance(item, dict) or "coin" not in item or "generator" not in item:
             raise BadSpec("each protocol step must be an object with 'coin' and 'generator'")
         coin = _matrix_from_json(item["coin"])
         gen = _matrix_from_json(item["generator"])
-        steps.append(limits.ProtocolStep(coin=coin, generator=gen,
-                                         slope=float(item.get("slope", 1.0))))
+        slope = _json_float(item.get("slope", 1.0), "step slope")
+        steps.append(limits.ProtocolStep(coin=coin, generator=gen, slope=slope))
     return steps
 
 
-def _protocol_from_json(obj, fallback_walk=None):
+def _protocol_from_json(obj, fallback_walk=None, depth=0):
     if not isinstance(obj, dict):
         raise BadSpec(f"a protocol must be a JSON object, got {type(obj).__name__}")
+    if depth > MAX_PROTOCOL_DEPTH:
+        raise BadSpec(f"protocol nesting is deeper than {MAX_PROTOCOL_DEPTH}")
     kind = obj.get("kind")
     if kind == "atom":
         wspec = obj.get("walk")
@@ -193,11 +210,10 @@ def _protocol_from_json(obj, fallback_walk=None):
             raise BadSpec("atom protocol needs a 'walk' entry")
         return limits.Atom(walk, _protocol_steps_from_json(obj.get("steps", [])))
     if kind in ("concat", "commutator"):
-        children = obj.get("children", [])
-        if len(children) != 2:
-            raise BadSpec(f"{kind} protocol needs exactly two children")
-        left = _protocol_from_json(children[0], fallback_walk)
-        right = _protocol_from_json(children[1], fallback_walk)
+        children = obj.get("children")
+        if not isinstance(children, list) or len(children) != 2:
+            raise BadSpec(f"{kind} protocol needs a list of exactly two children")
+        left, right = (_protocol_from_json(c, fallback_walk, depth + 1) for c in children)
         return limits.Concat(left, right) if kind == "concat" else limits.Commutator(left, right)
     raise BadSpec(f"protocol kind must be atom/concat/commutator, got {kind!r}")
 

@@ -23,6 +23,7 @@ __all__ = [
     "regular_degree",
     "graph_from_json",
     "graph_to_json",
+    "json_int",
 ]
 
 
@@ -103,24 +104,36 @@ def regular_degree(g: Graph):
     return None
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON: an int or an integral float, never a bool."""
+    integral = isinstance(value, int) and not isinstance(value, bool)
+    if not integral and not (isinstance(value, float) and value.is_integer()):
+        raise BadSpec(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def graph_from_json(obj) -> Graph:
     """Parse {"n": int, "edges": [[u, v], ...]} with 0-based vertices."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "vertex count n")
         edge_list = obj["edges"]
     except (KeyError, TypeError) as exc:
         raise BadSpec(f"graph JSON needs 'n' and 'edges': {exc}") from exc
+    if not isinstance(edge_list, (list, tuple)):
+        raise BadSpec(f"graph 'edges' must be a list, got {type(edge_list).__name__}")
+    edges = []
     for e in edge_list:
-        if len(e) != 2:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise BadSpec(f"edge entry {e!r} is not a pair")
-        u, v = int(e[0]), int(e[1])
+        u, v = (json_int(x, "vertex id") for x in e)
         if u == v:
             raise BadSpec(f"self-loop [{u},{v}] rejected")
         if not (0 <= u < n and 0 <= v < n):
             raise BadSpec(f"edge [{u},{v}] out of range for n={n}")
-    return graph(n, [(int(u), int(v)) for u, v in edge_list])
+        edges.append((u, v))
+    return graph(n, edges)
 
 
 def graph_to_json(g: Graph) -> dict:

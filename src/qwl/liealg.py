@@ -3,8 +3,10 @@
 The generator set is the coin algebra u(c) x 1 together with all its
 conjugates by powers of the shift; the real span closed under commutators
 characterizes which Hamiltonians the walk can reach in the continuous
-limit (membership of -iH).  Closure runs plain real Gram-Schmidt over the
-Hilbert-Schmidt geometry with scale-free admission.
+limit (membership of -iH).  The closure is one orthonormal (k, n, n)
+array in the real Hilbert-Schmidt geometry; admission, membership and
+conjugation invariance all measure distance to it with one projection,
+applied twice, and admission is scale-free.
 """
 
 from collections import Counter
@@ -21,7 +23,7 @@ from .errors import (
     NotSkewHermitian,
     TooSmall,
 )
-from .linalg import frob, hs_inner, is_hermitian, is_skew_hermitian, kron
+from .linalg import frob, is_hermitian, is_skew_hermitian, kron
 from .walks import CoinedWalk, example_walk, shift_matrix, shift_order
 
 __all__ = [
@@ -84,12 +86,19 @@ def generators(w: CoinedWalk):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieBasis:
-    """Orthonormal real-span basis of a bracket-closed skew-Hermitian space."""
+    """Orthonormal real-span basis of a bracket-closed skew-Hermitian space.
+
+    ``elements`` is one C-contiguous (k, n, n) complex array, the only copy
+    of the basis.  Its rows ``elements.reshape(k, n*n).view(float)``
+    interleave real and imaginary parts, so their dot products are
+    Re tr(A^dag B); they are orthonormal, and every distance to the span is
+    measured by subtracting the projection on them twice.
+    """
 
     dim_ambient: int
-    elements: tuple
+    elements: np.ndarray
     tol: float
     passes: int
 
@@ -98,38 +107,19 @@ class LieBasis:
         return len(self.elements)
 
 
-class _Span:
-    """Growing orthonormal span over the real Hilbert-Schmidt geometry."""
+def _project_out(elements: np.ndarray, x: np.ndarray) -> None:
+    """Subtract in place, twice, the projection of x on the span of elements.
 
-    def __init__(self, n: int, tol: float):
-        self.n = n
-        self.tol = tol
-        self.mats = []
-        self._rows = np.zeros((0, 2 * n * n))
-
-    @staticmethod
-    def _vec(m: np.ndarray) -> np.ndarray:
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-    def _unvec(self, v: np.ndarray) -> np.ndarray:
-        n = self.n
-        return v[:n * n].reshape(n, n) + 1j * v[n * n:].reshape(n, n)
-
-    def try_admit(self, cand: np.ndarray) -> bool:
-        """Project out the span; admit the normalized remainder if it survives."""
-        norm = frob(cand)
-        if norm <= self.tol:
-            return False
-        v = self._vec(cand / norm)
-        for _ in range(2):  # re-orthogonalize for stability
-            v -= self._rows.T @ (self._rows @ v)
-        rnorm = float(np.linalg.norm(v))
-        if rnorm <= self.tol:
-            return False
-        v /= rnorm
-        self.mats.append(self._unvec(v))
-        self._rows = np.vstack([self._rows, v])
-        return True
+    x is one (n, n) matrix or a (m, n, n) stack of them; it must be
+    C-contiguous, or the reshape below would copy and the subtraction be
+    lost.  The second pass re-orthogonalizes for stability.
+    """
+    assert x.flags.c_contiguous
+    n = elements.shape[-1]
+    rows = elements.reshape(len(elements), n * n).view(float)
+    v = x.reshape(-1, n * n).view(float)
+    for _ in range(2):
+        v -= (v @ rows.T) @ rows
 
 
 def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
@@ -152,30 +142,36 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
         if not is_skew_hermitian(g):
             raise NotSkewHermitian("closure generators must be skew-Hermitian")
 
-    span = _Span(n, tol)
-    for g in gens:
-        span.try_admit(g)
+    basis = np.empty((len(gens), n, n), dtype=complex)  # basis[:k] spans, basis[k] is scratch
+    k = 0
 
+    def admit(cand):
+        nonlocal basis, k
+        norm = frob(cand)
+        if norm <= tol:
+            return
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        np.divide(cand, norm, out=basis[k])
+        _project_out(basis[:k], basis[k])
+        rnorm = frob(basis[k])
+        if rnorm > tol:
+            basis[k] /= rnorm
+            k += 1
+
+    for g in gens:
+        admit(g)
     cap = n * n + 10
-    passes = 0
     start = 0  # elements before this index have been bracketed pairwise already
-    while True:
-        passes += 1
-        if passes > cap:
-            raise IterationCapExceeded(
-                f"closure did not stabilize within {cap} passes")
-        size = len(span.mats)
-        admitted = False
+    for passes in range(1, cap + 1):
+        size = k
         for i in range(size):
-            j0 = max(i + 1, start)
-            for j in range(j0, size):
-                a, b = span.mats[i], span.mats[j]
-                if span.try_admit(a @ b - b @ a):
-                    admitted = True
+            for j in range(max(i + 1, start), size):
+                admit(basis[i] @ basis[j] - basis[j] @ basis[i])
+        if k == size:
+            return LieBasis(n, basis[:k].copy(), tol, passes)
         start = size
-        if not admitted:
-            break
-    return LieBasis(n, tuple(m.copy() for m in span.mats), tol, passes)
+    raise IterationCapExceeded(f"closure did not stabilize within {cap} passes")
 
 
 def member_residual(basis: LieBasis, x) -> float:
@@ -189,9 +185,8 @@ def member_residual(basis: LieBasis, x) -> float:
     norm = frob(x)
     if norm == 0:
         return 0.0
-    r = x.copy()
-    for b in basis.elements:
-        r -= hs_inner(b, r) * b
+    r = np.array(x, order="C")
+    _project_out(basis.elements, r)
     return frob(r) / norm
 
 
@@ -204,11 +199,15 @@ def is_simulable(basis: LieBasis, h, tol: float) -> bool:
 
 
 def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
-    """Worst distance of S b S^-1 from the span, over basis elements b."""
+    """Worst distance of S b S^-1 from the span, over basis elements b (0 if empty)."""
     if w.dim != basis.dim_ambient:
         raise DimMismatch("walk dimension does not match the basis")
     inv = np.argsort(w.shift)
-    return max(member_residual(basis, b[np.ix_(inv, inv)]) for b in basis.elements)
+    # advanced indexing need not return C order, which the in-place projection needs
+    conj = np.array(basis.elements[:, inv[:, None], inv], order="C")
+    _project_out(basis.elements, conj)
+    # conjugation by a permutation keeps each element's unit norm
+    return float(np.linalg.norm(conj, axis=(1, 2)).max(initial=0.0))
 
 
 def spectrum_multiset(h, digits: int = 8):

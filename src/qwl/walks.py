@@ -321,8 +321,9 @@ def walk_from_json(obj) -> CoinedWalk:
         obj = json.loads(obj)
     try:
         g = graphs.graph_from_json(obj["graph"])
-        c = int(obj["coin_dim"])
-        moves = np.asarray(obj["moves"], dtype=int)
+        c = graphs.json_int(obj["coin_dim"], "coin_dim")
+        moves = np.array([[graphs.json_int(m, "move") for m in row] for row in obj["moves"]],
+                         dtype=int)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, BadSpec):
             raise

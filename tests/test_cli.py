@@ -312,3 +312,62 @@ def test_malformed_protocol_file(tmp_path, capsys):
                     "--m-list", "8,16"], out) == 2
         assert capsys.readouterr().out == ""
         assert not out.exists()
+
+
+def _strauch_atom_json(slope=1.0):
+    step = {"coin": matrix_json(limits.R_COIN), "generator": matrix_json(1j * limits.D_COIN)}
+    return json.dumps({"kind": "atom", "walk": "cycle:4",
+                       "steps": [dict(step, slope=slope), step]})
+
+
+def _nested_concat_json(depth):
+    # built as text: json.dumps itself recurses too deeply at a depth of 900
+    atom = text = _strauch_atom_json()
+    for _ in range(depth):
+        text = f'{{"kind": "concat", "children": [{text}, {atom}]}}'
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"kind": "atom", "walk": "cycle:4", "steps": 5}),
+    json.dumps({"kind": "concat", "children": 7}),
+    _strauch_atom_json("abc"),
+    _strauch_atom_json(float("nan")),
+    _strauch_atom_json(True),
+    _nested_concat_json(900),
+    _nested_concat_json(cli.MAX_PROTOCOL_DEPTH + 1),
+], ids=["steps-int", "children-int", "slope-string", "slope-nan", "slope-bool",
+        "nested-900", "nested-over-cap"])
+def test_protocol_json_boundary(tmp_path, capsys, text):
+    path = tmp_path / "proto.json"
+    path.write_text(text)
+    out = tmp_path / "never.csv"
+    assert run(["converge", "--walk", "cycle:4", "--protocol", f"file:{path}",
+                "--m-list", "8,16"], out) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_protocol_depth_cap_is_inclusive(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_concat_json(cli.MAX_PROTOCOL_DEPTH))
+    p = cli.resolve_protocol(f"file:{path}", walks.cycle_walk(4))
+    # each strauch atom has phase -1 and the tree holds depth + 1 of them
+    assert limits.reference_phase(p) == pytest.approx((-1.0) ** (cli.MAX_PROTOCOL_DEPTH + 1))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda w: w["moves"][0].__setitem__(0, 1.7),
+    lambda w: w["graph"].__setitem__("n", 4.9),
+    lambda w: w.__setitem__("coin_dim", 2.5),
+    lambda w: w.__setitem__("coin_dim", True),
+], ids=["move-float", "n-float", "coin-dim-float", "coin-dim-bool"])
+def test_walk_file_non_integers_rejected(tmp_path, capsys, edit):
+    spec = walks.walk_to_json(walks.cycle_walk(4))
+    edit(spec)
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "never.csv"
+    assert run(["info", "--walk", f"file:{path}"], out) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()

@@ -118,3 +118,17 @@ def test_graph_json_roundtrip_and_validation():
         graphs.graph_from_json({"n": 3, "edges": [[2, 2]]})
     with pytest.raises(BadSpec):
         graphs.graph_from_json({"n": 3})
+
+
+def test_graph_json_integers():
+    # integral floats are integers; fractions and bools are not truncated
+    assert graphs.graph_from_json({"n": 3.0, "edges": [[0, 1.0]]}) == graphs.graph(3, [(0, 1)])
+    for bad in ({"n": 4.9, "edges": []}, {"n": True, "edges": []},
+                {"n": 3, "edges": [[0, 1.5]]}, {"n": 3, "edges": [[False, 1]]},
+                {"n": 3, "edges": [[0, "1"]]}, {"n": 3, "edges": 5}, {"n": 3, "edges": [5]}):
+        with pytest.raises(BadSpec):
+            graphs.graph_from_json(bad)
+    assert graphs.json_int(7, "x") == 7 and graphs.json_int(7.0, "x") == 7
+    for bad in (2.5, True, float("nan"), float("inf"), None, "3"):
+        with pytest.raises(BadSpec):
+            graphs.json_int(bad, "x")

@@ -176,6 +176,48 @@ def test_conjugation_invariance(example_closure, cycle4_closure):
     assert liealg.conjugation_invariance_residual(basis, w) <= 1e-12
 
 
+def test_conjugation_invariance_of_empty_basis():
+    basis = liealg.lie_closure([np.zeros((6, 6), dtype=complex)], 1e-9)
+    assert basis.dimension == 0
+    assert liealg.conjugation_invariance_residual(basis, walks.cycle_walk(3)) == 0.0
+
+
+def test_conjugation_invariance_lattice():
+    # the conjugated stack comes from advanced indexing, which need not be C-ordered
+    w = walks.lattice_walk(3, 2)
+    basis = liealg.lie_closure(liealg.generators(w), 1e-9)
+    assert basis.dimension == 136
+    assert basis.elements.flags.c_contiguous
+    assert liealg.conjugation_invariance_residual(basis, w) <= 1e-10
+
+
+def _lstsq_residual(basis, x):
+    """Oracle: least-squares distance of x from the real span of the basis."""
+    cols = np.stack([np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in basis.elements],
+                    axis=1)
+    target = np.concatenate([x.real.ravel(), x.imag.ravel()])
+    coef = np.linalg.lstsq(cols, target, rcond=None)[0]
+    return float(np.linalg.norm(cols @ coef - target) / np.linalg.norm(target))
+
+
+def test_member_residual_matches_least_squares(example_closure, cycle4_closure):
+    rng = np.random.default_rng(11)
+    for w, basis in (example_closure, cycle4_closure):
+        gens = liealg.generators(w)
+        n = w.dim
+        for _ in range(4):
+            # members: real combinations of generators and of their brackets
+            a, b = rng.integers(0, len(gens), size=2)
+            member = sum(rng.normal() * g for g in gens)
+            member += rng.normal() * commutator(gens[a], gens[b])
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            non_member = g - g.conj().T
+            for x in (member, non_member):
+                assert abs(liealg.member_residual(basis, x) - _lstsq_residual(basis, x)) <= 1e-10
+            assert liealg.member_residual(basis, member) <= 1e-10
+            assert liealg.member_residual(basis, non_member) > 0.1
+
+
 def test_closure_contains_shipped_hamiltonians():
     for n in (4, 6, 8):
         w = walks.cycle_walk(n)

@@ -5,6 +5,7 @@ import pytest
 
 from qwl import graphs, walks
 from qwl.errors import (
+    BadSpec,
     NotAnEdge,
     NotBijective,
     NotLaplacian,
@@ -240,3 +241,18 @@ def test_walk_json_roundtrip():
     rebuilt = walks.walk_from_json(walks.walk_to_json(w))
     assert np.array_equal(rebuilt.moves, w.moves)
     assert rebuilt.graph == w.graph
+
+
+def test_walk_json_integers():
+    spec = walks.walk_to_json(walks.cycle_walk(4))
+    spec["coin_dim"] = 2.0
+    spec["moves"][0][0] = float(spec["moves"][0][0])
+    assert np.array_equal(walks.walk_from_json(spec).moves, walks.cycle_walk(4).moves)
+    for key, value in (("coin_dim", 2.5), ("coin_dim", True)):
+        with pytest.raises(BadSpec):
+            walks.walk_from_json(dict(spec, **{key: value}))
+    for move in (1.7, True, "1"):
+        bad = walks.walk_to_json(walks.cycle_walk(4))
+        bad["moves"][0][0] = move
+        with pytest.raises(BadSpec):
+            walks.walk_from_json(bad)
