@@ -7,6 +7,11 @@ output uses scientific notation with 17 significant digits and seeded
 states come from the fixed stream in ``qwl.rng``, so identical flags give
 byte-identical files.
 
+``main`` validates the flags once (``_validate``, before any work); each
+``cmd_*`` returns its report dict, its CSV rows and its exit code, and
+``main`` renders the format asked for.  JSON numbers, matrix entries
+included, must be finite numbers: bools and strings are rejected.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
@@ -15,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,49 +35,13 @@ from .errors import (
 from .linalg import is_hermitian
 from .rng import seeded_state
 
-__all__ = ["main", "RunConfig"]
-
-COMMANDS = ("info", "converge", "evolve", "project", "closure", "simulable", "example")
+__all__ = ["main"]
 
 PROJECT_TOL = 1e-10
 EXAMPLE_CLOSURE_DIM = 33
 EXAMPLE_MEMBER_TOL = 1e-8
 # protocol trees are parsed and evaluated recursively; keep clear of the recursion limit
 MAX_PROTOCOL_DEPTH = 256
-
-
-@dataclass
-class RunConfig:
-    command: str
-    walk_spec: str = ""
-    protocol_spec: str = ""
-    gamma: float = 1.0
-    t: float = 1.0
-    m_list: list = field(default_factory=list)
-    tol: float = 1e-9
-    seed: int = 0
-    out: str = ""
-    format: str = "csv"
-    hamiltonian: str = ""
-    dump_basis: bool = False
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise BadSpec(f"unknown command {self.command!r}")
-        for name in ("gamma", "t", "tol"):
-            if not np.isfinite(getattr(self, name)):
-                raise BadSpec(f"{name} must be finite, got {getattr(self, name)}")
-        if self.gamma <= 0:
-            raise BadSpec(f"gamma must be positive, got {self.gamma}")
-        if self.t < 0:
-            raise BadSpec(f"t must be nonnegative, got {self.t}")
-        if self.format not in ("csv", "json"):
-            raise BadSpec(f"format must be csv or json, got {self.format!r}")
-        if self.command == "converge":
-            if not self.m_list:
-                raise BadSpec("converge needs --m-list")
-            if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
-                raise BadSpec("--m-list must be strictly ascending")
 
 
 def _fmt(x: float) -> str:
@@ -104,10 +72,17 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _csv_cell(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _fmt(v) if isinstance(v, (float, np.floating)) else v
+
+
 def _csv_text(rows) -> str:
+    """CSV with lowercase booleans, %.16e floats and anything else as is."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -136,11 +111,10 @@ def _matrix_to_json(m: np.ndarray):
 
 def _matrix_from_json(obj) -> np.ndarray:
     try:
-        rows = []
-        for row in obj:
-            rows.append([complex(float(z[0]), float(z[1])) for z in row])
-        m = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        m = np.array([[complex(_json_float(z[0], "matrix entry"),
+                               _json_float(z[1], "matrix entry")) for z in row]
+                      for row in obj], dtype=complex)
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise BadSpec(f"matrix JSON must be rows of [re, im] pairs: {exc}") from exc
     if m.ndim != 2:
         raise BadSpec("matrix JSON must be two-dimensional")
@@ -229,84 +203,66 @@ def resolve_protocol(spec: str, walk: walks.CoinedWalk):
     raise BadSpec(f"unrecognized protocol spec {spec!r}")
 
 
-def cmd_info(cfg: RunConfig):
-    w = resolve_walk(cfg.walk_spec)
+def cmd_info(args):
+    w = resolve_walk(args.walk)
     spectrum = liealg.spectrum_multiset(graphs.adjacency(w.graph), 8)
-    degree = graphs.regular_degree(w.graph)
-    if cfg.format == "json":
-        text = _json_dumps({
-            "walk": cfg.walk_spec,
-            "coin_dim": w.coin_dim,
-            "walker_dim": w.walker_dim,
-            "shift_order": walks.shift_order(w),
-            "regular_degree": degree,
-            "graph_spectrum": [[val, mult] for val, mult in spectrum],
-        }) + "\n"
-    else:
-        rows = [["key", "value"],
-                ["walk", cfg.walk_spec],
-                ["coin_dim", w.coin_dim],
-                ["walker_dim", w.walker_dim],
-                ["shift_order", walks.shift_order(w)],
-                ["regular_degree", degree]]
-        rows += [["spectrum", _fmt(val), mult] for val, mult in spectrum]
-        text = _csv_text(rows)
-    return text, 0
+    report = {
+        "walk": args.walk,
+        "coin_dim": w.coin_dim,
+        "walker_dim": w.walker_dim,
+        "shift_order": walks.shift_order(w),
+        "regular_degree": graphs.regular_degree(w.graph),
+    }
+    rows = [["key", "value"], *report.items()]
+    rows += [["spectrum", val, mult] for val, mult in spectrum]
+    report["graph_spectrum"] = spectrum
+    return report, rows, 0
 
 
-def cmd_converge(cfg: RunConfig):
-    w = resolve_walk(cfg.walk_spec)
-    p = resolve_protocol(cfg.protocol_spec, w)
-    report = limits.convergence_study(p, cfg.gamma, cfg.t, cfg.m_list)
+def cmd_converge(args):
+    w = resolve_walk(args.walk)
+    p = resolve_protocol(args.protocol, w)
+    study = limits.convergence_study(p, args.gamma, args.t, args.m_list)
     samples = [(m, x, limits.single_step_error(p, x), rep_err)
-               for m, (x, rep_err) in zip(cfg.m_list, report.samples)]
-    fitted = report.fitted_exponent
-    if cfg.format == "json":
-        text = _json_dumps({
-            "samples": [{"m": m, "x": x, "single_step_error": ss, "repeated_error": re}
-                        for m, x, ss, re in samples],
-            "fitted_exponent": fitted,
-        }) + "\n"
-    else:
-        rows = [["m", "x", "single_step_error", "repeated_error"]]
-        rows += [[m, _fmt(x), _fmt(ss), _fmt(re)] for m, x, ss, re in samples]
-        rows.append(["fitted_exponent", _fmt(fitted)])
-        text = _csv_text(rows)
-    return text, 0
+               for m, (x, rep_err) in zip(args.m_list, study.samples)]
+    report = {
+        "samples": [{"m": m, "x": x, "single_step_error": ss, "repeated_error": re}
+                    for m, x, ss, re in samples],
+        "fitted_exponent": study.fitted_exponent,
+    }
+    rows = [["m", "x", "single_step_error", "repeated_error"], *samples,
+            ["fitted_exponent", study.fitted_exponent]]
+    return report, rows, 0
 
 
-def cmd_evolve(cfg: RunConfig):
-    w = resolve_walk(cfg.walk_spec)
+def cmd_evolve(args):
+    w = resolve_walk(args.walk)
     a = graphs.adjacency(w.graph)
-    psi0 = seeded_state(w.graph.n, cfg.seed)
-    psit = walks.ctqw_propagator(a, cfg.gamma, cfg.t) @ psi0
+    psi0 = seeded_state(w.graph.n, args.seed)
+    psit = walks.ctqw_propagator(a, args.gamma, args.t) @ psi0
     norm_residual = abs(np.linalg.norm(psit) - 1.0)
-    if cfg.format == "json":
-        text = _json_dumps({
-            "walk": cfg.walk_spec,
-            "gamma": cfg.gamma,
-            "t": cfg.t,
-            "seed": cfg.seed,
-            "state": [[float(z.real), float(z.imag)] for z in psit],
-            "norm_residual": norm_residual,
-        }) + "\n"
-    else:
-        rows = [["vertex", "re", "im", "probability"]]
-        rows += [[j, _fmt(z.real), _fmt(z.imag), _fmt(abs(z) ** 2)]
-                 for j, z in enumerate(psit)]
-        rows.append(["norm_residual", _fmt(norm_residual)])
-        text = _csv_text(rows)
-    return text, 0
+    report = {
+        "walk": args.walk,
+        "gamma": args.gamma,
+        "t": args.t,
+        "seed": args.seed,
+        "state": [[float(z.real), float(z.imag)] for z in psit],
+        "norm_residual": norm_residual,
+    }
+    rows = [["vertex", "re", "im", "probability"],
+            *([j, z.real, z.imag, abs(z) ** 2] for j, z in enumerate(psit)),
+            ["norm_residual", norm_residual]]
+    return report, rows, 0
 
 
-def cmd_project(cfg: RunConfig):
-    w = resolve_walk(cfg.walk_spec)
+def cmd_project(args):
+    w = resolve_walk(args.walk)
     n = _cycle_size(w)
-    gamma, t = cfg.gamma, cfg.t
+    gamma, t = args.gamma, args.t
     a = graphs.adjacency(w.graph)
     lap = graphs.laplacian(w.graph)
     h = limits.limit_hamiltonian_cycle(n)
-    psi0 = seeded_state(2 * n, cfg.seed)
+    psi0 = seeded_state(2 * n, args.seed)
     psit = walks.ctqw_propagator(h, gamma, t) @ psi0
     combos0 = limits.chiral_combinations(*limits.chiral_split(psi0, n), n)
     combost = limits.chiral_combinations(*limits.chiral_split(psit, n), n)
@@ -328,30 +284,20 @@ def cmd_project(cfg: RunConfig):
     rec_res = float(np.linalg.norm(rec - psit))
 
     ok = psi_res <= PROJECT_TOL and phi_res <= PROJECT_TOL and rec_res <= PROJECT_TOL
-    if cfg.format == "json":
-        text = _json_dumps({
-            "psi_adjacency_residual": psi_res,
-            "phi_laplacian_residual": phi_res,
-            "reconstruction_residual": rec_res,
-            "tolerance": PROJECT_TOL,
-            "pass": ok,
-        }) + "\n"
-    else:
-        text = _csv_text([
-            ["key", "value"],
-            ["psi_adjacency_residual", _fmt(psi_res)],
-            ["phi_laplacian_residual", _fmt(phi_res)],
-            ["reconstruction_residual", _fmt(rec_res)],
-            ["tolerance", _fmt(PROJECT_TOL)],
-            ["pass", str(ok).lower()],
-        ])
-    return text, 0 if ok else 3
+    report = {
+        "psi_adjacency_residual": psi_res,
+        "phi_laplacian_residual": phi_res,
+        "reconstruction_residual": rec_res,
+        "tolerance": PROJECT_TOL,
+        "pass": ok,
+    }
+    return report, [["key", "value"], *report.items()], 0 if ok else 3
 
 
-def cmd_closure(cfg: RunConfig):
-    w = resolve_walk(cfg.walk_spec)
+def cmd_closure(args):
+    w = resolve_walk(args.walk)
     gens = liealg.generators(w)
-    basis = liealg.lie_closure(gens, cfg.tol)
+    basis = liealg.lie_closure(gens, args.tol)
     report = {
         "ambient_dim": basis.dim_ambient,
         "dimension": basis.dimension,
@@ -359,50 +305,33 @@ def cmd_closure(cfg: RunConfig):
         "generator_count": len(gens),
         "passes": basis.passes,
     }
-    if cfg.format == "json":
-        if cfg.dump_basis:
-            report["basis"] = [_matrix_to_json(b) for b in basis.elements]
-        text = _json_dumps(report) + "\n"
-    else:
-        if cfg.dump_basis:
-            raise BadSpec("--dump-basis needs --format json")
-        rows = [["key", "value"]] + [[k, _fmt(v) if isinstance(v, float) else v]
-                                     for k, v in report.items()]
-        text = _csv_text(rows)
-    return text, 0
+    rows = [["key", "value"], *report.items()]
+    if args.dump_basis:
+        report["basis"] = [_matrix_to_json(b) for b in basis.elements]
+    return report, rows, 0
 
 
-def cmd_simulable(cfg: RunConfig):
-    if not cfg.hamiltonian:
+def cmd_simulable(args):
+    if not args.hamiltonian:
         raise BadSpec("simulable needs --hamiltonian PATH")
-    w = resolve_walk(cfg.walk_spec)
-    h = _matrix_from_json(_load_json(cfg.hamiltonian))
+    w = resolve_walk(args.walk)
+    h = _matrix_from_json(_load_json(args.hamiltonian))
     if h.shape != (w.dim, w.dim):
         raise DimMismatch(f"Hamiltonian is {h.shape}, walk space is {w.dim}x{w.dim}")
     if not is_hermitian(h):
         raise NonHermitian("Hamiltonian file is not Hermitian within 1e-10")
-    basis = liealg.lie_closure(liealg.generators(w), cfg.tol)
+    basis = liealg.lie_closure(liealg.generators(w), args.tol)
     residual = liealg.member_residual(basis, -1j * h)
-    verdict = residual <= cfg.tol
-    if cfg.format == "json":
-        text = _json_dumps({
-            "residual": residual,
-            "tolerance": cfg.tol,
-            "simulable": verdict,
-            "closure_dimension": basis.dimension,
-        }) + "\n"
-    else:
-        text = _csv_text([
-            ["key", "value"],
-            ["residual", _fmt(residual)],
-            ["tolerance", _fmt(cfg.tol)],
-            ["simulable", str(verdict).lower()],
-            ["closure_dimension", basis.dimension],
-        ])
-    return text, 0
+    report = {
+        "residual": residual,
+        "tolerance": args.tol,
+        "simulable": residual <= args.tol,
+        "closure_dimension": basis.dimension,
+    }
+    return report, [["key", "value"], *report.items()], 0
 
 
-def cmd_example(cfg: RunConfig):
+def cmd_example(args):
     w = walks.example_walk()
     items = []
 
@@ -412,12 +341,10 @@ def cmd_example(cfg: RunConfig):
 
     spectrum = liealg.spectrum_multiset(graphs.adjacency(w.graph), 8)
     expected_spec = [(3.0, 1), (-1.0, 3)]
-    items.append({"name": "adjacency_spectrum",
-                  "expected": [[v, m] for v, m in expected_spec],
-                  "actual": [[v, m] for v, m in spectrum],
-                  "pass": spectrum == expected_spec})
+    items.append({"name": "adjacency_spectrum", "expected": expected_spec,
+                  "actual": spectrum, "pass": spectrum == expected_spec})
 
-    basis = liealg.lie_closure(liealg.generators(w), cfg.tol)
+    basis = liealg.lie_closure(liealg.generators(w), args.tol)
     items.append({"name": "closure_dimension", "expected": EXAMPLE_CLOSURE_DIM,
                   "actual": basis.dimension,
                   "pass": basis.dimension == EXAMPLE_CLOSURE_DIM})
@@ -432,22 +359,14 @@ def cmd_example(cfg: RunConfig):
     el_spec = liealg.spectrum_multiset(el, 8)
     expected_el = [(3.0, 1), (1.0, 3), (0.0, 4), (-1.0, 3), (-3.0, 1)]
     res_el = liealg.member_residual(basis, el)
-    items.append({"name": "subspace_element",
-                  "expected_spectrum": [[v, m] for v, m in expected_el],
-                  "actual_spectrum": [[v, m] for v, m in el_spec],
-                  "membership_residual": res_el,
+    items.append({"name": "subspace_element", "expected_spectrum": expected_el,
+                  "actual_spectrum": el_spec, "membership_residual": res_el,
                   "pass": el_spec == expected_el and res_el <= EXAMPLE_MEMBER_TOL})
 
     all_pass = all(item["pass"] for item in items)
-    report = {"items": items, "all_pass": all_pass}
-    if cfg.format == "json":
-        text = _json_dumps(report) + "\n"
-    else:
-        rows = [["item", "pass"]] + [[item["name"], str(item["pass"]).lower()]
-                                     for item in items]
-        rows.append(["all_pass", str(all_pass).lower()])
-        text = _csv_text(rows)
-    return text, 0 if all_pass else 3
+    rows = [["item", "pass"], *([item["name"], item["pass"]] for item in items),
+            ["all_pass", all_pass]]
+    return {"items": items, "all_pass": all_pass}, rows, 0 if all_pass else 3
 
 
 _DISPATCH = {
@@ -461,18 +380,11 @@ _DISPATCH = {
 }
 
 
-def _parse_m_list(text: str):
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise BadSpec(f"--m-list must be comma-separated integers: {text!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwl",
         description="Quantum walk limits: walks, protocols, closures, reports.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--walk", default="", metavar="SPEC",
                         help="cycle:N | lattice:N,D | example | file:PATH")
     parser.add_argument("--protocol", default="", metavar="SPEC",
@@ -489,38 +401,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validate(args):
+    """Checks argparse does not make; also parses --m-list into a list."""
+    try:
+        args.m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
+    except ValueError as exc:
+        raise BadSpec(f"--m-list must be comma-separated integers: {args.m_list!r}") from exc
+    for name in ("gamma", "t", "tol"):
+        if not np.isfinite(getattr(args, name)):
+            raise BadSpec(f"{name} must be finite, got {getattr(args, name)}")
+    if args.gamma <= 0:
+        raise BadSpec(f"gamma must be positive, got {args.gamma}")
+    if args.t < 0:
+        raise BadSpec(f"t must be nonnegative, got {args.t}")
+    if args.command == "converge":
+        if not args.m_list:
+            raise BadSpec("converge needs --m-list")
+        if any(b <= a for a, b in zip(args.m_list, args.m_list[1:])):
+            raise BadSpec("--m-list must be strictly ascending")
+    if args.command == "closure" and args.dump_basis and args.format != "json":
+        raise BadSpec("--dump-basis needs --format json")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            walk_spec=args.walk,
-            protocol_spec=args.protocol,
-            gamma=args.gamma,
-            t=args.t,
-            m_list=_parse_m_list(args.m_list) if args.m_list else [],
-            tol=args.tol,
-            seed=args.seed,
-            out=args.out,
-            format=args.format,
-            hamiltonian=args.hamiltonian,
-            dump_basis=args.dump_basis,
-        )
-        cfg.validate()
-        text, code = _DISPATCH[cfg.command](cfg)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+        _validate(args)
+        report, rows, code = _DISPATCH[args.command](args)
+        text = _json_dumps(report) + "\n" if args.format == "json" else _csv_text(rows)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except NumericalError as exc:
         print(f"qwl: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except QwlError as exc:
+    except (QwlError, OSError) as exc:
         print(f"qwl: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"qwl: {exc}", file=sys.stderr)
-        return 2
-    if not cfg.out:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

@@ -269,7 +269,8 @@ class ConvergenceReport:
 
     fitted_exponent is the least-squares slope of log(error) vs log(x),
     fitted over the smallest half of the x grid to dodge pre-asymptotic
-    contamination.
+    contamination, and over both values of a two-value grid; it is nan for
+    a single value.
     """
 
     samples: tuple
@@ -277,7 +278,7 @@ class ConvergenceReport:
 
 
 def _fit_exponent(samples) -> float:
-    tail = samples[len(samples) // 2:]
+    tail = samples[min(len(samples) // 2, len(samples) - 2):]
     if len(tail) < 2 or any(x <= 0 for x, _ in tail):
         return float("nan")
     xs = np.array([x for x, _ in tail])

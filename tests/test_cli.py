@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,15 +260,16 @@ def test_determinism(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "qwl", "info", "--walk", "cycle:5", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert out.read_text().startswith("key,value")
     proc2 = subprocess.run(
         [sys.executable, "-m", "qwl", "info", "--walk", "nope"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc2.returncode == 2
 
 
@@ -314,10 +318,13 @@ def test_malformed_protocol_file(tmp_path, capsys):
         assert not out.exists()
 
 
-def _strauch_atom_json(slope=1.0):
-    step = {"coin": matrix_json(limits.R_COIN), "generator": matrix_json(1j * limits.D_COIN)}
-    return json.dumps({"kind": "atom", "walk": "cycle:4",
-                       "steps": [dict(step, slope=slope), step]})
+def _strauch_atom_json(slope=1.0, first_coin_entry=None):
+    steps = [{"coin": matrix_json(limits.R_COIN), "generator": matrix_json(1j * limits.D_COIN)}
+             for _ in range(2)]
+    steps[0]["slope"] = slope
+    if first_coin_entry is not None:
+        steps[0]["coin"][0][0] = first_coin_entry
+    return json.dumps({"kind": "atom", "walk": "cycle:4", "steps": steps})
 
 
 def _nested_concat_json(depth):
@@ -334,10 +341,12 @@ def _nested_concat_json(depth):
     _strauch_atom_json("abc"),
     _strauch_atom_json(float("nan")),
     _strauch_atom_json(True),
+    _strauch_atom_json(first_coin_entry=[False, False]),
+    _strauch_atom_json(first_coin_entry=["0", "0"]),
     _nested_concat_json(900),
     _nested_concat_json(cli.MAX_PROTOCOL_DEPTH + 1),
 ], ids=["steps-int", "children-int", "slope-string", "slope-nan", "slope-bool",
-        "nested-900", "nested-over-cap"])
+        "coin-entry-bool", "coin-entry-string", "nested-900", "nested-over-cap"])
 def test_protocol_json_boundary(tmp_path, capsys, text):
     path = tmp_path / "proto.json"
     path.write_text(text)
@@ -370,4 +379,76 @@ def test_walk_file_non_integers_rejected(tmp_path, capsys, edit):
     out = tmp_path / "never.csv"
     assert run(["info", "--walk", f"file:{path}"], out) == 2
     assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [[True, False], ["1", "0"]], ids=["bool", "string"])
+def test_simulable_hamiltonian_entries_must_be_numbers(tmp_path, capsys, entry):
+    h = matrix_json(np.diag([1.0] + [0.0] * 11))
+    h[0][0] = entry
+    h_path = tmp_path / "h.json"
+    h_path.write_text(json.dumps(h))
+    out = tmp_path / "never.csv"
+    assert run(["simulable", "--walk", "example", "--hamiltonian", str(h_path)], out) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def _csv_and_json(tmp_path, args):
+    """The CSV rows and the JSON report of one command, run in both formats."""
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    code = run(args, csv_out)
+    assert run(args + ["--format", "json"], json_out) == code == 0
+    return list(csv.reader(csv_out.read_text().splitlines())), json.loads(json_out.read_text())
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.16e}" if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("args, keys", [
+    (["project", "--walk", "cycle:8", "--t", "0.7", "--seed", "5"],
+     ["psi_adjacency_residual", "phi_laplacian_residual", "reconstruction_residual",
+      "tolerance", "pass"]),
+    (["closure", "--walk", "example"],
+     ["ambient_dim", "dimension", "tolerance", "generator_count", "passes"]),
+    (["simulable", "--walk", "example", "--tol", "1e-7"],
+     ["residual", "tolerance", "simulable", "closure_dimension"]),
+], ids=["project", "closure", "simulable"])
+def test_key_value_csv_reports(tmp_path, args, keys):
+    if args[0] == "simulable":
+        h_path = tmp_path / "diag.json"
+        h_path.write_text(json.dumps(matrix_json(np.kron(np.diag([-3.0, 1.0, 2.0]), np.eye(4)))))
+        args = args + ["--hamiltonian", str(h_path)]
+    rows, rep = _csv_and_json(tmp_path, args)
+    assert rows[0] == ["key", "value"]
+    assert [r[0] for r in rows[1:]] == keys == list(rep)
+    for key, value in rows[1:]:
+        assert value == _csv_cell(rep[key])
+        if isinstance(rep[key], float):
+            assert re.fullmatch(r"-?\d\.\d{16}e[+-]\d\d\d?", value)
+
+
+def test_example_csv_report(tmp_path):
+    rows, rep = _csv_and_json(tmp_path, ["example"])
+    assert rows == [["item", "pass"],
+                    *([item["name"], _csv_cell(item["pass"])] for item in rep["items"]),
+                    ["all_pass", _csv_cell(rep["all_pass"])]]
+    assert [r[1] for r in rows[1:]] == ["true"] * 6
+    assert [r[0] for r in rows[1:-1]] == ["shift_order", "adjacency_spectrum",
+                                          "closure_dimension", "diagonal_membership",
+                                          "subspace_element"]
+
+
+def test_dump_basis_needs_json_before_the_closure(tmp_path, capsys, monkeypatch):
+    def no_closure(gens, tol):
+        raise AssertionError("the closure ran before the format was checked")
+
+    monkeypatch.setattr(cli.liealg, "lie_closure", no_closure)
+    out = tmp_path / "never.csv"
+    assert run(["closure", "--walk", "example", "--dump-basis"], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--dump-basis needs --format json" in captured.err
     assert not out.exists()

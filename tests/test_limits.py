@@ -274,6 +274,14 @@ def test_convergence_study():
         limits.convergence_study(p, 1.0, 1.0, [64, 32])
 
 
+def test_exponent_fitted_on_two_value_grid():
+    p = limits.strauch_protocol(4)
+    rep = limits.convergence_study(p, 1.0, 1.0, [8, 16])
+    (x1, e1), (x2, e2) = rep.samples
+    assert rep.fitted_exponent == pytest.approx(np.log(e2 / e1) / np.log(x2 / x1), rel=1e-12)
+    assert np.isnan(limits.convergence_study(p, 1.0, 1.0, [8]).fitted_exponent)
+
+
 def test_chiral_split():
     psi = np.arange(8, dtype=complex)
     r, l = limits.chiral_split(psi, 4)
