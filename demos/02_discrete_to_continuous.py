@@ -11,7 +11,7 @@ from qwl import limits
 n, gamma, t = 8, 1.0, 1.0
 p = limits.strauch_protocol(n)
 
-print(f"cycle n={n}: reference phase {limits.reference_phase(p).real:+.0f}")
+print(f"cycle n={n}: reference phase {p.phase.real:+.0f}")
 print(f"{'m':>6} {'x':>12} {'single step':>14} {'repeated':>14}")
 for m in (32, 64, 128, 256, 512, 1024):
     x = gamma * t / m

@@ -7,9 +7,13 @@ effective Hamiltonian H, and repeating the product gamma*t/x times while
 x -> 0 converges to exp(-i*gamma*H*t).  Composites realize sums (by
 concatenation) and commutators (by group commutators evaluated at
 sqrt(x)) of effective Hamiltonians.
+
+H depends only on the protocol: an atom's one fold of its steps yields T(0)
+and H, and every node keeps the eigenpairs of its H from first use.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +25,8 @@ from .errors import (
     NotUnitary,
     TooSmall,
 )
-from .linalg import expm_hermitian, expm_skew, frob, is_permutation, is_skew_hermitian, is_unitary
+from .linalg import (expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig, is_permutation,
+                     is_skew_hermitian, is_unitary)
 from .walks import CoinedWalk, apply_step, circulant_shift, cycle_walk, shift_matrix
 
 __all__ = [
@@ -35,7 +40,6 @@ __all__ = [
     "evencyc_protocol",
     "limit_hamiltonian_cycle",
     "protocol_unitary",
-    "reference_phase",
     "effective_hamiltonian",
     "single_step_error",
     "repeated_limit",
@@ -75,13 +79,23 @@ class ProtocolStep:
         object.__setattr__(self, "generator", gen)
 
 
-class Atom:
+class _Node:
+    """A protocol node: it has ``walk`` and ``phase``, and keeps the eigenpairs of its H."""
+
+    @cached_property
+    def eigenpairs(self):
+        """(eigenvalues, eigenvectors) of the effective Hamiltonian, computed on first use."""
+        return hermitian_eig(effective_hamiltonian(self))
+
+
+class Atom(_Node):
     """An ordered step sequence around a reference trajectory of one walk.
 
     The unperturbed product of the steps must be phi * identity for a
     unit-modulus phi, validated at construction.  Step 1 of the sequence
     is the leftmost factor of the product, so the last step acts first on
-    state vectors.
+    state vectors.  Construction folds the steps once; that fold yields
+    T(0) and the effective Hamiltonian, which is stored read-only.
     """
 
     def __init__(self, walk: CoinedWalk, steps):
@@ -98,70 +112,63 @@ class Atom:
             raise NotUnitary("walk shift is not a permutation")
         self.walk = walk
         self.steps = steps
-        t0 = np.eye(walk.dim, dtype=complex)
+        # F_j = S (C_j x 1); R_j = F_(j+1)...F_m acts before step j (the chain ends at T(0)),
+        # P_j = F_1...F_(j-1) after it.  T'(0) = sum_j P_j F_j (a_j E_j x 1) R_j, and T(0) =
+        # P_j F_j R_j = phi 1 (checked below) gives P_j = phi (F_j R_j)^dag, so H = i T'(0) / phi
+        # = i sum_j R_j^dag (a_j E_j x 1) R_j = i sum_j (F_j R_j)^dag S (a_j C_j E_j x 1) R_j.
+        r = np.eye(walk.dim, dtype=complex)
+        h = np.zeros_like(r)
         for st in reversed(steps):
-            t0 = apply_step(walk, st.coin, t0)
-        phi = t0[0, 0]
-        if abs(abs(phi) - 1) > 1e-10 or frob(t0 - phi * np.eye(walk.dim)) > 1e-10:
+            fr = apply_step(walk, st.coin, r)
+            if st.generator.any():
+                h += fr.conj().T @ apply_step(walk, st.slope * (st.coin @ st.generator), r)
+            r = fr
+        phi = r[0, 0]
+        if abs(abs(phi) - 1) > 1e-10 or frob(r - phi * np.eye(walk.dim)) > 1e-10:
             raise NotScalarAtZero(
                 "reference trajectory is not a scalar multiple of the identity")
         self.phase = complex(phi)
+        self._hamiltonian = 1j * h
+        self._hamiltonian.setflags(write=False)
 
     def unitary(self, x: float) -> np.ndarray:
         u = np.eye(self.walk.dim, dtype=complex)
         for st in reversed(self.steps):
-            u = apply_step(self.walk, st.coin @ expm_skew(st.generator, st.slope * x), u)
+            coin = st.coin @ expm_skew(st.generator, st.slope * x) if st.generator.any() \
+                else st.coin
+            u = apply_step(self.walk, coin, u)
         return u
 
     def hamiltonian(self) -> np.ndarray:
-        # F_j = S (C_j x 1); R_j = F_(j+1)...F_m acts before step j, P_j = F_1...F_(j-1)
-        # after it.  T'(0) = sum_j P_j F_j (a_j E_j x 1) R_j, and T(0) = P_j F_j R_j = phi 1
-        # (checked in __init__) gives P_j = phi (F_j R_j)^dag, so H = i T'(0) / phi
-        # = i sum_j R_j^dag (a_j E_j x 1) R_j = i sum_j (F_j R_j)^dag S (a_j C_j E_j x 1) R_j.
-        r = np.eye(self.walk.dim, dtype=complex)
-        h = np.zeros_like(r)
-        for st in reversed(self.steps):
-            fr = apply_step(self.walk, st.coin, r)
-            if st.generator.any():
-                h += fr.conj().T @ apply_step(self.walk, st.slope * (st.coin @ st.generator), r)
-            r = fr
-        return 1j * h
+        return self._hamiltonian
 
 
-class Concat:
+class _Pair(_Node):
+    """A node over two protocols of the same walk."""
+
+    def __init__(self, left, right):
+        wl, wr = left.walk, right.walk
+        if wl.coin_dim != wr.coin_dim or wl.walker_dim != wr.walker_dim \
+                or not np.array_equal(wl.shift, wr.shift):
+            raise DimMismatch("all atoms of a protocol must share the same walk")
+        self.walk, self.left, self.right = wl, left, right
+
+
+class Concat(_Pair):
     """Left-to-right product of two protocols; effective Hamiltonians add."""
 
     def __init__(self, left, right):
-        _check_same_walk(left, right)
-        self.left = left
-        self.right = right
-        self.phase = reference_phase(left) * reference_phase(right)
+        super().__init__(left, right)
+        self.phase = left.phase * right.phase
 
 
-class Commutator:
+class Commutator(_Pair):
     """Group commutator U1 U2 U1^-1 U2^-1 with children evaluated at sqrt(x).
 
     Realizes the Lie bracket: the effective Hamiltonian is -i[H1, H2].
     """
 
-    def __init__(self, left, right):
-        _check_same_walk(left, right)
-        self.left = left
-        self.right = right
-        self.phase = 1.0 + 0j
-
-
-def _walk_of(p) -> CoinedWalk:
-    if isinstance(p, Atom):
-        return p.walk
-    return _walk_of(p.left)
-
-
-def _check_same_walk(left, right):
-    wl, wr = _walk_of(left), _walk_of(right)
-    if wl.coin_dim != wr.coin_dim or wl.walker_dim != wr.walker_dim \
-            or not np.array_equal(wl.shift, wr.shift):
-        raise DimMismatch("all atoms of a protocol must share the same walk")
+    phase = 1.0 + 0j
 
 
 def strauch_coin(x: float) -> np.ndarray:
@@ -220,11 +227,6 @@ def protocol_unitary(p, x: float) -> np.ndarray:
     raise TypeError(f"not a protocol expression: {type(p).__name__}")
 
 
-def reference_phase(p) -> complex:
-    """The unit scalar phi with protocol_unitary(p, 0) = phi * identity."""
-    return p.phase
-
-
 def effective_hamiltonian(p) -> np.ndarray:
     """The Hermitian H with phi^-1 T(x) = exp(-i*H*x) + O(x^(1+delta))."""
     if isinstance(p, Atom):
@@ -240,9 +242,8 @@ def effective_hamiltonian(p) -> np.ndarray:
 
 def single_step_error(p, x: float) -> float:
     """|| phi^-1 T(x) - exp(-i*H*x) ||_F for one evaluation of the protocol."""
-    u = protocol_unitary(p, x) / reference_phase(p)
-    target = expm_hermitian(effective_hamiltonian(p), x)
-    return frob(u - target)
+    u = protocol_unitary(p, x) / p.phase
+    return frob(u - expm_eig(p.eigenpairs, x))
 
 
 def repeated_limit(p, gamma: float, t: float, m: int):
@@ -257,10 +258,9 @@ def repeated_limit(p, gamma: float, t: float, m: int):
     if x >= X_MAX:
         raise DomainExceeded(
             f"gamma*t/m = {x} >= {X_MAX}; raise m to shrink the perturbation")
-    u = protocol_unitary(p, x) / reference_phase(p)
+    u = protocol_unitary(p, x) / p.phase
     result = np.linalg.matrix_power(u, m)
-    target = expm_hermitian(effective_hamiltonian(p), gamma * t)
-    return result, frob(result - target)
+    return result, frob(result - expm_eig(p.eigenpairs, gamma * t))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ __all__ = [
     "kron",
     "hermitian_eig",
     "expm_hermitian",
+    "expm_eig",
     "expm_skew",
     "hs_inner",
     "commutator",
@@ -78,17 +79,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_cmatrix(a), as_cmatrix(b))
 
 
-def _check_hermitian(h: np.ndarray, tol: float) -> np.ndarray:
-    h = as_cmatrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NonHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
-    res = frob(h - h.conj().T)
-    if res > tol:
-        raise NonHermitian(f"Hermiticity residual {res:.3e} exceeds {tol:.1e}")
-    # symmetrize to suppress roundoff drift before eigensolving
-    return (h + h.conj().T) / 2
-
-
 def hermitian_eig(h, tol: float = HERMITIAN_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -96,18 +86,27 @@ def hermitian_eig(h, tol: float = HERMITIAN_TOL):
     Degenerate eigenvector choice is solver-dependent; compare invariant
     subspaces or eigenvalue multisets, never individual columns.
     """
-    h = _check_hermitian(h, tol)
-    w, v = np.linalg.eigh(h)
-    return w, v
+    h = as_cmatrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise NonHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
+    res = frob(h - h.conj().T)
+    if res > tol:
+        raise NonHermitian(f"Hermiticity residual {res:.3e} exceeds {tol:.1e}")
+    # symmetrize to suppress roundoff drift before eigensolving
+    return np.linalg.eigh((h + h.conj().T) / 2)
 
 
 def expm_hermitian(h, s: float, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """exp(-i*s*H) for Hermitian H, via eigendecomposition."""
-    w, v = hermitian_eig(h, tol)
+    return expm_eig(hermitian_eig(h, tol), s)
+
+
+def expm_eig(eig, s: float) -> np.ndarray:
+    """exp(-i*s*H) from the eigenpairs (w, v) of H, so one decomposition serves every s."""
+    w, v = eig
     if s == 0:
         return np.eye(len(w), dtype=complex)
-    phases = np.exp(-1j * s * w)
-    return (v * phases) @ v.conj().T
+    return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 
 def expm_skew(k, s: float = 1.0, tol: float = HERMITIAN_TOL) -> np.ndarray:

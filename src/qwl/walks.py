@@ -4,7 +4,8 @@ Basis ordering on the coin x walker space is coin-major throughout:
 state (c_k, j) sits at index k*N + j.  Every dense matrix in the package
 relies on this convention.  ``apply_step`` applies a walk step S (C x 1) as
 a coin contraction and a row permutation; ``shift_matrix`` is the dense
-reference for S.
+reference for S.  Walk builders reject coin_dim * walker_dim > ``MAX_DIM``
+before they allocate anything.
 """
 
 import json
@@ -48,6 +49,14 @@ __all__ = [
     "walk_from_json",
     "walk_to_json",
 ]
+
+# Largest coin_dim * walker_dim a walk may have; its dense operators are dim x dim.
+MAX_DIM = 8192
+
+
+def _check_dim(coin_dim: int, walker_dim: int):
+    if coin_dim * walker_dim > MAX_DIM:
+        raise DomainExceeded(f"walk dimension coin_dim * walker_dim exceeds MAX_DIM = {MAX_DIM}")
 
 
 def circulant_shift(n: int) -> np.ndarray:
@@ -119,6 +128,7 @@ def cycle_walk(n: int) -> CoinedWalk:
     """
     if n < 3:
         raise TooSmall(f"cycle walk needs n >= 3, got {n}")
+    _check_dim(2, n)
     j = np.arange(n)
     moves = np.stack([(j + 1) % n, (j - 1) % n])
     return graph_coined_walk(graphs.cycle_graph(n), moves)
@@ -135,6 +145,8 @@ def lattice_walk(n: int, d: int) -> CoinedWalk:
         raise TooSmall(f"lattice walk needs n >= 3, got {n}")
     if d < 1:
         raise TooSmall(f"lattice walk needs d >= 1, got {d}")
+    # n >= 3, so n**MAX_DIM is over the cap too; min() spares computing a huge n**d
+    _check_dim(2 * d, n ** min(d, MAX_DIM))
     g = graphs.cycle_graph(n)
     for _ in range(d - 1):
         g = graphs.cartesian_product(g, graphs.cycle_graph(n))
@@ -330,6 +342,7 @@ def walk_from_json(obj) -> CoinedWalk:
         raise BadSpec(f"walk JSON needs 'graph', 'coin_dim', 'moves': {exc}") from exc
     if moves.ndim != 2 or moves.shape[0] != c:
         raise BadSpec(f"moves must have {c} rows, got shape {moves.shape}")
+    _check_dim(c, g.n)
     return graph_coined_walk(g, moves)
 
 

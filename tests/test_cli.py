@@ -130,7 +130,7 @@ def test_protocol_from_file(tmp_path):
     path = tmp_path / "proto.json"
     path.write_text(json.dumps(spec))
     p = cli.resolve_protocol(f"file:{path}", walks.cycle_walk(4))
-    assert limits.reference_phase(p) == pytest.approx(-1.0)
+    assert p.phase == pytest.approx(-1.0)
     comp = {"kind": "concat", "children": [spec, spec]}
     path2 = tmp_path / "comp.json"
     path2.write_text(json.dumps(comp))
@@ -362,7 +362,7 @@ def test_protocol_depth_cap_is_inclusive(tmp_path):
     path.write_text(_nested_concat_json(cli.MAX_PROTOCOL_DEPTH))
     p = cli.resolve_protocol(f"file:{path}", walks.cycle_walk(4))
     # each strauch atom has phase -1 and the tree holds depth + 1 of them
-    assert limits.reference_phase(p) == pytest.approx((-1.0) ** (cli.MAX_PROTOCOL_DEPTH + 1))
+    assert p.phase == pytest.approx((-1.0) ** (cli.MAX_PROTOCOL_DEPTH + 1))
 
 
 @pytest.mark.parametrize("edit", [
@@ -379,6 +379,21 @@ def test_walk_file_non_integers_rejected(tmp_path, capsys, edit):
     out = tmp_path / "never.csv"
     assert run(["info", "--walk", f"file:{path}"], out) == 2
     assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "lattice:3,2", "file"])
+def test_walk_over_size_cap_writes_nothing(tmp_path, capsys, monkeypatch, spec):
+    if spec == "file":
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps(walks.walk_to_json(walks.cycle_walk(5))))
+        spec = f"file:{path}"
+    monkeypatch.setattr(walks, "MAX_DIM", 8)
+    out = tmp_path / "never.csv"
+    assert run(["info", "--walk", spec], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_DIM" in captured.err
     assert not out.exists()
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qwl import graphs, limits, walks
 from qwl.errors import DomainExceeded, NotScalarAtZero, NotUnitary, TooSmall
@@ -94,6 +97,89 @@ def test_structured_atoms_match_dense_oracle():
             assert frob(limits.protocol_unitary(p, x) - dense_unitary(p, x)) <= 1e-12
 
 
+@pytest.mark.parametrize("m_list", [[8], [8, 16], [8, 16, 32, 64]])
+def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
+    stream = LcgStream(7)
+    a, b, c = (random_u2_atom(8, stream, perturbed) for perturbed in ({0, 3}, {2, 5}, {1, 6}))
+    protocols = [limits.strauch_protocol(8), limits.evencyc_protocol(8),
+                 limits.Commutator(limits.Concat(a, b), c)]
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counting_eigh(h, *args, **kwargs):
+        sizes.append(len(h))
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for p in protocols:
+        sizes.clear()
+        # what `qwl converge` computes: the study, then one single-step error per m
+        study = limits.convergence_study(p, 1.0, 1.0, m_list)
+        for x, _ in study.samples:
+            limits.single_step_error(p, x)
+        assert sizes.count(p.walk.dim) == 1
+
+
+def test_atom_hamiltonian_is_stored_read_only():
+    p = limits.strauch_protocol(6)
+    h = limits.effective_hamiltonian(p)
+    assert h is limits.effective_hamiltonian(p)
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0] = 1.0
+
+
+@st.composite
+def cayley_walks(draw):
+    """Coin-labelled walk on a Cayley graph of Z_n: coin k moves every vertex by s_k."""
+    n = draw(st.integers(3, 7))
+    half = draw(st.sets(st.integers(1, n // 2), min_size=1))
+    shifts = sorted({s % n for h in half for s in (h, -h)})
+    edges = [(j, (j + s) % n) for s in shifts for j in range(n)]
+    moves = [[(j + s) % n for j in range(n)] for s in shifts]
+    return walks.graph_coined_walk(graphs.graph(n, edges), moves)
+
+
+@st.composite
+def shift_orbit_atoms(draw, w):
+    """shift_order(w) identity-coin steps (so S^r = 1), random u(c) generators and
+    slopes on a random nonempty subset of the steps."""
+    c, r = w.coin_dim, walks.shift_order(w)
+    perturbed = draw(st.sets(st.integers(0, r - 1), min_size=1))
+    entries = arrays(np.float64, (2, c, c), elements=st.floats(-1, 1))
+    steps = []
+    for j in range(r):
+        gen = np.zeros((c, c), dtype=complex)
+        if j in perturbed:
+            re, im = draw(entries)
+            m = re + 1j * im
+            gen = (m - m.conj().T) / 2
+        slope = draw(st.floats(-2, 2))
+        steps.append(limits.ProtocolStep(np.eye(c, dtype=complex), gen, slope))
+    return limits.Atom(w, steps)
+
+
+@st.composite
+def protocols(draw):
+    w = draw(cayley_walks())
+    a = draw(shift_orbit_atoms(w))
+    kind = draw(st.sampled_from(["atom", "concat", "commutator"]))
+    if kind == "atom":
+        return a
+    b = draw(shift_orbit_atoms(w))
+    return limits.Concat(a, b) if kind == "concat" else limits.Commutator(a, b)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(protocols(), st.floats(0, 0.5))
+def test_stored_hamiltonian_and_eigenpairs_match_dense_oracles(p, x):
+    h = limits.effective_hamiltonian(p)
+    assert frob(h - dense_hamiltonian(p)) <= 1e-12
+    assert frob(limits.protocol_unitary(p, x) - dense_unitary(p, x)) <= 1e-12
+    expected = frob(limits.protocol_unitary(p, x) / p.phase - expm_hermitian(h, x))
+    assert abs(limits.single_step_error(p, x) - expected) <= 1e-12
+
+
 def test_strauch_coin():
     assert np.array_equal(limits.strauch_coin(0.0), R)
     assert is_unitary(limits.strauch_coin(0.3), 1e-12)
@@ -103,8 +189,8 @@ def test_strauch_coin():
 
 
 def test_reference_phases():
-    assert limits.reference_phase(limits.strauch_protocol(5)) == pytest.approx(-1.0)
-    assert limits.reference_phase(limits.evencyc_protocol(5)) == pytest.approx(1.0)
+    assert limits.strauch_protocol(5).phase == pytest.approx(-1.0)
+    assert limits.evencyc_protocol(5).phase == pytest.approx(1.0)
     with pytest.raises(NotScalarAtZero):
         limits.Atom(walks.cycle_walk(4),
                     [limits.ProtocolStep(np.eye(2, dtype=complex),
@@ -127,11 +213,11 @@ def test_protocol_unitary_at_zero():
         for n in (4, 6, 8):
             q = make(n)
             u0 = limits.protocol_unitary(q, 0.0)
-            phi = limits.reference_phase(q)
+            phi = q.phase
             assert frob(u0 - phi * np.eye(2 * n)) <= 1e-10
     q = random_atom(0)
     u0 = limits.protocol_unitary(q, 0.0)
-    assert frob(u0 - limits.reference_phase(q) * np.eye(12)) <= 1e-10
+    assert frob(u0 - q.phase * np.eye(12)) <= 1e-10
     with pytest.raises(DomainExceeded):
         limits.protocol_unitary(p, 1.5)
 
@@ -185,7 +271,7 @@ def test_effective_hamiltonian_hermitian_and_fd():
         h = limits.effective_hamiltonian(p)
         assert frob(h - h.conj().T) <= 1e-9 * max(frob(h), 1.0)
         step = 1e-6
-        fd = 1j / limits.reference_phase(p) \
+        fd = 1j / p.phase \
             * (limits.protocol_unitary(p, step) - limits.protocol_unitary(p, 0.0)) / step
         assert frob(h - fd) <= 1e-4
 
@@ -209,7 +295,7 @@ def test_commutator_protocol_law():
     hcm = limits.effective_hamiltonian(cm)
     assert is_hermitian(hcm, 1e-9)
     assert frob(hcm - (-1j) * commutator(h1, h2)) <= 1e-6
-    assert limits.reference_phase(cm) == pytest.approx(1.0)
+    assert cm.phase == pytest.approx(1.0)
     # composite error decays faster than first order
     xs = [2.0 ** (-k) for k in range(6, 13)]
     assert limits.single_step_study(cm, xs).fitted_exponent > 1.0

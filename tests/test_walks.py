@@ -6,6 +6,7 @@ import pytest
 from qwl import graphs, walks
 from qwl.errors import (
     BadSpec,
+    DomainExceeded,
     NotAnEdge,
     NotBijective,
     NotLaplacian,
@@ -256,3 +257,22 @@ def test_walk_json_integers():
         bad["moves"][0][0] = move
         with pytest.raises(BadSpec):
             walks.walk_from_json(bad)
+
+
+def test_walk_size_cap(monkeypatch):
+    assert walks.MAX_DIM == 8192
+    assert walks.cycle_walk(walks.MAX_DIM // 2).dim == walks.MAX_DIM
+    with pytest.raises(DomainExceeded):
+        walks.cycle_walk(walks.MAX_DIM // 2 + 1)
+    monkeypatch.setattr(walks, "MAX_DIM", 8)
+    assert walks.cycle_walk(4).dim == 8
+    with pytest.raises(DomainExceeded):
+        walks.cycle_walk(5)
+    with pytest.raises(DomainExceeded):
+        walks.lattice_walk(3, 2)
+    with pytest.raises(DomainExceeded):
+        walks.lattice_walk(3, 10 ** 9)
+    # the declared n is checked before graph_coined_walk builds its degree array
+    huge = {"graph": {"n": 10 ** 9, "edges": [[0, 1]]}, "coin_dim": 1, "moves": [[1, 0, 2]]}
+    with pytest.raises(DomainExceeded):
+        walks.walk_from_json(huge)
