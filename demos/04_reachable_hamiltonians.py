@@ -12,7 +12,7 @@ from qwl import liealg, limits, walks
 
 for n in (4, 6, 8):
     w = walks.cycle_walk(n)
-    gens = liealg.generators(w)
+    gens = list(liealg.generators(w))
     basis = liealg.lie_closure(gens, 1e-9)
     h = limits.effective_hamiltonian(limits.strauch_protocol(n))
     res = liealg.member_residual(basis, -1j * h)

@@ -17,7 +17,7 @@ print("shift order:", walks.shift_order(w))
 a = graphs.adjacency(w.graph)
 print("adjacency spectrum:", liealg.spectrum_multiset(a, 8))
 
-gens = liealg.generators(w)
+gens = list(liealg.generators(w))
 basis = liealg.lie_closure(gens, 1e-9)
 print(f"closure of {len(gens)} generators: dimension {basis.dimension}"
       f" = 9 [u(3) x 1] + 3 x 8 [su(3) x matching]")

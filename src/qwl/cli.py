@@ -296,13 +296,12 @@ def cmd_project(args):
 
 def cmd_closure(args):
     w = resolve_walk(args.walk)
-    gens = liealg.generators(w)
-    basis = liealg.lie_closure(gens, args.tol)
+    basis = liealg.lie_closure(liealg.generators(w), args.tol)
     report = {
         "ambient_dim": basis.dim_ambient,
         "dimension": basis.dimension,
         "tolerance": basis.tol,
-        "generator_count": len(gens),
+        "generator_count": w.coin_dim ** 2 * walks.shift_order(w),
         "passes": basis.passes,
     }
     rows = [["key", "value"], *report.items()]

@@ -82,16 +82,16 @@ def degrees(g: Graph) -> np.ndarray:
 
 
 def adjacency(g: Graph) -> np.ndarray:
-    """0/1 adjacency matrix (complex dtype, zero diagonal)."""
-    a = np.zeros((g.n, g.n), dtype=int)
+    """0/1 adjacency matrix (float64, zero diagonal)."""
+    a = np.zeros((g.n, g.n))
     for u, v in g.edges:
         a[u, v] = 1
         a[v, u] = 1
-    return a.astype(complex)
+    return a
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """L = A - diag(deg); rows and columns sum to zero exactly."""
+    """L = A - diag(deg) (float64); rows and columns sum to zero exactly."""
     a = adjacency(g)
     return a - np.diag(a.sum(axis=1))
 

@@ -7,10 +7,17 @@ limit (membership of -iH).  The closure is one orthonormal (k, n, n)
 array in the real Hilbert-Schmidt geometry; admission, membership and
 conjugation invariance all measure distance to it with one projection,
 applied twice, and admission is scale-free.
+
+Candidates (generators and brackets alike) are admitted a chunk at a
+time: a C-contiguous (m, n, n) stack of at most ``_CHUNK_BYTES``, so the
+projection on the span is one matrix product per chunk.  ``generators``
+streams, so the r*c^2 dense generators are never all held at once, and
+the basis may not grow past ``MAX_CLOSURE_BYTES``.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .errors import (
     NotSkewHermitian,
     TooSmall,
 )
-from .linalg import frob, is_hermitian, is_skew_hermitian, kron
+from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermitian, kron
 from .walks import CoinedWalk, example_walk, shift_matrix, shift_order
 
 __all__ = [
@@ -40,6 +47,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# Candidates are formed, checked and projected in stacks of at most this many bytes.
+_CHUNK_BYTES = 2 * 2 ** 20
+# A closure raises DomainExceeded rather than grow its basis array past this.
+MAX_CLOSURE_BYTES = 2 ** 30
 
 
 def u_basis(c: int):
@@ -75,15 +86,16 @@ def su_basis(c: int):
 
 
 def generators(w: CoinedWalk):
-    """All shift conjugates S^k (u(c) x 1) S^(r-k) of the coin algebra."""
+    """Yield the shift conjugates S^k (u(c) x 1) S^(r-k) of the coin algebra, k = 0..r-1.
+
+    There are c^2 * shift_order(w) of them; only c^2 are held at a time.
+    """
     # S^r = 1, so S^k X S^(r-k) is k gathers X -> S X S^-1 by the inverse shift.
     inv = np.argsort(w.shift)
     conj = [kron(b, np.eye(w.walker_dim)) for b in u_basis(w.coin_dim)]
-    out = []
     for _ in range(shift_order(w)):
-        out += conj
+        yield from conj
         conj = [x[np.ix_(inv, inv)] for x in conj]
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +106,10 @@ class LieBasis:
     of the basis.  Its rows ``elements.reshape(k, n*n).view(float)``
     interleave real and imaginary parts, so their dot products are
     Re tr(A^dag B); they are orthonormal, and every distance to the span is
-    measured by subtracting the projection on them twice.
+    measured by subtracting the projection on them twice, for a whole
+    chunk of candidates in one matrix product.  ``lie_closure`` grows the
+    array by doubling and raises DomainExceeded rather than let it pass
+    ``MAX_CLOSURE_BYTES``.
     """
 
     dim_ambient: int
@@ -122,52 +137,102 @@ def _project_out(elements: np.ndarray, x: np.ndarray) -> None:
         v -= (v @ rows.T) @ rows
 
 
+def _chunk_len(n: int) -> int:
+    """Matrices of side n per chunk: as many as fit in _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // (16 * max(n * n, 1)))
+
+
+def _check_skew(stack: np.ndarray) -> np.ndarray:
+    """The (m, n, n) stack, once every matrix in it is skew-Hermitian within HERMITIAN_TOL."""
+    residuals = np.linalg.norm(stack + stack.conj().swapaxes(1, 2), axis=(1, 2))
+    if not (residuals <= HERMITIAN_TOL).all():
+        raise NotSkewHermitian("closure generators must be skew-Hermitian")
+    return stack
+
+
+def _grown(basis: np.ndarray, k: int) -> np.ndarray:
+    """A basis array of twice the capacity (at least 1) holding basis[:k].
+
+    Raises DomainExceeded, before allocating, if it would exceed MAX_CLOSURE_BYTES.
+    """
+    cap = max(1, 2 * len(basis))
+    n = basis.shape[-1]
+    if cap * n * n * 16 > MAX_CLOSURE_BYTES:
+        raise DomainExceeded(f"closure basis of {cap} elements of side {n} would exceed "
+                             f"MAX_CLOSURE_BYTES = {MAX_CLOSURE_BYTES}")
+    out = np.empty((cap, n, n), dtype=complex)
+    out[:k] = basis[:k]
+    return out
+
+
 def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     """Smallest bracket-closed real span containing the generators.
 
-    Orthonormalizes the generators, then repeatedly brackets basis pairs,
-    admitting any component outside the current span until a full pass
-    admits nothing.  Admission is scale-free: candidates are normalized
-    before projection and kept when the remainder exceeds tol.
+    ``gens`` is any iterable of (n, n) skew-Hermitian matrices.  It is read
+    once, a chunk of ``_chunk_len(n)`` at a time, and each chunk's shapes
+    and skew-Hermiticity are checked before it is admitted.  Each pass then
+    brackets every pair of elements admitted before the pass began (pairs
+    bracketed in an earlier pass are skipped), one chunk [b_i, b_j] for a
+    contiguous run of j at a time, until a pass admits nothing.
+
+    Admission is scale-free and keeps candidate order: a chunk's candidates
+    of norm above tol are normalized and projected off the span with one
+    matrix product; each remainder still above tol is then projected off
+    the elements admitted from the same chunk, and admitted, normalized,
+    if it stays above tol.
     """
-    gens = [np.asarray(g, dtype=complex) for g in gens]
-    if not gens:
-        raise TooSmall("need at least one generator")
-    n = gens[0].shape[0]
     if not (1e-12 <= tol <= 1e-6):
         raise DomainExceeded(f"closure tolerance {tol} outside [1e-12, 1e-6]")
-    for g in gens:
-        if g.shape != (n, n):
-            raise DimMismatch("generators must share one square shape")
-        if not is_skew_hermitian(g):
-            raise NotSkewHermitian("closure generators must be skew-Hermitian")
-
-    basis = np.empty((len(gens), n, n), dtype=complex)  # basis[:k] spans, basis[k] is scratch
+    gens = iter(gens)
+    first = next(gens, None)
+    if first is None:
+        raise TooSmall("need at least one generator")
+    first = np.asarray(first, dtype=complex)
+    n = first.shape[0] if first.ndim else 0
+    m = _chunk_len(n)
+    basis = np.empty((0, n, n), dtype=complex)  # basis[:k] is the span, the rest spare capacity
     k = 0
 
-    def admit(cand):
+    def admit(stack):
+        """Admit the components of a C-contiguous (m, n, n) stack outside the span; overwrites it."""
         nonlocal basis, k
-        norm = frob(cand)
-        if norm <= tol:
-            return
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis)])
-        np.divide(cand, norm, out=basis[k])
-        _project_out(basis[:k], basis[k])
-        rnorm = frob(basis[k])
-        if rnorm > tol:
-            basis[k] /= rnorm
-            k += 1
+        norms = np.linalg.norm(stack.reshape(len(stack), n * n), axis=1)
+        nonzero = norms > tol
+        if not nonzero.all():
+            stack, norms = stack[nonzero], norms[nonzero]
+        stack /= norms[:, None, None]
+        _project_out(basis[:k], stack)
+        start = k
+        for x in stack[np.linalg.norm(stack.reshape(len(stack), n * n), axis=1) > tol]:
+            _project_out(basis[start:k], x)
+            rnorm = frob(x)
+            if rnorm > tol:
+                if k == len(basis):
+                    basis = _grown(basis, k)
+                np.divide(x, rnorm, out=basis[k])
+                k += 1
 
-    for g in gens:
-        admit(g)
+    chunk = np.empty((m, n, n), dtype=complex)
+    fill = 0
+    for g in chain([first], gens):
+        g = np.asarray(g, dtype=complex)
+        if g.shape != (n, n):
+            raise DimMismatch("generators must share one square shape")
+        chunk[fill] = g
+        fill += 1
+        if fill == m:
+            admit(_check_skew(chunk))
+            fill = 0
+    if fill:
+        admit(_check_skew(chunk[:fill]))
     cap = n * n + 10
     start = 0  # elements before this index have been bracketed pairwise already
     for passes in range(1, cap + 1):
         size = k
         for i in range(size):
-            for j in range(max(i + 1, start), size):
-                admit(basis[i] @ basis[j] - basis[j] @ basis[i])
+            for lo in range(max(i + 1, start), size, m):
+                blk = basis[lo:min(lo + m, size)]
+                admit(basis[i] @ blk - blk @ basis[i])
         if k == size:
             return LieBasis(n, basis[:k].copy(), tol, passes)
         start = size
@@ -203,21 +268,25 @@ def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
     if w.dim != basis.dim_ambient:
         raise DimMismatch("walk dimension does not match the basis")
     inv = np.argsort(w.shift)
-    # advanced indexing need not return C order, which the in-place projection needs
-    conj = np.array(basis.elements[:, inv[:, None], inv], order="C")
-    _project_out(basis.elements, conj)
-    # conjugation by a permutation keeps each element's unit norm
-    return float(np.linalg.norm(conj, axis=(1, 2)).max(initial=0.0))
+    m = _chunk_len(w.dim)
+    worst = 0.0
+    for lo in range(0, basis.dimension, m):
+        # advanced indexing need not return C order, which the in-place projection needs
+        conj = np.array(basis.elements[lo:lo + m, inv[:, None], inv], order="C")
+        _project_out(basis.elements, conj)
+        # conjugation by a permutation keeps each element's unit norm
+        worst = max(worst, float(np.linalg.norm(conj, axis=(1, 2)).max()))
+    return worst
 
 
 def spectrum_multiset(h, digits: int = 8):
     """Eigenvalues clustered by rounding, as (value, multiplicity) pairs.
 
-    Accepts Hermitian input directly and skew-Hermitian input via i*h;
-    returned values are sorted descending and refer to the Hermitian
-    counterpart in the skew case.
+    Accepts Hermitian input directly (real symmetric input stays real) and
+    skew-Hermitian input via i*h; returned values are sorted descending and
+    refer to the Hermitian counterpart in the skew case.
     """
-    h = np.asarray(h, dtype=complex)
+    h = as_matrix(h)
     if is_hermitian(h):
         vals = np.linalg.eigvalsh((h + h.conj().T) / 2)
     elif is_skew_hermitian(h):

@@ -1,6 +1,8 @@
 """Dense complex linear algebra for operators on coin/walker spaces.
 
-All operators are plain ``numpy`` arrays of dtype complex128.  Matrix
+Operators are plain ``numpy`` arrays of dtype complex128, except real
+symmetric walker operators (adjacency, Laplacian), which stay float64 so
+that they are eigendecomposed as real matrices.  Matrix
 exponentials are computed through the Hermitian eigendecomposition only;
 every generator in this package is (skew-)Hermitian, so this is exact up
 to eigensolver accuracy and no Pade machinery is needed.
@@ -12,6 +14,7 @@ from .errors import DimMismatch, NonHermitian
 
 __all__ = [
     "as_cmatrix",
+    "as_matrix",
     "is_hermitian",
     "is_skew_hermitian",
     "is_unitary",
@@ -29,12 +32,18 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array."""
-    m = np.asarray(a, dtype=complex)
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D array: complex128 if the input is complex, float64 otherwise."""
+    m = np.asarray(a)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2:
         raise DimMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
+
+
+def as_cmatrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex128 array."""
+    return as_matrix(a).astype(complex, copy=False)
 
 
 def frob(a) -> float:
@@ -44,13 +53,13 @@ def frob(a) -> float:
 
 def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
     """True iff ||A - A^dag||_F <= tol."""
-    a = as_cmatrix(a)
+    a = as_matrix(a)
     return a.shape[0] == a.shape[1] and frob(a - a.conj().T) <= tol
 
 
 def is_skew_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
     """True iff ||A + A^dag||_F <= tol."""
-    a = as_cmatrix(a)
+    a = as_matrix(a)
     return a.shape[0] == a.shape[1] and frob(a + a.conj().T) <= tol
 
 
@@ -83,10 +92,12 @@ def hermitian_eig(h, tol: float = HERMITIAN_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary).
-    Degenerate eigenvector choice is solver-dependent; compare invariant
-    subspaces or eigenvalue multisets, never individual columns.
+    A real symmetric input is decomposed as a real matrix, with real
+    eigenvectors.  Degenerate eigenvector choice is solver-dependent;
+    compare invariant subspaces or eigenvalue multisets, never individual
+    columns.
     """
-    h = as_cmatrix(h)
+    h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise NonHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
     res = frob(h - h.conj().T)

@@ -397,6 +397,25 @@ def test_walk_over_size_cap_writes_nothing(tmp_path, capsys, monkeypatch, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["closure", "simulable"])
+def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    argv = ["closure", "--walk", "cycle:5"]
+    if command == "simulable":
+        h_path = tmp_path / "h.json"
+        h_path.write_text(json.dumps(matrix_json(np.diag([1.0] + [0.0] * 11))))
+        argv = ["simulable", "--walk", "example", "--hamiltonian", str(h_path)]
+    # room for 4 elements of side 12 or 5 of side 10; both closures need more
+    monkeypatch.setattr(cli.liealg, "MAX_CLOSURE_BYTES", 16 * 12 ** 2 * 4)
+    out = tmp_path / "never.csv"
+    assert run(argv, out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_CLOSURE_BYTES" in captured.err
+    assert not out.exists()
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("entry", [[True, False], ["1", "0"]], ids=["bool", "string"])
 def test_simulable_hamiltonian_entries_must_be_numbers(tmp_path, capsys, entry):
     h = matrix_json(np.diag([1.0] + [0.0] * 11))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwl import liealg, limits, walks
+from qwl import graphs, liealg, limits, walks
 from qwl.errors import (
+    DimMismatch,
     DomainExceeded,
     NonHermitian,
     NonNormalInput,
@@ -54,8 +57,8 @@ def test_su_basis():
 
 
 def test_generator_counts():
-    assert len(liealg.generators(walks.example_walk())) == 18
-    assert len(liealg.generators(walks.cycle_walk(4))) == 16
+    assert len(list(liealg.generators(walks.example_walk()))) == 18
+    assert len(list(liealg.generators(walks.cycle_walk(4)))) == 16
     for g in liealg.generators(walks.cycle_walk(4)):
         assert is_skew_hermitian(g)
 
@@ -68,7 +71,7 @@ def test_generators_match_dense_conjugates():
         dense = [np.linalg.matrix_power(s, k) @ kron(b, np.eye(w.walker_dim))
                  @ np.linalg.matrix_power(s, r - k)
                  for k in range(r) for b in liealg.u_basis(w.coin_dim)]
-        gens = liealg.generators(w)
+        gens = list(liealg.generators(w))
         assert len(gens) == len(dense)
         for g, d in zip(gens, dense):
             assert frob(g - d) <= 1e-12
@@ -76,7 +79,7 @@ def test_generators_match_dense_conjugates():
 
 def test_generators_shift_conjugation_stays_in_set_span(example_closure):
     w, _ = example_closure
-    gens = liealg.generators(w)
+    gens = list(liealg.generators(w))
     s = walks.shift_matrix(w)
     span = liealg.lie_closure(gens, 1e-9)  # the span contains the set
     for g in gens[:6]:
@@ -106,7 +109,7 @@ def test_example_closure_dimension(example_closure):
     _, basis = example_closure
     assert basis.dimension == 33
     # stable across the tolerance grid
-    gens = liealg.generators(walks.example_walk())
+    gens = list(liealg.generators(walks.example_walk()))
     for tol in (1e-10, 1e-8):
         assert liealg.lie_closure(gens, tol).dimension == 33
 
@@ -125,7 +128,7 @@ def test_closure_orthonormal_and_idempotent(example_closure):
 def test_closure_order_independent(example_closure, cycle4_closure):
     rng = np.random.default_rng(5)
     for w, basis in (example_closure, cycle4_closure):
-        gens = liealg.generators(w)
+        gens = list(liealg.generators(w))
         for _ in range(5):
             shuffled = [gens[i] for i in rng.permutation(len(gens))]
             assert liealg.lie_closure(shuffled, 1e-9).dimension == basis.dimension
@@ -203,7 +206,7 @@ def _lstsq_residual(basis, x):
 def test_member_residual_matches_least_squares(example_closure, cycle4_closure):
     rng = np.random.default_rng(11)
     for w, basis in (example_closure, cycle4_closure):
-        gens = liealg.generators(w)
+        gens = list(liealg.generators(w))
         n = w.dim
         for _ in range(4):
             # members: real combinations of generators and of their brackets
@@ -262,3 +265,132 @@ def test_example_subspace_element(example_closure):
             for b in range(3):
                 block[a, b] = np.sum(el[4 * a:4 * (a + 1), 4 * b:4 * (b + 1)] * sk.conj()) / 4
         assert abs(np.trace(block)) <= 1e-12
+
+
+def _reference_closure(gens, tol):
+    """Oracle: the one-candidate admission loop, as (elements, passes).
+
+    Every candidate, generator or bracket, is normalized, projected twice
+    on the span on its own, and admitted if the remainder exceeds tol.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    n = gens[0].shape[0]
+    basis = np.empty((len(gens), n, n), dtype=complex)
+    k = 0
+
+    def admit(cand):
+        nonlocal basis, k
+        norm = frob(cand)
+        if norm <= tol:
+            return
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        np.divide(cand, norm, out=basis[k])
+        rows = basis[:k].reshape(k, n * n).view(float)
+        v = basis[k].reshape(n * n).view(float)
+        for _ in range(2):
+            v -= (v @ rows.T) @ rows
+        rnorm = frob(basis[k])
+        if rnorm > tol:
+            basis[k] /= rnorm
+            k += 1
+
+    for g in gens:
+        admit(g)
+    start, passes = 0, 0
+    while True:
+        passes += 1
+        size = k
+        for i in range(size):
+            for j in range(max(i + 1, start), size):
+                admit(basis[i] @ basis[j] - basis[j] @ basis[i])
+        if k == size:
+            return basis[:k].copy(), passes
+        start = size
+
+
+def _relabelled_cycle7():
+    perm = [3, 6, 0, 4, 1, 5, 2]
+    cyc = walks.cycle_walk(7)
+    return walks.walk_from_json({
+        "graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
+        "coin_dim": 2,
+        "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]})
+
+
+def _assert_matches_reference(w, chunk_len):
+    """The chunked closure of w's generators equals the one-candidate oracle's.
+
+    chunk_len None keeps the module's chunk size; otherwise _CHUNK_BYTES is
+    lowered so that a chunk holds exactly chunk_len matrices.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_len is not None:
+            mp.setattr(liealg, "_CHUNK_BYTES", 16 * w.dim ** 2 * chunk_len)
+            assert liealg._chunk_len(w.dim) == chunk_len
+        basis = liealg.lie_closure(liealg.generators(w), 1e-9)
+    elements, passes = _reference_closure(liealg.generators(w), 1e-9)
+    assert (basis.dimension, basis.passes) == (len(elements), passes)
+    assert np.abs(basis.elements - elements).max(initial=0.0) <= 1e-12
+
+
+ORACLE_WALKS = {
+    "example": walks.example_walk,
+    "cycle:5": lambda: walks.cycle_walk(5),
+    "cycle:8": lambda: walks.cycle_walk(8),
+    "lattice:3,1": lambda: walks.lattice_walk(3, 1),
+    "relabelled cycle:7": _relabelled_cycle7,
+}
+
+
+@pytest.mark.parametrize("chunk_len", [None, 1, 3])
+@pytest.mark.parametrize("name", list(ORACLE_WALKS))
+def test_chunked_closure_matches_one_candidate_oracle(name, chunk_len):
+    _assert_matches_reference(ORACLE_WALKS[name](), chunk_len)
+
+
+@st.composite
+def cayley_walks(draw):
+    """Coin-labelled walk on a Cayley graph of Z_n: coin k moves every vertex by s_k."""
+    n = draw(st.integers(3, 7))
+    half = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=2))
+    shifts = sorted({s % n for h in half for s in (h, -h)})
+    edges = [(j, (j + s) % n) for s in shifts for j in range(n)]
+    moves = [[(j + s) % n for j in range(n)] for s in shifts]
+    return walks.graph_coined_walk(graphs.graph(n, edges), moves)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(cayley_walks(), st.sampled_from([None, 1, 3]))
+def test_chunked_closure_matches_oracle_on_cayley_walks(w, chunk_len):
+    _assert_matches_reference(w, chunk_len)
+
+
+def test_streamed_generators_are_checked_in_every_chunk(monkeypatch):
+    monkeypatch.setattr(liealg, "_CHUNK_BYTES", 16 * 2 ** 2 * 3)  # three 2x2 matrices a chunk
+
+    def stream(bad):
+        yield from liealg.u_basis(2)
+        yield from liealg.u_basis(2)
+        yield bad  # the ninth generator, in the third chunk
+
+    with pytest.raises(NotSkewHermitian):
+        liealg.lie_closure(stream(np.eye(2, dtype=complex)), 1e-9)
+    with pytest.raises(DimMismatch):
+        liealg.lie_closure(stream(np.zeros((3, 3), dtype=complex)), 1e-9)
+    with pytest.raises(TooSmall):
+        liealg.lie_closure(iter(()), 1e-9)
+
+
+def test_closure_memory_cap(monkeypatch):
+    w = walks.cycle_walk(5)  # closure dimension 16, elements of 10x10
+    element = 16 * w.dim ** 2
+    monkeypatch.setattr(liealg, "MAX_CLOSURE_BYTES", 16 * element)
+    assert liealg.lie_closure(liealg.generators(w), 1e-9).dimension == 16
+    monkeypatch.setattr(liealg, "MAX_CLOSURE_BYTES", 16 * element - 1)
+    with pytest.raises(DomainExceeded, match="MAX_CLOSURE_BYTES"):
+        liealg.lie_closure(liealg.generators(w), 1e-9)
+    # the first allocation is checked too: a one-element closure of 2x2 matrices
+    monkeypatch.setattr(liealg, "MAX_CLOSURE_BYTES", 16 * 2 ** 2 - 1)
+    with pytest.raises(DomainExceeded, match="MAX_CLOSURE_BYTES"):
+        liealg.lie_closure([np.diag([1j, -1j])], 1e-9)

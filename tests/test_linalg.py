@@ -126,6 +126,20 @@ def test_hermitian_eig_cycle8_spectrum():
     assert frob(v.conj().T @ v - np.eye(8)) <= 1e-10
 
 
+def test_real_symmetric_input_stays_real():
+    # adjacency and Laplacian are float64, so they are decomposed as real matrices
+    g = graphs.cartesian_product(graphs.cycle_graph(4), graphs.cycle_graph(3))
+    for h in (graphs.adjacency(g), graphs.laplacian(g)):
+        assert h.dtype == np.float64
+        w, v = hermitian_eig(h)
+        assert v.dtype == np.float64
+        w_c, _ = hermitian_eig(h.astype(complex))
+        assert np.allclose(w, w_c, atol=1e-12)
+        assert frob(expm_hermitian(h, 0.7) - expm_hermitian(h.astype(complex), 0.7)) <= 1e-12
+    assert is_hermitian(np.eye(3)) and not is_hermitian(np.triu(np.ones((3, 3))))
+    assert is_skew_hermitian(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
 def test_hs_inner_values():
     assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
     assert hs_inner(np.diag([1j, -1j]), np.diag([1j, 1j])) == pytest.approx(0.0)
