@@ -109,12 +109,16 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _matrix_entry(z) -> complex:
+    if not isinstance(z, list) or len(z) != 2:
+        raise BadSpec(f"matrix entry must be an [re, im] pair, got {z!r}")
+    return complex(_json_float(z[0], "matrix entry"), _json_float(z[1], "matrix entry"))
+
+
 def _matrix_from_json(obj) -> np.ndarray:
     try:
-        m = np.array([[complex(_json_float(z[0], "matrix entry"),
-                               _json_float(z[1], "matrix entry")) for z in row]
-                      for row in obj], dtype=complex)
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        m = np.array([[_matrix_entry(z) for z in row] for row in obj], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise BadSpec(f"matrix JSON must be rows of [re, im] pairs: {exc}") from exc
     if m.ndim != 2:
         raise BadSpec("matrix JSON must be two-dimensional")
@@ -145,10 +149,9 @@ def resolve_walk(spec: str) -> walks.CoinedWalk:
 def _cycle_size(w: walks.CoinedWalk) -> int:
     """The cycle length if w is structurally the two-coin cycle walk."""
     n = w.walker_dim
-    if w.coin_dim == 2 and n >= 3:
-        ref = walks.cycle_walk(n)
-        if np.array_equal(w.moves, ref.moves):
-            return n
+    j = np.arange(n)
+    if w.coin_dim == 2 and n >= 3 and np.array_equal(w.moves, [(j + 1) % n, (j - 1) % n]):
+        return n
     raise NotACycle("this operation is specific to the two-coin cycle walk")
 
 

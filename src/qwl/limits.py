@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import (expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig, is_permutation,
                      is_skew_hermitian, is_unitary)
-from .walks import CoinedWalk, apply_step, circulant_shift, cycle_walk, shift_matrix
+from .walks import CoinedWalk, apply_step, cycle_walk, shift_matrix
 
 __all__ = [
     "ProtocolStep",
@@ -202,13 +202,14 @@ def evencyc_protocol(n: int) -> Atom:
 
 
 def limit_hamiltonian_cycle(n: int) -> np.ndarray:
-    """The 2n x 2n limit Hamiltonian with off-diagonal blocks 1+F^2."""
+    """The float64 2n x 2n limit Hamiltonian with off-diagonal blocks 1+F^2 and 1+F^-2."""
     if n < 3:
         raise TooSmall(f"cycle Hamiltonian needs n >= 3, got {n}")
-    f2 = np.linalg.matrix_power(circulant_shift(n), 2)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = np.eye(n) + f2
-    h[n:, :n] = np.eye(n) + f2.T
+    # F e_k = e_(k+1 mod n): column k of 1+F^2 has ones in rows k and k+2 mod n
+    k = np.arange(n)
+    h = np.zeros((2 * n, 2 * n))
+    h[k, n + k] = h[(k + 2) % n, n + k] = 1
+    h[n:, :n] = h[:n, n:].T
     return h
 
 
@@ -327,9 +328,9 @@ def chiral_combinations(psi_r, psi_l, n: int):
     psi_l = np.asarray(psi_l, dtype=complex)
     if psi_r.shape != (n,) or psi_l.shape != (n,):
         raise DimMismatch("both halves must have dimension n")
-    f = circulant_shift(n)
-    return (psi_r + f @ psi_l, psi_l + f.T @ psi_r,
-            psi_r - f @ psi_l, psi_l - f.T @ psi_r)
+    # F moves entry k to k+1 and F^T moves it back: both are rolls
+    f_l, ft_r = np.roll(psi_l, 1), np.roll(psi_r, -1)
+    return psi_r + f_l, psi_l + ft_r, psi_r - f_l, psi_l - ft_r
 
 
 def phi_transform(psi_pm, gamma: float, t: float, sign: int) -> np.ndarray:

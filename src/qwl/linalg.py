@@ -1,8 +1,9 @@
-"""Dense complex linear algebra for operators on coin/walker spaces.
+"""Dense linear algebra for operators on coin/walker spaces.
 
-Operators are plain ``numpy`` arrays of dtype complex128, except real
-symmetric walker operators (adjacency, Laplacian), which stay float64 so
-that they are eigendecomposed as real matrices.  Matrix
+Operators are plain ``numpy`` arrays, and ``as_matrix`` alone decides
+their dtype: float64 for real input, complex128 otherwise.  Real operators
+(shifts, adjacency, Laplacian, the cycle limit Hamiltonian) therefore stay
+real, and real symmetric ones are eigendecomposed as real matrices.  Matrix
 exponentials are computed through the Hermitian eigendecomposition only;
 every generator in this package is (skew-)Hermitian, so this is exact up
 to eigensolver accuracy and no Pade machinery is needed.
@@ -13,7 +14,6 @@ import numpy as np
 from .errors import DimMismatch, NonHermitian
 
 __all__ = [
-    "as_cmatrix",
     "as_matrix",
     "is_hermitian",
     "is_skew_hermitian",
@@ -41,11 +41,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array."""
-    return as_matrix(a).astype(complex, copy=False)
-
-
 def frob(a) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
@@ -65,7 +60,7 @@ def is_skew_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
 
 def is_unitary(a, tol: float = HERMITIAN_TOL) -> bool:
     """True iff ||A^dag A - 1||_F <= tol."""
-    a = as_cmatrix(a)
+    a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
     return frob(a.conj().T @ a - np.eye(a.shape[0])) <= tol
@@ -73,7 +68,7 @@ def is_unitary(a, tol: float = HERMITIAN_TOL) -> bool:
 
 def is_permutation(a, tol: float = HERMITIAN_TOL) -> bool:
     """True iff A is within tol (Frobenius) of an exact permutation matrix."""
-    a = as_cmatrix(a)
+    a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
     p = np.rint(a.real)
@@ -84,11 +79,11 @@ def is_permutation(a, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense matrices."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
+    """Kronecker product of two dense matrices; real if both factors are real."""
+    return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hermitian_eig(h, tol: float = HERMITIAN_TOL):
+def hermitian_eig(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary).
@@ -101,15 +96,15 @@ def hermitian_eig(h, tol: float = HERMITIAN_TOL):
     if h.shape[0] != h.shape[1]:
         raise NonHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
     res = frob(h - h.conj().T)
-    if res > tol:
-        raise NonHermitian(f"Hermiticity residual {res:.3e} exceeds {tol:.1e}")
+    if res > HERMITIAN_TOL:
+        raise NonHermitian(f"Hermiticity residual {res:.3e} exceeds {HERMITIAN_TOL:.1e}")
     # symmetrize to suppress roundoff drift before eigensolving
     return np.linalg.eigh((h + h.conj().T) / 2)
 
 
-def expm_hermitian(h, s: float, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def expm_hermitian(h, s: float) -> np.ndarray:
     """exp(-i*s*H) for Hermitian H, via eigendecomposition."""
-    return expm_eig(hermitian_eig(h, tol), s)
+    return expm_eig(hermitian_eig(h), s)
 
 
 def expm_eig(eig, s: float) -> np.ndarray:
@@ -120,15 +115,15 @@ def expm_eig(eig, s: float) -> np.ndarray:
     return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 
-def expm_skew(k, s: float = 1.0, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def expm_skew(k, s: float = 1.0) -> np.ndarray:
     """exp(s*K) for skew-Hermitian K (iK is Hermitian, so this stays exact)."""
-    return expm_hermitian(1j * as_cmatrix(k), s, tol)
+    return expm_hermitian(1j * as_matrix(k), s)
 
 
 def hs_inner(a, b) -> float:
     """Real Hilbert-Schmidt inner product Re tr(A^dag B)."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
+    a = as_matrix(a)
+    b = as_matrix(b)
     if a.shape != b.shape:
         raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
     return float(np.sum(a.conj() * b).real)
@@ -136,8 +131,8 @@ def hs_inner(a, b) -> float:
 
 def commutator(a, b) -> np.ndarray:
     """AB - BA."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
+    a = as_matrix(a)
+    b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
     return a @ b - b @ a

@@ -4,7 +4,7 @@ Basis ordering on the coin x walker space is coin-major throughout:
 state (c_k, j) sits at index k*N + j.  Every dense matrix in the package
 relies on this convention.  ``apply_step`` applies a walk step S (C x 1) as
 a coin contraction and a row permutation; ``shift_matrix`` is the dense
-reference for S.  Walk builders reject coin_dim * walker_dim > ``MAX_DIM``
+float64 reference for S.  Walk builders reject coin_dim * walker_dim > ``MAX_DIM``
 before they allocate anything.
 """
 
@@ -27,7 +27,7 @@ from .errors import (
     TooSmall,
     Unstable,
 )
-from .linalg import as_cmatrix, expm_hermitian, frob, is_unitary
+from .linalg import as_matrix, expm_hermitian, frob, is_unitary
 
 __all__ = [
     "CoinedWalk",
@@ -65,7 +65,7 @@ def circulant_shift(n: int) -> np.ndarray:
         raise TooSmall(f"circulant shift needs n >= 2, got {n}")
     f = np.zeros((n, n))
     f[(np.arange(n) + 1) % n, np.arange(n)] = 1
-    return f.astype(complex)
+    return f
 
 
 @dataclass(frozen=True)
@@ -178,11 +178,11 @@ def example_walk() -> CoinedWalk:
 
 
 def shift_matrix(w: CoinedWalk) -> np.ndarray:
-    """Dense permutation matrix of the controlled shift."""
+    """Dense float64 permutation matrix of the controlled shift."""
     dim = w.dim
     s = np.zeros((dim, dim))
     s[w.shift, np.arange(dim)] = 1
-    return s.astype(complex)
+    return s
 
 
 def shift_order(w: CoinedWalk) -> int:
@@ -214,7 +214,7 @@ def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def step_operator(w: CoinedWalk, coin) -> np.ndarray:
     """One walk step S (C x 1) for a unitary coin C."""
-    coin = as_cmatrix(coin)
+    coin = as_matrix(coin)
     if coin.shape != (w.coin_dim, w.coin_dim):
         raise NotUnitary(f"coin must be {w.coin_dim}x{w.coin_dim}, got {coin.shape}")
     if not is_unitary(coin):
@@ -229,7 +229,7 @@ class EdgeWalk:
     edge_basis lists ordered pairs (present, future); w_matrix moves the
     future vertex into the present slot, coin_blocks applies the per-vertex
     coin, and chi is the permutation identifying coin x walker states with
-    edge states.
+    edge states.  w_matrix and chi are float64 permutation matrices.
     """
 
     edge_basis: tuple
@@ -247,7 +247,7 @@ def coined_to_edge_walk(w: CoinedWalk, coin) -> EdgeWalk:
     intertwining identity chi S (C x 1) = W C~ chi is a genuine
     consistency check of the three constructions.
     """
-    coin = as_cmatrix(coin)
+    coin = as_matrix(coin)
     if coin.shape != (w.coin_dim, w.coin_dim) or not is_unitary(coin):
         raise NotUnitary("coin operation is not unitary within 1e-10")
     c, n = w.coin_dim, w.walker_dim
@@ -278,7 +278,7 @@ def coined_to_edge_walk(w: CoinedWalk, coin) -> EdgeWalk:
             for l in range(c):
                 blocks[index[(j, int(w.moves[l, j]))], src] += coin[l, k]
 
-    return EdgeWalk(tuple(pairs), wmat.astype(complex), blocks, chi.astype(complex))
+    return EdgeWalk(tuple(pairs), wmat, blocks, chi)
 
 
 def intertwining_residual(w: CoinedWalk, coin) -> float:
@@ -297,10 +297,10 @@ def ctqw_propagator(h, gamma: float, t: float) -> np.ndarray:
 def ctrw_propagator(l, gamma: float, t: float) -> np.ndarray:
     """Classical continuous-time random walk propagator exp(gamma*L*t).
 
-    L must be a graph Laplacian: symmetric with zero column sums.  The
-    result is column-stochastic with nonnegative entries up to roundoff.
+    L must be a graph Laplacian: real symmetric with zero column sums.  The
+    float64 result is column-stochastic with nonnegative entries up to roundoff.
     """
-    l = as_cmatrix(l)
+    l = as_matrix(l)
     if l.shape[0] != l.shape[1]:
         raise NotLaplacian("Laplacian must be square")
     if frob(l - l.T) > 1e-10 or frob(l.imag) > 1e-12:
@@ -309,8 +309,8 @@ def ctrw_propagator(l, gamma: float, t: float) -> np.ndarray:
         raise NotLaplacian("Laplacian columns must sum to zero")
     if t < 0:
         raise DomainExceeded(f"ctrw time must be nonnegative, got {t}")
-    w, v = np.linalg.eigh(l)
-    return ((v * np.exp(gamma * t * w)) @ v.conj().T).real.astype(complex)
+    w, v = np.linalg.eigh(l.real)
+    return (v * np.exp(gamma * t * w)) @ v.T
 
 
 def dtrw_step(p, l, gamma: float, dt: float) -> np.ndarray:
@@ -318,13 +318,13 @@ def dtrw_step(p, l, gamma: float, dt: float) -> np.ndarray:
 
     Requires 0 <= gamma*dt*max_degree <= 1 so probabilities stay in [0,1].
     """
-    l = as_cmatrix(l)
+    l = as_matrix(l).real
     p = np.asarray(p, dtype=float)
-    max_degree = float(np.max(-l.real.diagonal())) if l.shape[0] else 0.0
+    max_degree = float(np.max(-l.diagonal())) if l.shape[0] else 0.0
     if dt < 0 or gamma * dt * max_degree > 1:
         raise Unstable(
             f"gamma*dt*max_degree = {gamma * dt * max_degree:.3g} outside [0, 1]")
-    return p + gamma * dt * (l.real @ p)
+    return p + gamma * dt * (l @ p)
 
 
 def walk_from_json(obj) -> CoinedWalk:

@@ -35,9 +35,18 @@ def test_resolve_walk_specs():
             cli.resolve_walk(bad)
 
 
+def _relabelled_cycle7_json():
+    perm = [3, 6, 0, 4, 1, 5, 2]
+    cyc = walks.cycle_walk(7)
+    return {"graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
+            "coin_dim": 2,
+            "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]}
+
+
 def test_resolve_protocol_requires_cycle():
-    with pytest.raises(NotACycle):
-        cli.resolve_protocol("strauch", walks.example_walk())
+    for w in (walks.example_walk(), walks.walk_from_json(_relabelled_cycle7_json())):
+        with pytest.raises(NotACycle):
+            cli.resolve_protocol("strauch", w)
     p = cli.resolve_protocol("evencyc", walks.cycle_walk(5))
     assert len(p.steps) == 5
 
@@ -149,6 +158,23 @@ def test_project_residuals(tmp_path):
     assert rep["reconstruction_residual"] <= 1e-12
     assert rep["pass"] is True
     assert run(["project", "--walk", "example"]) == 2
+    # a relabelled 7-cycle is a cycle graph, but its move rows are not j+1 and j-1
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(_relabelled_cycle7_json()))
+    assert run(["project", "--walk", f"file:{path}"]) == 2
+
+
+def test_project_eigendecomposes_real_matrices(tmp_path, monkeypatch):
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    assert run(["project", "--walk", "cycle:16"], tmp_path / "proj.csv") == 0
+    assert dtypes == [np.float64] * 3
 
 
 def test_project_t_zero(tmp_path):
@@ -343,10 +369,12 @@ def _nested_concat_json(depth):
     _strauch_atom_json(True),
     _strauch_atom_json(first_coin_entry=[False, False]),
     _strauch_atom_json(first_coin_entry=["0", "0"]),
+    _strauch_atom_json(first_coin_entry=[0.0, 0.0, 99.0]),
     _nested_concat_json(900),
     _nested_concat_json(cli.MAX_PROTOCOL_DEPTH + 1),
 ], ids=["steps-int", "children-int", "slope-string", "slope-nan", "slope-bool",
-        "coin-entry-bool", "coin-entry-string", "nested-900", "nested-over-cap"])
+        "coin-entry-bool", "coin-entry-string", "coin-entry-three-numbers", "nested-900",
+        "nested-over-cap"])
 def test_protocol_json_boundary(tmp_path, capsys, text):
     path = tmp_path / "proto.json"
     path.write_text(text)
@@ -416,7 +444,8 @@ def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("entry", [[True, False], ["1", "0"]], ids=["bool", "string"])
+@pytest.mark.parametrize("entry", [[True, False], ["1", "0"], [1.0, 0.0, 99.0]],
+                         ids=["bool", "string", "three-numbers"])
 def test_simulable_hamiltonian_entries_must_be_numbers(tmp_path, capsys, entry):
     h = matrix_json(np.diag([1.0] + [0.0] * 11))
     h[0][0] = entry

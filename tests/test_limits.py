@@ -255,6 +255,17 @@ def test_limit_hamiltonian_structure():
         assert np.allclose(vals, expected, atol=1e-10)
 
 
+def test_limit_hamiltonian_matches_complex_formula():
+    for n in (3, 4, 7, 16):
+        f2 = np.linalg.matrix_power(walks.circulant_shift(n).astype(complex), 2)
+        oracle = np.zeros((2 * n, 2 * n), dtype=complex)
+        oracle[:n, n:] = np.eye(n) + f2
+        oracle[n:, :n] = np.eye(n) + f2.T
+        h = limits.limit_hamiltonian_cycle(n)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, oracle)
+
+
 def test_effective_hamiltonian_matches_block_form():
     for n in (4, 6, 8):
         hs = limits.effective_hamiltonian(limits.strauch_protocol(n))
@@ -392,6 +403,10 @@ def test_chiral_combinations_substitution():
     f = walks.circulant_shift(n)
     assert np.allclose(c1p, psi_r) and np.allclose(c1m, psi_r)
     assert np.allclose(c2p, f.T @ psi_r) and np.allclose(c2m, -(f.T @ psi_r))
+    psi_l = seeded_state(n, 8)
+    expected = (psi_r + f @ psi_l, psi_l + f.T @ psi_r, psi_r - f @ psi_l, psi_l - f.T @ psi_r)
+    for got, want in zip(limits.chiral_combinations(psi_r, psi_l, n), expected):
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_chiral_reconstruction_exact():

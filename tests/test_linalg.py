@@ -58,6 +58,15 @@ def test_kron_matches_product_graph_adjacency():
     assert np.array_equal(lhs, rhs)
 
 
+def test_kron_of_real_matrices_is_real():
+    a = graphs.adjacency(graphs.cycle_graph(3))
+    f = circulant_shift(4)
+    out = kron(a, f)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, np.kron(a.astype(complex), f.astype(complex)))
+    assert kron(a, 1j * f).dtype == np.complex128
+
+
 def test_kron_mixed_product_property():
     rng = np.random.default_rng(7)
     for _ in range(5):

@@ -166,6 +166,44 @@ def test_edge_walk_structure():
                 assert ew2.coin_blocks[p, q] == 0
 
 
+def _assert_float64_equal(real, oracle):
+    assert real.dtype == np.float64
+    assert np.array_equal(real, oracle)
+
+
+def test_real_builders_match_complex_formulas():
+    # each 0/1 builder equals the complex matrix of its defining rule, entry for entry
+    for n in (2, 3, 8):
+        k = np.arange(n)
+        f = np.zeros((n, n), dtype=complex)
+        f[(k + 1) % n, k] = 1
+        _assert_float64_equal(walks.circulant_shift(n), f)
+    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk()):
+        s = np.zeros((w.dim, w.dim), dtype=complex)
+        s[w.shift, np.arange(w.dim)] = 1
+        _assert_float64_equal(walks.shift_matrix(w), s)
+        ew = walks.coined_to_edge_walk(w, seeded_unitary(w.coin_dim, 3))
+        index = {pair: p for p, pair in enumerate(ew.edge_basis)}
+        chi = np.zeros((w.dim, w.dim), dtype=complex)
+        wmat = np.zeros((w.dim, w.dim), dtype=complex)
+        for p, (j, f) in enumerate(ew.edge_basis):
+            k = p // w.walker_dim
+            chi[index[(j, int(w.moves[k, j]))], k * w.walker_dim + j] = 1
+            wmat[index[(f, int(w.moves[k, f]))], p] = 1
+        _assert_float64_equal(ew.chi, chi)
+        _assert_float64_equal(ew.w_matrix, wmat)
+    # the Laplacian's complex eigendecomposition, cast back to complex, is the oracle
+    for g in (graphs.cycle_graph(6), graphs.cartesian_product(graphs.cycle_graph(3),
+                                                                graphs.cycle_graph(4))):
+        lap = graphs.laplacian(g)
+        for gt in (0.0, 0.5, 5.0):
+            w, v = np.linalg.eigh(lap.astype(complex))
+            oracle = ((v * np.exp(gt * w)) @ v.conj().T).real.astype(complex)
+            p = walks.ctrw_propagator(lap, 1.0, gt)
+            assert p.dtype == np.float64
+            assert np.abs(p - oracle).max() <= 1e-14
+
+
 def test_intertwining_residuals():
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert walks.intertwining_residual(walks.cycle_walk(5), hadamard) <= 1e-12
