@@ -412,6 +412,8 @@ def _validate(args):
     for name in ("gamma", "t", "tol"):
         if not np.isfinite(getattr(args, name)):
             raise BadSpec(f"{name} must be finite, got {getattr(args, name)}")
+    if not np.isfinite(args.gamma * args.t):
+        raise BadSpec(f"gamma * t must be finite, got {args.gamma} * {args.t}")
     if args.gamma <= 0:
         raise BadSpec(f"gamma must be positive, got {args.gamma}")
     if args.t < 0:

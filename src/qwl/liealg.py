@@ -31,7 +31,7 @@ from .errors import (
     TooSmall,
 )
 from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermitian, kron
-from .walks import CoinedWalk, example_walk, shift_matrix, shift_order
+from .walks import CoinedWalk, example_walk, shift_order
 
 __all__ = [
     "LieBasis",
@@ -309,9 +309,9 @@ def example_subspace_element() -> np.ndarray:
     B, C, D in su(3), so the result lies in the closure span by
     construction.
     """
-    w = example_walk()
     eye4 = np.eye(4)
-    s_blocks = [shift_matrix(w)[4 * k:4 * (k + 1), 4 * k:4 * (k + 1)] for k in range(3)]
+    # S_k e_j = e_(moves[k, j]): column j of S_k is column moves[k, j] of the identity
+    s_blocks = [eye4[:, row] for row in example_walk().moves]
     signs = np.array([
         [1, 1, -1, -1],
         [1, -1, 1, -1],

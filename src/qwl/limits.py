@@ -161,6 +161,12 @@ class Concat(_Pair):
         super().__init__(left, right)
         self.phase = left.phase * right.phase
 
+    def unitary(self, x: float) -> np.ndarray:
+        return self.left.unitary(x) @ self.right.unitary(x)
+
+    def hamiltonian(self) -> np.ndarray:
+        return self.left.hamiltonian() + self.right.hamiltonian()
+
 
 class Commutator(_Pair):
     """Group commutator U1 U2 U1^-1 U2^-1 with children evaluated at sqrt(x).
@@ -170,6 +176,15 @@ class Commutator(_Pair):
 
     phase = 1.0 + 0j
 
+    def unitary(self, x: float) -> np.ndarray:
+        u1 = self.left.unitary(np.sqrt(x))
+        u2 = self.right.unitary(np.sqrt(x))
+        return u1 @ u2 @ u1.conj().T @ u2.conj().T
+
+    def hamiltonian(self) -> np.ndarray:
+        h1, h2 = self.left.hamiltonian(), self.right.hamiltonian()
+        return -1j * (h1 @ h2 - h2 @ h1)
+
 
 def strauch_coin(x: float) -> np.ndarray:
     """The 2x2 coin R exp(i*D*x) driving the cycle limit."""
@@ -178,9 +193,7 @@ def strauch_coin(x: float) -> np.ndarray:
 
 def strauch_protocol(n: int) -> Atom:
     """Two perturbed steps on the n-cycle; reference product is -identity."""
-    if n < 3:
-        raise TooSmall(f"cycle protocols need n >= 3, got {n}")
-    step = ProtocolStep(coin=R_COIN, generator=1j * D_COIN, slope=1.0)
+    step = ProtocolStep(coin=R_COIN, generator=1j * D_COIN)
     return Atom(cycle_walk(n), [step, step])
 
 
@@ -190,13 +203,9 @@ def evencyc_protocol(n: int) -> Atom:
     The reference trajectory is the full shift orbit S^n = 1; the limit
     Hamiltonian coincides with the two-step protocol's.
     """
-    if n < 3:
-        raise TooSmall(f"cycle protocols need n >= 3, got {n}")
     eye2 = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    e_gen = np.array([[0, -1j], [-1j, 0]])
-    perturbed = ProtocolStep(coin=eye2, generator=e_gen, slope=1.0)
-    idle = ProtocolStep(coin=eye2, generator=zero, slope=1.0)
+    perturbed = ProtocolStep(coin=eye2, generator=R_COIN)
+    idle = ProtocolStep(coin=eye2, generator=np.zeros((2, 2), dtype=complex))
     steps = [perturbed] + [idle] * (n - 2) + [perturbed]
     return Atom(cycle_walk(n), steps)
 
@@ -217,28 +226,12 @@ def protocol_unitary(p, x: float) -> np.ndarray:
     """Evaluate the protocol's product at perturbation x."""
     if not 0 <= x < X_MAX:
         raise DomainExceeded(f"perturbation x={x} outside [0, {X_MAX})")
-    if isinstance(p, Atom):
-        return p.unitary(x)
-    if isinstance(p, Concat):
-        return protocol_unitary(p.left, x) @ protocol_unitary(p.right, x)
-    if isinstance(p, Commutator):
-        u1 = protocol_unitary(p.left, np.sqrt(x))
-        u2 = protocol_unitary(p.right, np.sqrt(x))
-        return u1 @ u2 @ u1.conj().T @ u2.conj().T
-    raise TypeError(f"not a protocol expression: {type(p).__name__}")
+    return p.unitary(x)
 
 
 def effective_hamiltonian(p) -> np.ndarray:
     """The Hermitian H with phi^-1 T(x) = exp(-i*H*x) + O(x^(1+delta))."""
-    if isinstance(p, Atom):
-        return p.hamiltonian()
-    if isinstance(p, Concat):
-        return effective_hamiltonian(p.left) + effective_hamiltonian(p.right)
-    if isinstance(p, Commutator):
-        h1 = effective_hamiltonian(p.left)
-        h2 = effective_hamiltonian(p.right)
-        return -1j * (h1 @ h2 - h2 @ h1)
-    raise TypeError(f"not a protocol expression: {type(p).__name__}")
+    return p.hamiltonian()
 
 
 def single_step_error(p, x: float) -> float:

@@ -4,8 +4,10 @@ Basis ordering on the coin x walker space is coin-major throughout:
 state (c_k, j) sits at index k*N + j.  Every dense matrix in the package
 relies on this convention.  ``apply_step`` applies a walk step S (C x 1) as
 a coin contraction and a row permutation; ``shift_matrix`` is the dense
-float64 reference for S.  Walk builders reject coin_dim * walker_dim > ``MAX_DIM``
-before they allocate anything.
+float64 reference for S.  The built-in walks are translation walks on Z_n,
+Z_n^d and Z_2^2, all built from their move tables by ``_translation_walk``.
+Walk builders reject coin_dim * walker_dim > ``MAX_DIM`` before they allocate
+anything.
 """
 
 import json
@@ -121,24 +123,35 @@ def graph_coined_walk(g: graphs.Graph, moves) -> CoinedWalk:
     return CoinedWalk(m, g.n, moves, g)
 
 
+def _translation_walk(shape, offsets) -> CoinedWalk:
+    """Walk on the group Z_shape whose coin result k adds offsets[k] to the vertex.
+
+    Vertices are indexed row-major with coordinate 0 most significant; the
+    graph joins every vertex to the vertices its moves reach.
+    """
+    coords = np.indices(shape).reshape(len(shape), -1)
+    moves = np.stack([np.ravel_multi_index(coords + np.reshape(off, (-1, 1)), shape, mode="wrap")
+                      for off in offsets])
+    g = graphs.graph(moves.shape[1], [(j, t) for row in moves.tolist() for j, t in enumerate(row)])
+    return graph_coined_walk(g, moves)
+
+
 def cycle_walk(n: int) -> CoinedWalk:
-    """Two-coin walk on the n-cycle: coin 0 steps forward, coin 1 backward.
+    """Two-coin translation walk on Z_n: coin 0 steps forward, coin 1 backward.
 
     The dense shift equals diag(F, F^T) under coin-major ordering.
     """
     if n < 3:
         raise TooSmall(f"cycle walk needs n >= 3, got {n}")
     _check_dim(2, n)
-    j = np.arange(n)
-    moves = np.stack([(j + 1) % n, (j - 1) % n])
-    return graph_coined_walk(graphs.cycle_graph(n), moves)
+    return _translation_walk((n,), [(1,), (-1,)])
 
 
 def lattice_walk(n: int, d: int) -> CoinedWalk:
-    """Coined walk on the d-fold product of n-cycles.
+    """Translation walk on Z_n^d, the d-fold product of n-cycles.
 
     Coin results come in forward/backward pairs per coordinate: coin 2l
-    increments coordinate l (0-based), coin 2l+1 decrements it.  Vertices
+    adds e_l (coordinate l, 0-based), coin 2l+1 subtracts it.  Vertices
     are indexed row-major with coordinate 0 most significant.
     """
     if n < 3:
@@ -147,34 +160,19 @@ def lattice_walk(n: int, d: int) -> CoinedWalk:
         raise TooSmall(f"lattice walk needs d >= 1, got {d}")
     # n >= 3, so n**MAX_DIM is over the cap too; min() spares computing a huge n**d
     _check_dim(2 * d, n ** min(d, MAX_DIM))
-    g = graphs.cycle_graph(n)
-    for _ in range(d - 1):
-        g = graphs.cartesian_product(g, graphs.cycle_graph(n))
-    nverts = n ** d
-    v = np.arange(nverts)
-    moves = np.zeros((2 * d, nverts), dtype=int)
-    for l in range(d):
-        stride = n ** (d - 1 - l)
-        coord = (v // stride) % n
-        moves[2 * l] = v + ((coord + 1) % n - coord) * stride
-        moves[2 * l + 1] = v + ((coord - 1) % n - coord) * stride
-    return graph_coined_walk(g, moves)
+    eye = np.eye(d, dtype=int)
+    return _translation_walk((n,) * d, [s * e for e in eye for s in (1, -1)])
 
 
 def example_walk() -> CoinedWalk:
-    """Three-coin walk on the complete graph K4 whose shift has order 2.
+    """Three-coin translation walk on Z_2^2, whose graph is K4 and whose shift has order 2.
 
-    Coin results pair up the four vertices (0..3) as three perfect
-    matchings: coin 0 swaps 0<->2 and 1<->3, coin 1 swaps 0<->1 and 2<->3,
-    coin 2 swaps 0<->3 and 1<->2.
+    Vertex (a, b) has index 2a + b, and coin results add (1,0), (0,1) and
+    (1,1).  Each translation is a perfect matching of the four vertices:
+    coin 0 swaps 0<->2 and 1<->3, coin 1 swaps 0<->1 and 2<->3, coin 2
+    swaps 0<->3 and 1<->2.
     """
-    g = graphs.graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    moves = np.array([
-        [2, 3, 0, 1],
-        [1, 0, 3, 2],
-        [3, 2, 1, 0],
-    ])
-    return graph_coined_walk(g, moves)
+    return _translation_walk((2, 2), [(1, 0), (0, 1), (1, 1)])
 
 
 def shift_matrix(w: CoinedWalk) -> np.ndarray:
@@ -226,10 +224,11 @@ def step_operator(w: CoinedWalk, coin) -> np.ndarray:
 class EdgeWalk:
     """Edge-space form of a coined walk.
 
-    edge_basis lists ordered pairs (present, future); w_matrix moves the
-    future vertex into the present slot, coin_blocks applies the per-vertex
-    coin, and chi is the permutation identifying coin x walker states with
-    edge states.  w_matrix and chi are float64 permutation matrices.
+    edge_basis lists the ordered pairs (present, future) in sorted order,
+    which does not depend on the coin labels; w_matrix moves the future
+    vertex into the present slot, coin_blocks applies the per-vertex coin,
+    and chi is the permutation identifying coin x walker states with edge
+    states.  w_matrix and chi are float64 permutation matrices.
     """
 
     edge_basis: tuple
@@ -241,44 +240,40 @@ class EdgeWalk:
 def coined_to_edge_walk(w: CoinedWalk, coin) -> EdgeWalk:
     """Express a coined walk step on the edge space spanned by (j, n_j(c_k)).
 
-    The edge basis is ordered as the image of the coin-major basis under
-    chi: position k*N+j holds the pair (j, moves[k, j]).  W, the coin
-    blocks and chi are each built from their own defining rule, so the
-    intertwining identity chi S (C x 1) = W C~ chi is a genuine
-    consistency check of the three constructions.
+    The edge basis is the sorted list of pairs (j, moves[k, j]), so chi is
+    a genuine permutation, not the identity.  chi, W and the coin blocks
+    are each filled from their own defining rule, so the intertwining
+    identity chi S (C x 1) = W C~ chi is a consistency check of three
+    independent constructions.
     """
     coin = as_matrix(coin)
     if coin.shape != (w.coin_dim, w.coin_dim) or not is_unitary(coin):
         raise NotUnitary("coin operation is not unitary within 1e-10")
     c, n = w.coin_dim, w.walker_dim
     dim = c * n
-    pairs = [(j, int(w.moves[k, j])) for k in range(c) for j in range(n)]
-    index = {}
-    for p, pair in enumerate(pairs):
-        if pair in index:
-            raise QwlError(
-                f"two coin results move vertex {pair[0]} to vertex {pair[1]}; "
-                "the edge-space form needs distinct targets per vertex")
-        index[pair] = p
-
-    chi = np.zeros((dim, dim))
+    label = {}
     for k in range(c):
         for j in range(n):
-            chi[index[(j, int(w.moves[k, j]))], k * n + j] = 1
+            pair = (j, int(w.moves[k, j]))
+            if pair in label:
+                raise QwlError(
+                    f"two coin results move vertex {pair[0]} to vertex {pair[1]}; "
+                    "the edge-space form needs distinct targets per vertex")
+            label[pair] = k
+    basis = tuple(sorted(label))
+    index = {pair: p for p, pair in enumerate(basis)}
 
+    chi = np.zeros((dim, dim))
     wmat = np.zeros((dim, dim))
-    for p, (j, f) in enumerate(pairs):
-        k = p // n
-        wmat[index[(f, int(w.moves[k, f]))], p] = 1
-
     blocks = np.zeros((dim, dim), dtype=complex)
-    for j in range(n):
-        for k in range(c):
-            src = index[(j, int(w.moves[k, j]))]
-            for l in range(c):
-                blocks[index[(j, int(w.moves[l, j]))], src] += coin[l, k]
+    for (j, f), k in label.items():
+        p = index[j, f]
+        chi[p, k * n + j] = 1
+        wmat[index[f, int(w.moves[k, f])], p] = 1
+        for l in range(c):
+            blocks[index[j, int(w.moves[l, j])], p] = coin[l, k]
 
-    return EdgeWalk(tuple(pairs), wmat, blocks, chi)
+    return EdgeWalk(basis, wmat, blocks, chi)
 
 
 def intertwining_residual(w: CoinedWalk, coin) -> float:

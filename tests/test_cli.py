@@ -318,10 +318,13 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 def test_non_finite_floats_rejected(tmp_path, capsys):
     out = tmp_path / "never.csv"
-    for flag, value in (("--t", "inf"), ("--gamma", "nan"), ("--tol", "inf")):
-        assert run(["evolve", "--walk", "cycle:5", flag, value], out) == 2
-        assert capsys.readouterr().out == ""
-        assert not out.exists()
+    flags = (["--t", "inf"], ["--gamma", "nan"], ["--tol", "inf"],
+             ["--gamma", "1e200", "--t", "1e200"])  # finite flags whose product overflows
+    for command in ("evolve", "project"):
+        for extra in flags:
+            assert run([command, "--walk", "cycle:5", *extra], out) == 2
+            assert capsys.readouterr().out == ""
+            assert not out.exists()
 
 
 def test_out_into_missing_directory(tmp_path, capsys):

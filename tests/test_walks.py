@@ -78,6 +78,58 @@ def test_lattice_walk_blocks():
     assert walks.shift_order(walks.lattice_walk(3, 2)) == 3
 
 
+def test_builtin_walks_match_hand_written_rules():
+    # hand-written move tables and graphs, the reference for the translation builder
+    def cycle(n):
+        j = np.arange(n)
+        return np.stack([(j + 1) % n, (j - 1) % n]), graphs.cycle_graph(n)
+
+    def lattice(n, d):
+        g = graphs.cycle_graph(n)
+        for _ in range(d - 1):
+            g = graphs.cartesian_product(g, graphs.cycle_graph(n))
+        v = np.arange(n ** d)
+        moves = np.zeros((2 * d, n ** d), dtype=int)
+        for l in range(d):
+            stride = n ** (d - 1 - l)
+            coord = (v // stride) % n
+            moves[2 * l] = v + ((coord + 1) % n - coord) * stride
+            moves[2 * l + 1] = v + ((coord - 1) % n - coord) * stride
+        return moves, g
+
+    k4 = graphs.graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    cases = [(walks.cycle_walk(3), cycle(3)), (walks.cycle_walk(8), cycle(8)),
+             (walks.lattice_walk(3, 1), lattice(3, 1)), (walks.lattice_walk(3, 2), lattice(3, 2)),
+             (walks.lattice_walk(4, 3), lattice(4, 3)),
+             (walks.example_walk(), (np.array([[2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]), k4))]
+    for w, (moves, g) in cases:
+        assert np.array_equal(w.moves, moves)
+        assert w.graph.edges == g.edges
+
+
+def _relabelled_cycle7():
+    perm = [3, 6, 0, 4, 1, 5, 2]
+    cyc = walks.cycle_walk(7)
+    return walks.walk_from_json({
+        "graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
+        "coin_dim": 2,
+        "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]})
+
+
+def test_edge_walk_is_not_the_coined_form():
+    # in the sorted edge basis chi and W are not 1 and S, so the intertwining
+    # identity compares three independent constructions
+    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk(),
+              _relabelled_cycle7()):
+        coin = seeded_unitary(w.coin_dim, 7)
+        ew = walks.coined_to_edge_walk(w, coin)
+        assert list(ew.edge_basis) == sorted(ew.edge_basis)
+        assert is_permutation(ew.chi)
+        assert not np.array_equal(ew.chi, np.eye(w.dim))
+        assert not np.array_equal(ew.w_matrix, walks.shift_matrix(w))
+        assert walks.intertwining_residual(w, coin) <= 1e-12 * w.dim
+
+
 def test_graph_coined_walk_validation():
     w = walks.cycle_walk(5)
     rebuilt = walks.graph_coined_walk(w.graph, w.moves)
@@ -187,7 +239,7 @@ def test_real_builders_match_complex_formulas():
         chi = np.zeros((w.dim, w.dim), dtype=complex)
         wmat = np.zeros((w.dim, w.dim), dtype=complex)
         for p, (j, f) in enumerate(ew.edge_basis):
-            k = p // w.walker_dim
+            k = list(w.moves[:, j]).index(f)
             chi[index[(j, int(w.moves[k, j]))], k * w.walker_dim + j] = 1
             wmat[index[(f, int(w.moves[k, f]))], p] = 1
         _assert_float64_equal(ew.chi, chi)
