@@ -90,7 +90,7 @@ def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BadSpec(f"{path}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise BadSpec(f"{path}: JSON nested too deeply") from exc
@@ -196,11 +196,11 @@ def _protocol_from_json(obj, fallback_walk=None, depth=0):
 
 
 def resolve_protocol(spec: str, walk: walks.CoinedWalk):
-    """Build a protocol from "strauch", "evencyc" or "file:PATH"."""
+    """Build a protocol from "strauch" (cycle walks), "evencyc" (any walk) or "file:PATH"."""
     if spec == "strauch":
         return limits.strauch_protocol(_cycle_size(walk))
     if spec == "evencyc":
-        return limits.evencyc_protocol(_cycle_size(walk))
+        return limits.orbit_protocol(walk)
     if spec.startswith("file:"):
         return _protocol_from_json(_load_json(spec[5:]), fallback_walk=walk)
     raise BadSpec(f"unrecognized protocol spec {spec!r}")
@@ -264,7 +264,7 @@ def cmd_project(args):
     gamma, t = args.gamma, args.t
     a = graphs.adjacency(w.graph)
     lap = graphs.laplacian(w.graph)
-    h = limits.limit_hamiltonian_cycle(n)
+    h = limits.orbit_hamiltonian(w)
     psi0 = seeded_state(2 * n, args.seed)
     psit = walks.ctqw_propagator(h, gamma, t) @ psi0
     combos0 = limits.chiral_combinations(*limits.chiral_split(psi0, n), n)
@@ -409,6 +409,8 @@ def _validate(args):
         args.m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError as exc:
         raise BadSpec(f"--m-list must be comma-separated integers: {args.m_list!r}") from exc
+    if any(abs(m) > sys.float_info.max for m in args.m_list):
+        raise BadSpec("--m-list entries must not exceed the largest float")
     for name in ("gamma", "t", "tol"):
         if not np.isfinite(getattr(args, name)):
             raise BadSpec(f"{name} must be finite, got {getattr(args, name)}")

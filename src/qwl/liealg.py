@@ -31,7 +31,7 @@ from .errors import (
     TooSmall,
 )
 from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermitian, kron
-from .walks import CoinedWalk, example_walk, shift_order
+from .walks import CoinedWalk, checked_shift_order, example_walk
 
 __all__ = [
     "LieBasis",
@@ -89,11 +89,13 @@ def generators(w: CoinedWalk):
     """Yield the shift conjugates S^k (u(c) x 1) S^(r-k) of the coin algebra, k = 0..r-1.
 
     There are c^2 * shift_order(w) of them; only c^2 are held at a time.
+    A shift order above ``walks.MAX_DIM`` raises DomainExceeded before the first.
     """
+    r = checked_shift_order(w)
     # S^r = 1, so S^k X S^(r-k) is k gathers X -> S X S^-1 by the inverse shift.
     inv = np.argsort(w.shift)
     conj = [kron(b, np.eye(w.walker_dim)) for b in u_basis(w.coin_dim)]
-    for _ in range(shift_order(w)):
+    for _ in range(r):
         yield from conj
         conj = [x[np.ix_(inv, inv)] for x in conj]
 

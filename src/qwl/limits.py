@@ -6,7 +6,10 @@ order in the perturbation x the product agrees with exp(-i*H*x) for an
 effective Hamiltonian H, and repeating the product gamma*t/x times while
 x -> 0 converges to exp(-i*gamma*H*t).  Composites realize sums (by
 concatenation) and commutators (by group commutators evaluated at
-sqrt(x)) of effective Hamiltonians.
+sqrt(x)) of effective Hamiltonians.  The shift orbit of any walk is one
+such protocol (``orbit_protocol``), with a closed-form limit Hamiltonian
+(``orbit_hamiltonian``) whose dynamics contain the continuous-time walk on
+the walk's graph.
 
 H depends only on the protocol: an atom's one fold of its steps yields T(0)
 and H, and every node keeps the eigenpairs of its H from first use.
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .linalg import (expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig, is_permutation,
                      is_skew_hermitian, is_unitary)
-from .walks import CoinedWalk, apply_step, cycle_walk, shift_matrix
+from .walks import CoinedWalk, apply_step, checked_shift_order, cycle_walk, shift_matrix
 
 __all__ = [
     "ProtocolStep",
@@ -37,6 +40,8 @@ __all__ = [
     "ConvergenceReport",
     "strauch_coin",
     "strauch_protocol",
+    "orbit_protocol",
+    "orbit_hamiltonian",
     "evencyc_protocol",
     "limit_hamiltonian_cycle",
     "protocol_unitary",
@@ -197,29 +202,45 @@ def strauch_protocol(n: int) -> Atom:
     return Atom(cycle_walk(n), [step, step])
 
 
-def evencyc_protocol(n: int) -> Atom:
-    """n steps with identity coins on the n-cycle, perturbing steps 1 and n.
+def orbit_protocol(w: CoinedWalk) -> Atom:
+    """The shift orbit of w: r = shift_order(w) identity-coin steps, steps 1 and r perturbed.
 
-    The reference trajectory is the full shift orbit S^n = 1; the limit
-    Hamiltonian coincides with the two-step protocol's.
+    The reference trajectory is S^r = 1 and both perturbations have the
+    generator -i(J - 1), J the all-ones coin matrix (``R_COIN`` for c = 2),
+    so the limit Hamiltonian is ``orbit_hamiltonian(w)``.
     """
-    eye2 = np.eye(2, dtype=complex)
-    perturbed = ProtocolStep(coin=eye2, generator=R_COIN)
-    idle = ProtocolStep(coin=eye2, generator=np.zeros((2, 2), dtype=complex))
-    steps = [perturbed] + [idle] * (n - 2) + [perturbed]
-    return Atom(cycle_walk(n), steps)
+    r = checked_shift_order(w)
+    c = w.coin_dim
+    eye = np.eye(c, dtype=complex)
+    perturbed = ProtocolStep(coin=eye, generator=(np.eye(c) - 1) * 1j)
+    idle = ProtocolStep(coin=eye, generator=np.zeros((c, c), dtype=complex))
+    return Atom(w, [perturbed] + [idle] * (r - 2) + [perturbed])
+
+
+def orbit_hamiltonian(w: CoinedWalk) -> np.ndarray:
+    """The float64 limit Hamiltonian (J-1) x 1 + S ((J-1) x 1) S^T of ``orbit_protocol(w)``.
+
+    (J-1) x 1 joins (k, j) to (l, j) for every pair of coin results k != l;
+    conjugating by S moves both ends along w.shift.
+    """
+    c, n = w.coin_dim, w.walker_dim
+    k, l = np.nonzero(~np.eye(c, dtype=bool))
+    rows = (k[:, None] * n + np.arange(n)).ravel()
+    cols = (l[:, None] * n + np.arange(n)).ravel()
+    h = np.zeros((w.dim, w.dim))
+    h[rows, cols] = 1
+    h[w.shift[rows], w.shift[cols]] += 1
+    return h
+
+
+def evencyc_protocol(n: int) -> Atom:
+    """``orbit_protocol`` on the n-cycle: n steps, its H equal to the two-step protocol's."""
+    return orbit_protocol(cycle_walk(n))
 
 
 def limit_hamiltonian_cycle(n: int) -> np.ndarray:
-    """The float64 2n x 2n limit Hamiltonian with off-diagonal blocks 1+F^2 and 1+F^-2."""
-    if n < 3:
-        raise TooSmall(f"cycle Hamiltonian needs n >= 3, got {n}")
-    # F e_k = e_(k+1 mod n): column k of 1+F^2 has ones in rows k and k+2 mod n
-    k = np.arange(n)
-    h = np.zeros((2 * n, 2 * n))
-    h[k, n + k] = h[(k + 2) % n, n + k] = 1
-    h[n:, :n] = h[:n, n:].T
-    return h
+    """``orbit_hamiltonian`` on the n-cycle: off-diagonal blocks 1+F^2 and 1+F^-2."""
+    return orbit_hamiltonian(cycle_walk(n))
 
 
 def protocol_unitary(p, x: float) -> np.ndarray:

@@ -41,6 +41,7 @@ __all__ = [
     "example_walk",
     "shift_matrix",
     "shift_order",
+    "checked_shift_order",
     "apply_step",
     "step_operator",
     "coined_to_edge_walk",
@@ -199,6 +200,18 @@ def shift_order(w: CoinedWalk) -> int:
             length += 1
         order = math.lcm(order, length)
     return order
+
+
+def checked_shift_order(w: CoinedWalk) -> int:
+    """shift_order(w), refused with DomainExceeded above MAX_DIM.
+
+    Shift orbits (protocol steps, closure generators) hold one item per
+    power of S; disjoint cycles of coprime lengths make r huge on a small walk.
+    """
+    r = shift_order(w)
+    if r > MAX_DIM:
+        raise DomainExceeded(f"shift order {r} exceeds MAX_DIM = {MAX_DIM}")
+    return r
 
 
 def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -43,12 +43,14 @@ def _relabelled_cycle7_json():
             "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]}
 
 
-def test_resolve_protocol_requires_cycle():
+def test_strauch_requires_cycle_and_evencyc_takes_any_walk():
     for w in (walks.example_walk(), walks.walk_from_json(_relabelled_cycle7_json())):
         with pytest.raises(NotACycle):
             cli.resolve_protocol("strauch", w)
-    p = cli.resolve_protocol("evencyc", walks.cycle_walk(5))
-    assert len(p.steps) == 5
+    for w in (walks.cycle_walk(5), walks.lattice_walk(4, 2), walks.example_walk(),
+              walks.walk_from_json(_relabelled_cycle7_json())):
+        p = cli.resolve_protocol("evencyc", w)
+        assert len(p.steps) == walks.shift_order(w)
 
 
 def test_info_reports(tmp_path):
@@ -119,10 +121,48 @@ def test_converge_same_target_for_both_protocols(tmp_path):
             <= 2 * max(s["repeated_error"], e["repeated_error"])
 
 
+@pytest.mark.parametrize("walk", ["lattice:4,2", "example"])
+def test_evencyc_converges_on_any_walk(tmp_path, walk):
+    out = tmp_path / "conv.json"
+    assert run(["converge", "--walk", walk, "--protocol", "evencyc",
+                "--m-list", "32,64,128,256,512,1024", "--format", "json"], out) == 0
+    assert abs(json.loads(out.read_text())["fitted_exponent"] - 1) <= 0.15
+
+
+def _coprime_cycles_json(lengths):
+    """A 2-regular walk on disjoint cycles; its shift order is the lcm of their lengths."""
+    edges, forward, start = [], [], 0
+    for n in lengths:
+        forward += [start + (j + 1) % n for j in range(n)]
+        edges += [[start + j, start + (j + 1) % n] for j in range(n)]
+        start += n
+    backward = [0] * start
+    for j, f in enumerate(forward):
+        backward[f] = j
+    return {"graph": {"n": start, "edges": edges}, "coin_dim": 2, "moves": [forward, backward]}
+
+
+@pytest.mark.parametrize("argv", [["closure"], ["converge", "--protocol", "evencyc",
+                                                "--m-list", "8"]], ids=["closure", "evencyc"])
+def test_long_shift_orbit_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(_coprime_cycles_json([3, 4, 5, 7, 11, 13, 17, 19, 23])))
+    assert walks.shift_order(cli.resolve_walk(f"file:{path}")) == 446185740
+    out = tmp_path / "never.csv"
+    assert run([argv[0], "--walk", f"file:{path}", *argv[1:]], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds MAX_DIM" in captured.err
+    assert not out.exists()
+
+
 def test_converge_needs_m_list(tmp_path):
     assert run(["converge", "--walk", "cycle:4", "--protocol", "strauch"]) == 2
     assert run(["converge", "--walk", "cycle:4", "--protocol", "strauch",
                 "--m-list", "64,32"]) == 2
+    # an integer too large for a float, so gamma * t / m would overflow
+    assert run(["converge", "--walk", "cycle:4", "--protocol", "strauch",
+                "--m-list", "1" + "0" * 400]) == 2
 
 
 def test_protocol_from_file(tmp_path):
@@ -344,6 +384,16 @@ def test_malformed_protocol_file(tmp_path, capsys):
         assert run(["converge", "--walk", "cycle:4", "--protocol", f"file:{path}",
                     "--m-list", "8,16"], out) == 2
         assert capsys.readouterr().out == ""
+        assert not out.exists()
+    # a file that is not UTF-8, read as a protocol, a walk and a Hamiltonian
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "atom", "walk": "cycle:4", "name": "\u00e9"}'.encode("latin-1"))
+    for argv in (["converge", "--walk", "cycle:4", "--protocol", f"file:{path}",
+                  "--m-list", "8,16"],
+                 ["info", "--walk", f"file:{path}"],
+                 ["simulable", "--walk", "cycle:4", "--hamiltonian", str(path)]):
+        assert run(argv, out) == 2
+        assert "invalid JSON" in capsys.readouterr().err
         assert not out.exists()
 
 

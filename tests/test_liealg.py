@@ -382,6 +382,13 @@ def test_streamed_generators_are_checked_in_every_chunk(monkeypatch):
         liealg.lie_closure(iter(()), 1e-9)
 
 
+def test_generators_reject_long_orbits(monkeypatch):
+    gens = liealg.generators(walks.cycle_walk(9))  # shift order 9
+    monkeypatch.setattr(walks, "MAX_DIM", 8)
+    with pytest.raises(DomainExceeded, match="shift order 9"):
+        next(gens)
+
+
 def test_closure_memory_cap(monkeypatch):
     w = walks.cycle_walk(5)  # closure dimension 16, elements of 10x10
     element = 16 * w.dim ** 2

@@ -234,6 +234,8 @@ def test_protocol_shapes():
     assert len(p.steps) == 2
     q = limits.evencyc_protocol(6)
     assert len(q.steps) == 6
+    # the shift-orbit generator -i(J - 1) is R_COIN on two coins
+    assert np.array_equal(q.steps[0].generator, R) and np.array_equal(q.steps[-1].generator, R)
     with pytest.raises(TooSmall):
         limits.strauch_protocol(2)
 
@@ -264,6 +266,62 @@ def test_limit_hamiltonian_matches_complex_formula():
         h = limits.limit_hamiltonian_cycle(n)
         assert h.dtype == np.float64
         assert np.array_equal(h, oracle)
+
+
+def _relabelled_cycle7():
+    perm = [3, 6, 0, 4, 1, 5, 2]
+    cyc = walks.cycle_walk(7)
+    return walks.walk_from_json({
+        "graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
+        "coin_dim": 2,
+        "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]})
+
+
+ORBIT_WALKS = {
+    "cycle:8": lambda: walks.cycle_walk(8),
+    "lattice:4,2": lambda: walks.lattice_walk(4, 2),
+    "lattice:3,3": lambda: walks.lattice_walk(3, 3),
+    "example": walks.example_walk,
+    "relabelled cycle:7": _relabelled_cycle7,
+}
+
+
+def _assert_orbit_limit(w):
+    """The fold of orbit_protocol(w) is orbit_hamiltonian(w), and H V+- = V+-((c-2) 1 +- A).
+
+    V+- stacks the N x N blocks 1 +- P_k over the coin results k, where
+    P_k e_j = e_moves[k, j], and A = sum_k P_k is the adjacency.
+    """
+    p = limits.orbit_protocol(w)
+    h = limits.orbit_hamiltonian(w)
+    assert len(p.steps) == walks.shift_order(w)
+    assert h.dtype == np.float64
+    assert frob(p.hamiltonian() - h) <= 1e-12
+    c, n = w.coin_dim, w.walker_dim
+    perms = [np.eye(n)[row].T for row in w.moves]
+    a = sum(perms)
+    assert np.array_equal(a, graphs.adjacency(w.graph))
+    for sign in (1, -1):
+        v = np.vstack([np.eye(n) + sign * pk for pk in perms])
+        assert frob(h @ v - v @ ((c - 2) * np.eye(n) + sign * a)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(ORBIT_WALKS))
+def test_orbit_hamiltonian_is_the_fold_and_intertwines_the_adjacency(name):
+    _assert_orbit_limit(ORBIT_WALKS[name]())
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(cayley_walks())
+def test_orbit_limit_on_cayley_walks(w):
+    _assert_orbit_limit(w)
+
+
+def test_orbit_protocol_rejects_long_orbits(monkeypatch):
+    w = walks.cycle_walk(9)  # shift order 9
+    monkeypatch.setattr(walks, "MAX_DIM", 8)
+    with pytest.raises(DomainExceeded, match="shift order 9"):
+        limits.orbit_protocol(w)
 
 
 def test_effective_hamiltonian_matches_block_form():
