@@ -150,7 +150,7 @@ def _cycle_size(w: walks.CoinedWalk) -> int:
     """The cycle length if w is structurally the two-coin cycle walk."""
     n = w.walker_dim
     j = np.arange(n)
-    if w.coin_dim == 2 and n >= 3 and np.array_equal(w.moves, [(j + 1) % n, (j - 1) % n]):
+    if w.coin_dim == 2 and np.array_equal(w.moves, [(j + 1) % n, (j - 1) % n]):
         return n
     raise NotACycle("this operation is specific to the two-coin cycle walk")
 

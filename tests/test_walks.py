@@ -1,7 +1,11 @@
 """Coined walks, the edge-space equivalence, and classical/quantum propagators."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwl import graphs, walks
 from qwl.errors import (
@@ -17,6 +21,7 @@ from qwl.errors import (
 )
 from qwl.linalg import frob, is_permutation, is_unitary, kron
 from qwl.rng import seeded_state, seeded_unitary
+from walk_cases import cayley_walks, relabelled_cycle
 
 R = np.array([[0, -1j], [-1j, 0]])
 
@@ -107,20 +112,11 @@ def test_builtin_walks_match_hand_written_rules():
         assert w.graph.edges == g.edges
 
 
-def _relabelled_cycle7():
-    perm = [3, 6, 0, 4, 1, 5, 2]
-    cyc = walks.cycle_walk(7)
-    return walks.walk_from_json({
-        "graph": {"n": 7, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
-        "coin_dim": 2,
-        "moves": [[int(perm[row[perm.index(j)]]) for j in range(7)] for row in cyc.moves]})
-
-
 def test_edge_walk_is_not_the_coined_form():
     # in the sorted edge basis chi and W are not 1 and S, so the intertwining
     # identity compares three independent constructions
     for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk(),
-              _relabelled_cycle7()):
+              relabelled_cycle()):
         coin = seeded_unitary(w.coin_dim, 7)
         ew = walks.coined_to_edge_walk(w, coin)
         assert list(ew.edge_basis) == sorted(ew.edge_basis)
@@ -130,18 +126,67 @@ def test_edge_walk_is_not_the_coined_form():
         assert walks.intertwining_residual(w, coin) <= 1e-12 * w.dim
 
 
-def test_graph_coined_walk_validation():
+def test_coined_walk_validation():
     w = walks.cycle_walk(5)
-    rebuilt = walks.graph_coined_walk(w.graph, w.moves)
+    rebuilt = walks.CoinedWalk(w.graph, w.moves)
     assert np.array_equal(rebuilt.shift, w.shift)
     with pytest.raises(NotRegular):
-        walks.graph_coined_walk(graphs.graph(3, [(0, 1), (1, 2)]), [[1, 0, 1]])
+        walks.CoinedWalk(graphs.graph(3, [(0, 1), (1, 2)]), [[1, 0, 1]])
     g = graphs.cycle_graph(4)
     with pytest.raises(NotBijective) as err:
-        walks.graph_coined_walk(g, [[1, 2, 3, 0], [1, 0, 1, 2]])
+        walks.CoinedWalk(g, [[1, 2, 3, 0], [1, 0, 1, 2]])
     assert err.value.coin == 1
     with pytest.raises(NotAnEdge):
-        walks.graph_coined_walk(g, [[1, 2, 3, 0], [2, 3, 0, 1]])
+        walks.CoinedWalk(g, [[1, 2, 3, 0], [2, 3, 0, 1]])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(cayley_walks(), st.sampled_from(["duplicate", "out of range", "shape", "size"]),
+       st.data())
+def test_every_corrupted_table_is_refused(w, corruption, data):
+    moves = np.array(w.moves)
+    c, n = moves.shape
+    k, j = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, n - 1))
+    bad, cap = moves.copy(), walks.MAX_DIM
+    if corruption == "duplicate":
+        bad[k, j] = moves[k, (j + 1) % n]
+        error = NotBijective
+    elif corruption == "out of range":
+        bad[k, j] = n + j if k % 2 else -1 - j
+        error = NotAnEdge
+    elif corruption == "shape":
+        bad = data.draw(st.sampled_from(
+            [moves[1:], moves[:, 1:], np.vstack([moves, moves[:1]]), moves[0]]))
+        error = BadSpec
+    else:
+        cap, error = c * n - 1, DomainExceeded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "MAX_DIM", cap)
+        with pytest.raises(error) as err:
+            walks.CoinedWalk(w.graph, bad)
+    if error is NotBijective:
+        assert err.value.coin == k
+    if error is NotAnEdge:
+        assert (err.value.vertex, err.value.coin) == (j, k)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(cayley_walks())
+def test_every_cayley_walk_has_a_permutation_shift(w):
+    assert is_permutation(walks.shift_matrix(w))
+    assert (w.coin_dim, w.walker_dim) == w.moves.shape
+
+
+def test_constructor_checks_size_cap_before_the_graph(monkeypatch):
+    n = walks.MAX_DIM // 2 + 1
+    j = np.arange(n)
+    g = graphs.cycle_graph(n)
+
+    def never(_):
+        raise AssertionError("the degree array was built before the size cap")
+    monkeypatch.setattr(graphs, "regular_degree", never)
+    with pytest.raises(DomainExceeded):
+        walks.CoinedWalk(g, [(j + 1) % n, (j - 1) % n])
 
 
 def test_example_walk_matches_matchings():
@@ -172,13 +217,8 @@ def test_step_operator():
 
     # apply_step against the dense S (C x 1) m, for a state and for a
     # matrix's columns, with a unitary coin and a non-unitary product
-    perm = [3, 0, 4, 1, 2]
     cyc = walks.cycle_walk(5)
-    relabelled = walks.walk_from_json({
-        "graph": {"n": 5, "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
-        "coin_dim": 2,
-        "moves": [[int(perm[row[perm.index(j)]]) for j in range(5)] for row in cyc.moves]})
-    for w in (cyc, walks.lattice_walk(3, 2), walks.example_walk(), relabelled):
+    for w in (cyc, walks.lattice_walk(3, 2), walks.example_walk(), relabelled_cycle([3, 0, 4, 1, 2])):
         c = w.coin_dim
         unitary = seeded_unitary(c, 2)
         product = seeded_unitary(c, 1) @ np.diag(np.arange(1, c + 1) * 1j)
@@ -193,7 +233,9 @@ def test_step_operator():
 
 
 def test_shift_is_permutation_with_exact_order():
-    for w in (walks.cycle_walk(6), walks.lattice_walk(3, 2), walks.example_walk()):
+    for w in (walks.cycle_walk(6), walks.lattice_walk(3, 2), walks.example_walk(),
+              relabelled_cycle()):
+        assert (w.coin_dim, w.walker_dim) == w.moves.shape
         s = walks.shift_matrix(w)
         assert is_permutation(s)
         r = walks.shift_order(w)
@@ -349,6 +391,14 @@ def test_walk_json_integers():
             walks.walk_from_json(bad)
 
 
+def test_walk_json_text_is_refused():
+    # parsing is the caller's job (the CLI's _load_json); text is not a walk object
+    text = json.dumps(walks.walk_to_json(walks.cycle_walk(4)))
+    for bad in (text, text.encode(), text[:-1]):
+        with pytest.raises(BadSpec):
+            walks.walk_from_json(bad)
+
+
 def test_walk_size_cap(monkeypatch):
     assert walks.MAX_DIM == 8192
     assert walks.cycle_walk(walks.MAX_DIM // 2).dim == walks.MAX_DIM
@@ -362,7 +412,7 @@ def test_walk_size_cap(monkeypatch):
         walks.lattice_walk(3, 2)
     with pytest.raises(DomainExceeded):
         walks.lattice_walk(3, 10 ** 9)
-    # the declared n is checked before graph_coined_walk builds its degree array
+    # the declared n is checked before CoinedWalk builds its degree array
     huge = {"graph": {"n": 10 ** 9, "edges": [[0, 1]]}, "coin_dim": 1, "moves": [[1, 0, 2]]}
     with pytest.raises(DomainExceeded):
         walks.walk_from_json(huge)
