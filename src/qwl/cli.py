@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     QwlError,
 )
-from .linalg import is_hermitian
+from .linalg import expm_eig, hermitian_eig, is_hermitian
 from .rng import seeded_state
 
 __all__ = ["main"]
@@ -242,7 +242,7 @@ def cmd_evolve(args):
     w = resolve_walk(args.walk)
     a = graphs.adjacency(w.graph)
     psi0 = seeded_state(w.graph.n, args.seed)
-    psit = walks.ctqw_propagator(a, args.gamma, args.t) @ psi0
+    psit = expm_eig(hermitian_eig(a), args.gamma * args.t, psi0)
     norm_residual = abs(np.linalg.norm(psit) - 1.0)
     report = {
         "walk": args.walk,
@@ -299,7 +299,7 @@ def cmd_project(args):
 
 def cmd_closure(args):
     w = resolve_walk(args.walk)
-    basis = liealg.lie_closure(liealg.generators(w), args.tol)
+    basis = liealg.walk_closure(w, args.tol)
     report = {
         "ambient_dim": basis.dim_ambient,
         "dimension": basis.dimension,
@@ -309,7 +309,7 @@ def cmd_closure(args):
     }
     rows = [["key", "value"], *report.items()]
     if args.dump_basis:
-        report["basis"] = [_matrix_to_json(b) for b in basis.elements]
+        report["basis"] = [_matrix_to_json(b) for b in basis.dense_elements()]
     return report, rows, 0
 
 
@@ -322,7 +322,7 @@ def cmd_simulable(args):
         raise DimMismatch(f"Hamiltonian is {h.shape}, walk space is {w.dim}x{w.dim}")
     if not is_hermitian(h):
         raise NonHermitian("Hamiltonian file is not Hermitian within 1e-10")
-    basis = liealg.lie_closure(liealg.generators(w), args.tol)
+    basis = liealg.walk_closure(w, args.tol)
     residual = liealg.member_residual(basis, -1j * h)
     report = {
         "residual": residual,
@@ -346,7 +346,7 @@ def cmd_example(args):
     items.append({"name": "adjacency_spectrum", "expected": expected_spec,
                   "actual": spectrum, "pass": spectrum == expected_spec})
 
-    basis = liealg.lie_closure(liealg.generators(w), args.tol)
+    basis = liealg.walk_closure(w, args.tol)
     items.append({"name": "closure_dimension", "expected": EXAMPLE_CLOSURE_DIM,
                   "actual": basis.dimension,
                   "pass": basis.dimension == EXAMPLE_CLOSURE_DIM})

@@ -113,6 +113,8 @@ def json_int(value, what: str) -> int:
 
 def graph_from_json(obj) -> Graph:
     """Parse {"n": int, "edges": [[u, v], ...]} with 0-based vertices."""
+    if not isinstance(obj, dict):
+        raise BadSpec(f"a graph must be a JSON object, got {type(obj).__name__}")
     try:
         n = json_int(obj["n"], "vertex count n")
         edge_list = obj["edges"]

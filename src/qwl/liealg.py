@@ -3,20 +3,28 @@
 The generator set is the coin algebra u(c) x 1 together with all its
 conjugates by powers of the shift; the real span closed under commutators
 characterizes which Hamiltonians the walk can reach in the continuous
-limit (membership of -iH).  The closure is one orthonormal (k, n, n)
+limit (membership of -iH).  The closure is one orthonormal (k, ..., s, s)
 array in the real Hilbert-Schmidt geometry; admission, membership and
 conjugation invariance all measure distance to it with one projection,
 applied twice, and admission is scale-free.
 
+An element is a dense (n, n) matrix or a stack of diagonal blocks.
+``walk_closure`` closes a translation walk's generators in momentum
+blocks: the walker Fourier transform makes each S^l (X x 1) S^-l block
+diagonal with block p = D_p^l X D_p^-l, and it is unitary, so N blocks of
+c x c give the dense closure's dimension, passes and residuals.  Walks
+without a recorded group (file walks) are closed densely.
+
 Candidates (generators and brackets alike) are admitted a chunk at a
-time: a C-contiguous (m, n, n) stack of at most ``_CHUNK_BYTES``, so the
-projection on the span is one matrix product per chunk.  ``generators``
-streams, so the r*c^2 dense generators are never all held at once, and
-the basis may not grow past ``MAX_CLOSURE_BYTES``.
+time: a C-contiguous (m, ...) stack of at most ``_CHUNK_BYTES``, so the
+projection on the span is one matrix product per chunk.  Generators
+stream, so the r*c^2 generators are never all held at once, and the basis
+may not grow past ``MAX_CLOSURE_BYTES``.
 """
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -31,7 +39,14 @@ from .errors import (
     TooSmall,
 )
 from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermitian, kron
-from .walks import CoinedWalk, checked_shift_order, example_walk
+from .walks import (
+    CoinedWalk,
+    checked_shift_order,
+    example_walk,
+    from_momentum_blocks,
+    momentum_angles,
+    momentum_blocks,
+)
 
 __all__ = [
     "LieBasis",
@@ -39,6 +54,7 @@ __all__ = [
     "su_basis",
     "generators",
     "lie_closure",
+    "walk_closure",
     "member_residual",
     "is_simulable",
     "conjugation_invariance_residual",
@@ -104,50 +120,64 @@ def generators(w: CoinedWalk):
 class LieBasis:
     """Orthonormal real-span basis of a bracket-closed skew-Hermitian space.
 
-    ``elements`` is one C-contiguous (k, n, n) complex array, the only copy
-    of the basis.  Its rows ``elements.reshape(k, n*n).view(float)``
+    ``elements`` is one C-contiguous (k, ...) complex array, the only copy
+    of the basis.  Its rows ``elements.reshape(k, -1).view(float)``
     interleave real and imaginary parts, so their dot products are
-    Re tr(A^dag B); they are orthonormal, and every distance to the span is
-    measured by subtracting the projection on them twice, for a whole
-    chunk of candidates in one matrix product.  ``lie_closure`` grows the
-    array by doubling and raises DomainExceeded rather than let it pass
-    ``MAX_CLOSURE_BYTES``.
+    Re tr(A^dag B) summed over blocks; they are orthonormal, and every
+    distance to the span is measured by subtracting the projection on them
+    twice, for a whole chunk of candidates in one matrix product.
+    ``lie_closure`` grows the array by doubling and raises DomainExceeded
+    rather than let it pass ``MAX_CLOSURE_BYTES``.
+
+    With ``walk`` None the elements are dense (n, n) matrices; otherwise
+    they are the walk's (N, c, c) momentum blocks, and ``dim_ambient`` is
+    the walk's dim.  ``member_residual`` and
+    ``conjugation_invariance_residual`` take dense operators either way.
     """
 
     dim_ambient: int
     elements: np.ndarray
     tol: float
     passes: int
+    walk: CoinedWalk = None
 
     @property
     def dimension(self) -> int:
         return len(self.elements)
 
+    def dense_elements(self) -> np.ndarray:
+        """The elements as dense (k, dim_ambient, dim_ambient) matrices."""
+        return _dense(self, self.elements)
+
 
 def _project_out(elements: np.ndarray, x: np.ndarray) -> None:
     """Subtract in place, twice, the projection of x on the span of elements.
 
-    x is one (n, n) matrix or a (m, n, n) stack of them; it must be
-    C-contiguous, or the reshape below would copy and the subtraction be
-    lost.  The second pass re-orthogonalizes for stability.
+    x is one element or a (m, ...) stack of them; it must be C-contiguous,
+    or the reshape below would copy and the subtraction be lost.  The
+    second pass re-orthogonalizes for stability.
     """
     assert x.flags.c_contiguous
-    n = elements.shape[-1]
-    rows = elements.reshape(len(elements), n * n).view(float)
-    v = x.reshape(-1, n * n).view(float)
+    size = math.prod(elements.shape[1:])
+    rows = elements.reshape(len(elements), size).view(float)
+    v = x.reshape(-1, size).view(float)
     for _ in range(2):
         v -= (v @ rows.T) @ rows
 
 
-def _chunk_len(n: int) -> int:
-    """Matrices of side n per chunk: as many as fit in _CHUNK_BYTES, at least one."""
-    return max(1, _CHUNK_BYTES // (16 * max(n * n, 1)))
+def _chunk_len(size: int) -> int:
+    """Elements of size complex entries per chunk: as many as fit in _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // (16 * max(size, 1)))
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each element of a (m, ...) stack."""
+    return np.linalg.norm(stack.reshape(len(stack), math.prod(stack.shape[1:])), axis=1)
 
 
 def _check_skew(stack: np.ndarray) -> np.ndarray:
-    """The (m, n, n) stack, once every matrix in it is skew-Hermitian within HERMITIAN_TOL."""
-    residuals = np.linalg.norm(stack + stack.conj().swapaxes(1, 2), axis=(1, 2))
-    if not (residuals <= HERMITIAN_TOL).all():
+    """The (m, ..., s, s) stack, once every element in it is skew-Hermitian within HERMITIAN_TOL."""
+    if not (_norms(stack + stack.conj().swapaxes(-1, -2)) <= HERMITIAN_TOL).all():
         raise NotSkewHermitian("closure generators must be skew-Hermitian")
     return stack
 
@@ -158,11 +188,11 @@ def _grown(basis: np.ndarray, k: int) -> np.ndarray:
     Raises DomainExceeded, before allocating, if it would exceed MAX_CLOSURE_BYTES.
     """
     cap = max(1, 2 * len(basis))
-    n = basis.shape[-1]
-    if cap * n * n * 16 > MAX_CLOSURE_BYTES:
-        raise DomainExceeded(f"closure basis of {cap} elements of side {n} would exceed "
+    shape = basis.shape[1:]
+    if cap * math.prod(shape) * 16 > MAX_CLOSURE_BYTES:
+        raise DomainExceeded(f"closure basis of {cap} elements of shape {shape} would exceed "
                              f"MAX_CLOSURE_BYTES = {MAX_CLOSURE_BYTES}")
-    out = np.empty((cap, n, n), dtype=complex)
+    out = np.empty((cap, *shape), dtype=complex)
     out[:k] = basis[:k]
     return out
 
@@ -170,12 +200,14 @@ def _grown(basis: np.ndarray, k: int) -> np.ndarray:
 def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     """Smallest bracket-closed real span containing the generators.
 
-    ``gens`` is any iterable of (n, n) skew-Hermitian matrices.  It is read
-    once, a chunk of ``_chunk_len(n)`` at a time, and each chunk's shapes
-    and skew-Hermiticity are checked before it is admitted.  Each pass then
-    brackets every pair of elements admitted before the pass began (pairs
-    bracketed in an earlier pass are skipped), one chunk [b_i, b_j] for a
-    contiguous run of j at a time, until a pass admits nothing.
+    ``gens`` is any iterable of skew-Hermitian elements of one shape
+    (..., s, s): a matrix, or a stack of diagonal blocks whose brackets are
+    taken block by block.  It is read once, a chunk of ``_chunk_len`` at a
+    time, and each chunk's shapes and skew-Hermiticity are checked before
+    it is admitted.  Each pass then brackets every pair of elements
+    admitted before the pass began (pairs bracketed in an earlier pass are
+    skipped), one chunk [b_i, b_j] for a contiguous run of j at a time,
+    until a pass admits nothing.  ``dim_ambient`` is s.
 
     Admission is scale-free and keeps candidate order: a chunk's candidates
     of norm above tol are normalized and projected off the span with one
@@ -189,23 +221,25 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     first = next(gens, None)
     if first is None:
         raise TooSmall("need at least one generator")
-    first = np.asarray(first, dtype=complex)
-    n = first.shape[0] if first.ndim else 0
-    m = _chunk_len(n)
-    basis = np.empty((0, n, n), dtype=complex)  # basis[:k] is the span, the rest spare capacity
+    shape = np.shape(first)
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise DimMismatch("generators must share one square shape")
+    entries = math.prod(shape)
+    m = _chunk_len(entries)
+    basis = np.empty((0, *shape), dtype=complex)  # basis[:k] is the span, the rest spare capacity
     k = 0
 
     def admit(stack):
-        """Admit the components of a C-contiguous (m, n, n) stack outside the span; overwrites it."""
+        """Admit the components of a C-contiguous (m, ...) stack outside the span; overwrites it."""
         nonlocal basis, k
-        norms = np.linalg.norm(stack.reshape(len(stack), n * n), axis=1)
+        norms = _norms(stack)
         nonzero = norms > tol
         if not nonzero.all():
             stack, norms = stack[nonzero], norms[nonzero]
-        stack /= norms[:, None, None]
+        stack /= norms.reshape((-1,) + (1,) * len(shape))
         _project_out(basis[:k], stack)
         start = k
-        for x in stack[np.linalg.norm(stack.reshape(len(stack), n * n), axis=1) > tol]:
+        for x in stack[_norms(stack) > tol]:
             _project_out(basis[start:k], x)
             rnorm = frob(x)
             if rnorm > tol:
@@ -214,11 +248,11 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
                 np.divide(x, rnorm, out=basis[k])
                 k += 1
 
-    chunk = np.empty((m, n, n), dtype=complex)
+    chunk = np.empty((m, *shape), dtype=complex)
     fill = 0
     for g in chain([first], gens):
         g = np.asarray(g, dtype=complex)
-        if g.shape != (n, n):
+        if g.shape != shape:
             raise DimMismatch("generators must share one square shape")
         chunk[fill] = g
         fill += 1
@@ -227,7 +261,7 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
             fill = 0
     if fill:
         admit(_check_skew(chunk[:fill]))
-    cap = n * n + 10
+    cap = entries + 10
     start = 0  # elements before this index have been bracketed pairwise already
     for passes in range(1, cap + 1):
         size = k
@@ -236,25 +270,71 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
                 blk = basis[lo:min(lo + m, size)]
                 admit(basis[i] @ blk - blk @ basis[i])
         if k == size:
-            return LieBasis(n, basis[:k].copy(), tol, passes)
+            return LieBasis(shape[-1], basis[:k].copy(), tol, passes)
         start = size
     raise IterationCapExceeded(f"closure did not stabilize within {cap} passes")
+
+
+def _block_generators(w: CoinedWalk):
+    """generators(w) in momentum blocks, in the same order.
+
+    Block p of S^l (X x 1) S^-l is D_p^l X D_p^-l, whose entry (a, b) is
+    X[a, b] exp(-2 pi i l (angle_a - angle_b) / period) for the integer
+    angles of ``walks.momentum_angles``; l * (angle_a - angle_b) is reduced
+    mod period before it becomes a phase, so no power of D_p is formed.
+    """
+    r = checked_shift_order(w)
+    angles, period = momentum_angles(w)
+    diff = angles[:, :, None] - angles[:, None, :]
+    coin_basis = np.array(u_basis(w.coin_dim))[:, None]
+    for power in range(r):
+        yield from coin_basis * np.exp(-2j * np.pi * (power * diff % period) / period)
+
+
+def walk_closure(w: CoinedWalk, tol: float = DEFAULT_TOL) -> LieBasis:
+    """The closure of generators(w): in momentum blocks if w records its group, else dense.
+
+    Both bases take the same dense arguments in ``member_residual`` and
+    ``conjugation_invariance_residual``, and share dimension and passes.
+    """
+    if w.group is None:
+        return lie_closure(generators(w), tol)
+    return replace(lie_closure(_block_generators(w), tol), dim_ambient=w.dim, walk=w)
+
+
+def _dense(basis: LieBasis, stack: np.ndarray) -> np.ndarray:
+    """A stack of basis elements as dense (m, n, n) matrices."""
+    return stack if basis.walk is None else from_momentum_blocks(basis.walk, stack)
+
+
+def _in_basis_form(basis: LieBasis, x: np.ndarray):
+    """A dense (m, n, n) stack as a C-contiguous stack of basis elements, and each one's mass lost.
+
+    The mass lost is the Frobenius norm of the part outside the momentum
+    blocks, which is orthogonal to every element of a walk's basis.
+    """
+    if basis.walk is None:
+        return np.array(x, order="C"), np.zeros(len(x))
+    return momentum_blocks(basis.walk, x)
 
 
 def member_residual(basis: LieBasis, x) -> float:
     """Relative Frobenius distance of x from the basis span (0 for x = 0)."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (basis.dim_ambient, basis.dim_ambient):
+    # a basis of blocks closed without its walk has no dense form to compare with
+    if x.shape != (basis.dim_ambient,) * 2 or (basis.walk is None
+                                               and x.shape != basis.elements.shape[1:]):
         raise DimMismatch(
-            f"element is {x.shape}, basis ambient dimension is {basis.dim_ambient}")
+            f"element is {x.shape}, basis ambient dimension is {basis.dim_ambient} "
+            f"(elements of shape {basis.elements.shape[1:]})")
     if not is_skew_hermitian(x):
         raise NotSkewHermitian("membership is defined for skew-Hermitian elements")
     norm = frob(x)
     if norm == 0:
         return 0.0
-    r = np.array(x, order="C")
+    r, off = _in_basis_form(basis, x[None])
     _project_out(basis.elements, r)
-    return frob(r) / norm
+    return math.hypot(frob(r), off[0]) / norm
 
 
 def is_simulable(basis: LieBasis, h, tol: float) -> bool:
@@ -270,14 +350,14 @@ def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
     if w.dim != basis.dim_ambient:
         raise DimMismatch("walk dimension does not match the basis")
     inv = np.argsort(w.shift)
-    m = _chunk_len(w.dim)
+    m = _chunk_len(w.dim ** 2)
     worst = 0.0
     for lo in range(0, basis.dimension, m):
-        # advanced indexing need not return C order, which the in-place projection needs
-        conj = np.array(basis.elements[lo:lo + m, inv[:, None], inv], order="C")
+        dense = _dense(basis, basis.elements[lo:lo + m])
+        conj, off = _in_basis_form(basis, dense[:, inv[:, None], inv])
         _project_out(basis.elements, conj)
         # conjugation by a permutation keeps each element's unit norm
-        worst = max(worst, float(np.linalg.norm(conj, axis=(1, 2)).max()))
+        worst = max(worst, float(np.hypot(_norms(conj), off).max()))
     return worst
 
 

@@ -107,12 +107,19 @@ def expm_hermitian(h, s: float) -> np.ndarray:
     return expm_eig(hermitian_eig(h), s)
 
 
-def expm_eig(eig, s: float) -> np.ndarray:
-    """exp(-i*s*H) from the eigenpairs (w, v) of H, so one decomposition serves every s."""
+def expm_eig(eig, s: float, psi=None) -> np.ndarray:
+    """exp(-i*s*H) from the eigenpairs (w, v) of H, so one decomposition serves every s.
+
+    Given a state psi, returns exp(-i*s*H) psi as V (exp(-i*s*w) * (V^dag psi)),
+    without forming the matrix.
+    """
     w, v = eig
     if s == 0:
-        return np.eye(len(w), dtype=complex)
-    return (v * np.exp(-1j * s * w)) @ v.conj().T
+        return np.eye(len(w), dtype=complex) if psi is None else np.array(psi, dtype=complex)
+    phases = np.exp(-1j * s * w)
+    if psi is None:
+        return (v * phases) @ v.conj().T
+    return v @ (phases * (v.conj().T @ psi))
 
 
 def expm_skew(k, s: float = 1.0) -> np.ndarray:

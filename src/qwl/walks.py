@@ -9,6 +9,9 @@ and it checks the size cap ``MAX_DIM`` and the move table, so every walk's
 shift is a permutation.  The built-in walks are translation walks on Z_n,
 Z_n^d and Z_2^2, all built from their move tables by ``_translation_walk``;
 ``cycle_walk`` and ``lattice_walk`` check the cap before they build a table.
+A translation walk records its group, which the constructor checks against
+the table; in the walker's Fourier basis its shift is diagonal, so
+``momentum_blocks`` splits an operator into N coin blocks of c x c.
 """
 
 import math
@@ -41,6 +44,9 @@ __all__ = [
     "shift_matrix",
     "shift_order",
     "checked_shift_order",
+    "momentum_angles",
+    "momentum_blocks",
+    "from_momentum_blocks",
     "apply_step",
     "step_operator",
     "coined_to_edge_walk",
@@ -70,7 +76,7 @@ def circulant_shift(n: int) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinedWalk:
     """Coined walk on a regular graph: per-coin-result vertex moves plus the shift.
 
@@ -78,12 +84,18 @@ class CoinedWalk:
     permutation of {0..cN-1} sending index k*N+j to k*N+moves[k, j].
     Construction checks, in order: coin_dim * walker_dim <= MAX_DIM, before
     anything sized by the graph is allocated; that the graph is regular of
-    degree m and the table is m x N; and, row by row, that each row is a
-    bijection on vertices whose every move follows an edge.
+    degree m and the table is m x N; row by row, that each row is a
+    bijection on vertices whose every move follows an edge; and that the
+    translation group, if one is given, generates the table.
+
+    group is None or (shape, offsets): vertices are the elements of
+    Z_shape, indexed row-major, and coin result k adds offsets[k].  Walks
+    compare by identity.
     """
 
     graph: graphs.Graph
     moves: np.ndarray
+    group: tuple = None
     shift: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -102,6 +114,16 @@ class CoinedWalk:
             for j, t in enumerate(row):
                 if (min(j, t), max(j, t)) not in edge_set or j == t:
                     raise NotAnEdge(j, k)
+        if self.group is not None:
+            shape, offsets = self.group
+            shape = tuple(int(s) for s in shape)
+            offsets = np.array(offsets, dtype=int, ndmin=2)
+            if min(shape, default=1) < 1 or math.prod(shape) != g.n \
+                    or offsets.shape != (m, len(shape)) \
+                    or not np.array_equal(_translation_moves(shape, offsets), moves):
+                raise BadSpec(f"translations {offsets.tolist()} of Z_{shape} "
+                              "do not generate the moves table")
+            object.__setattr__(self, "group", (shape, tuple(map(tuple, offsets.tolist()))))
         shift = (np.arange(m)[:, None] * g.n + moves).ravel()
         moves.setflags(write=False)
         shift.setflags(write=False)
@@ -121,17 +143,22 @@ class CoinedWalk:
         return self.moves.size
 
 
+def _translation_moves(shape, offsets) -> np.ndarray:
+    """Moves table of the translations of Z_shape (row-major vertices) by offsets."""
+    coords = np.indices(shape).reshape(len(shape), -1)
+    return np.stack([np.ravel_multi_index(coords + np.reshape(off, (-1, 1)), shape, mode="wrap")
+                     for off in offsets])
+
+
 def _translation_walk(shape, offsets) -> CoinedWalk:
     """Walk on the group Z_shape whose coin result k adds offsets[k] to the vertex.
 
     Vertices are indexed row-major with coordinate 0 most significant; the
     graph joins every vertex to the vertices its moves reach.
     """
-    coords = np.indices(shape).reshape(len(shape), -1)
-    moves = np.stack([np.ravel_multi_index(coords + np.reshape(off, (-1, 1)), shape, mode="wrap")
-                      for off in offsets])
+    moves = _translation_moves(shape, offsets)
     g = graphs.graph(moves.shape[1], [(j, t) for row in moves.tolist() for j, t in enumerate(row)])
-    return CoinedWalk(g, moves)
+    return CoinedWalk(g, moves, (shape, offsets))
 
 
 def cycle_walk(n: int) -> CoinedWalk:
@@ -209,6 +236,59 @@ def checked_shift_order(w: CoinedWalk) -> int:
     if r > MAX_DIM:
         raise DomainExceeded(f"shift order {r} exceeds MAX_DIM = {MAX_DIM}")
     return r
+
+
+def momentum_angles(w: CoinedWalk):
+    """(angles, period): coin k moves momentum p by the phase exp(-2 pi i angles[p, k] / period).
+
+    In the Fourier basis |p> = N^(-1/2) sum_v exp(2 pi i p.v) |v> of the
+    walker space (p.v = sum_i p_i v_i / shape_i, momenta row-major like
+    vertices), the shift is diag(D_p) with D_p = diag_k exp(-2 pi i p.t_k).
+    The angles are integers mod period = lcm(shape), so a power D_p^l is
+    exact as (l * angles mod period) / period.
+    """
+    shape, offsets = w.group
+    period = math.lcm(*shape)
+    momenta = np.indices(shape).reshape(len(shape), -1).T * (period // np.array(shape))
+    return momenta @ np.array(offsets).T % period, period
+
+
+def _walker_axes(d: int):
+    """Axes of the bra and the ket walker coordinates in a (..., c, *shape, c, *shape) array."""
+    return tuple(range(-2 * d - 1, -d - 1)), tuple(range(-d, 0))
+
+
+def momentum_blocks(w: CoinedWalk, x):
+    """Momentum blocks of operators x, of shape (..., dim, dim), and the Frobenius mass off them.
+
+    Returns the C-contiguous (..., N, c, c) blocks <a,p| x |b,p> and, for
+    each operator, the norm of its entries <a,p| x |b,q> with p != q, so
+    that ||x||^2 = ||blocks||^2 + off^2.  Needs w.group.
+    """
+    shape = w.group[0]
+    c, n = w.coin_dim, w.walker_dim
+    lead = np.shape(x)[:-2]
+    bra, ket = _walker_axes(len(shape))
+    xt = np.fft.fftn(np.reshape(x, lead + (c, *shape, c, *shape)), axes=bra, norm="ortho")
+    xt = np.fft.ifftn(xt, axes=ket, norm="ortho").reshape(lead + (c, n, c, n))
+    blocks = np.moveaxis(np.diagonal(xt, axis1=-3, axis2=-1), -1, -3).copy()
+    p = np.arange(n)
+    xt[..., p, :, p] = 0
+    return blocks, np.linalg.norm(xt.reshape(lead + (-1,)), axis=-1)
+
+
+def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
+    """The dense (..., dim, dim) operators whose momentum blocks are blocks (..., N, c, c)."""
+    shape = w.group[0]
+    c, n = w.coin_dim, w.walker_dim
+    lead = np.shape(blocks)[:-3]
+    xt = np.zeros(lead + (c, n, c, n), dtype=complex)
+    p = np.arange(n)
+    xt[..., p, :, p] = np.moveaxis(blocks, -3, 0)
+    xt = xt.reshape(lead + (c, *shape, c, *shape))
+    bra, ket = _walker_axes(len(shape))
+    xt = np.fft.fftn(np.fft.ifftn(xt, axes=bra, norm="ortho"), axes=ket, norm="ortho")
+    return xt.reshape(lead + (c * n, c * n))
 
 
 def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -334,6 +414,8 @@ def dtrw_step(p, l, gamma: float, dt: float) -> np.ndarray:
 
 def walk_from_json(obj) -> CoinedWalk:
     """Parse {"graph": <graph JSON>, "coin_dim": c, "moves": [[...], ...]}."""
+    if not isinstance(obj, dict):
+        raise BadSpec(f"a walk must be a JSON object, got {type(obj).__name__}")
     try:
         g = graphs.graph_from_json(obj["graph"])
         c = graphs.json_int(obj["coin_dim"], "coin_dim")

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwl import cli, limits, walks
+from qwl import cli, graphs, limits, walks
 from qwl.errors import BadSpec, NotACycle
+from qwl.rng import seeded_state
 from walk_cases import relabelled_cycle, relabelled_cycle_json
 
 
@@ -244,6 +245,18 @@ def test_closure_basis_dump(tmp_path):
     assert run(["closure", "--walk", "example", "--dump-basis"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["example", "cycle:5"])
+def test_dumped_basis_matches_the_dense_closure(tmp_path, spec):
+    out = tmp_path / "basis.json"
+    assert run(["closure", "--walk", spec, "--format", "json", "--dump-basis"], out) == 0
+    dumped = np.array([[[complex(re, im) for re, im in row] for row in b]
+                       for b in json.loads(out.read_text())["basis"]])
+    w = cli.resolve_walk(spec)
+    dense = cli.liealg.lie_closure(cli.liealg.generators(w))
+    assert dumped.shape == dense.elements.shape
+    assert np.abs(dumped - dense.elements).max() <= 1e-12
+
+
 def test_simulable_command(tmp_path):
     h_path = tmp_path / "h.json"
     h_path.write_text(json.dumps(matrix_json(limits.limit_hamiltonian_cycle(4))))
@@ -300,6 +313,18 @@ def test_evolve_norm(tmp_path):
     probs = [float(r[3]) for r in rows[1:-1]]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     assert rows[-1][0] == "norm_residual" and float(rows[-1][1]) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "example", "lattice:4,2"])
+def test_evolve_matches_the_dense_propagator(tmp_path, spec):
+    out = tmp_path / "ev.json"
+    assert run(["evolve", "--walk", spec, "--gamma", "0.7", "--t", "1.3", "--seed", "5",
+                "--format", "json"], out) == 0
+    state = np.array([complex(re, im) for re, im in json.loads(out.read_text())["state"]])
+    w = cli.resolve_walk(spec)
+    a = graphs.adjacency(w.graph)
+    expected = walks.ctqw_propagator(a, 0.7, 1.3) @ seeded_state(w.walker_dim, 5)
+    assert np.abs(state - expected).max() <= 1e-12
 
 
 def test_determinism(tmp_path):
@@ -456,6 +481,21 @@ def test_walk_file_non_integers_rejected(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    ('"{\\"n\\": 3}"', "a walk must be a JSON object, got str"),
+    ("[1, 2]", "a walk must be a JSON object, got list"),
+    ('{"graph": 5, "coin_dim": 2, "moves": [[1, 0]]}', "a graph must be a JSON object, got int"),
+], ids=["string", "list", "graph-int"])
+def test_walk_file_must_hold_objects(tmp_path, capsys, content, message):
+    path = tmp_path / "walk.json"
+    path.write_text(content)
+    out = tmp_path / "never.csv"
+    assert run(["info", "--walk", f"file:{path}"], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["cycle:5", "lattice:3,2", "file"])
 def test_walk_over_size_cap_writes_nothing(tmp_path, capsys, monkeypatch, spec):
     if spec == "file":
@@ -471,15 +511,29 @@ def test_walk_over_size_cap_writes_nothing(tmp_path, capsys, monkeypatch, spec):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["closure", "simulable"])
-def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, command):
-    argv = ["closure", "--walk", "cycle:5"]
+@pytest.mark.parametrize("command, element_shape", [
+    ("closure", (5, 2, 2)),        # cycle:5 in momentum blocks
+    ("simulable", (4, 3, 3)),      # example in momentum blocks
+    ("file-closure", (14, 14)),    # a relabelled 7-cycle file walk stays dense
+], ids=["closure", "simulable", "file-closure"])
+def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, command,
+                                                element_shape):
+    spec = "cycle:5"
+    argv = ["closure", "--walk", spec]
     if command == "simulable":
+        spec = "example"
         h_path = tmp_path / "h.json"
         h_path.write_text(json.dumps(matrix_json(np.diag([1.0] + [0.0] * 11))))
-        argv = ["simulable", "--walk", "example", "--hamiltonian", str(h_path)]
-    # room for 4 elements of side 12 or 5 of side 10; both closures need more
-    monkeypatch.setattr(cli.liealg, "MAX_CLOSURE_BYTES", 16 * 12 ** 2 * 4)
+        argv = ["simulable", "--walk", spec, "--hamiltonian", str(h_path)]
+    if command == "file-closure":
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps(relabelled_cycle_json()))
+        spec = f"file:{path}"
+        argv = ["closure", "--walk", spec]
+    basis = cli.liealg.walk_closure(cli.resolve_walk(spec))
+    assert basis.elements.shape[1:] == element_shape
+    # one byte short of the finished basis, whichever form its elements take
+    monkeypatch.setattr(cli.liealg, "MAX_CLOSURE_BYTES", basis.elements.nbytes - 1)
     out = tmp_path / "never.csv"
     assert run(argv, out) == 2
     captured = capsys.readouterr()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwl import liealg, limits, walks
 from qwl.errors import (
+    BadSpec,
     DimMismatch,
     DomainExceeded,
     NonHermitian,
@@ -15,7 +16,7 @@ from qwl.errors import (
     TooSmall,
 )
 from qwl.linalg import commutator, frob, hs_inner, is_skew_hermitian, kron
-from walk_cases import cayley_walks, relabelled_cycle
+from walk_cases import cayley_walks, relabelled_cycle, translation_walks
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +320,7 @@ def _assert_matches_reference(w, chunk_len):
     with pytest.MonkeyPatch.context() as mp:
         if chunk_len is not None:
             mp.setattr(liealg, "_CHUNK_BYTES", 16 * w.dim ** 2 * chunk_len)
-            assert liealg._chunk_len(w.dim) == chunk_len
+            assert liealg._chunk_len(w.dim ** 2) == chunk_len
         basis = liealg.lie_closure(liealg.generators(w), 1e-9)
     elements, passes = _reference_closure(liealg.generators(w), 1e-9)
     assert (basis.dimension, basis.passes) == (len(elements), passes)
@@ -382,3 +383,55 @@ def test_closure_memory_cap(monkeypatch):
     monkeypatch.setattr(liealg, "MAX_CLOSURE_BYTES", 16 * 2 ** 2 - 1)
     with pytest.raises(DomainExceeded, match="MAX_CLOSURE_BYTES"):
         liealg.lie_closure([np.diag([1j, -1j])], 1e-9)
+
+
+def test_translation_walks_close_in_momentum_blocks():
+    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk()):
+        basis = liealg.walk_closure(w)
+        assert basis.walk is w and basis.dim_ambient == w.dim
+        assert basis.elements.shape[1:] == (w.walker_dim, w.coin_dim, w.coin_dim)
+    # a file walk records no group and is closed densely
+    basis = liealg.walk_closure(relabelled_cycle())
+    assert basis.walk is None and basis.elements.shape[1:] == (14, 14)
+    with pytest.raises(DomainExceeded):
+        liealg.walk_closure(walks.cycle_walk(5), 1e-3)
+
+
+def test_block_stack_closure_without_its_walk_has_no_dense_form():
+    stack = np.array([np.diag([1j, -1j]), np.diag([2j, -1j])])  # two 2x2 diagonal blocks
+    basis = liealg.lie_closure([stack])
+    assert basis.elements.shape == (1, 2, 2, 2) and basis.walk is None
+    with pytest.raises(DimMismatch):
+        liealg.member_residual(basis, np.diag([1j, -1j]))
+
+
+def test_block_closure_refuses_long_orbits(monkeypatch):
+    w = walks.cycle_walk(9)  # shift order 9
+    monkeypatch.setattr(walks, "MAX_DIM", 8)
+    with pytest.raises(DomainExceeded, match="shift order 9"):
+        liealg.walk_closure(w)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(translation_walks(), st.integers(0, 2 ** 32 - 1))
+def test_block_closure_matches_dense_oracle(w, seed):
+    blocks = liealg.walk_closure(w, 1e-9)
+    dense = liealg.lie_closure(liealg.generators(w), 1e-9)
+    assert (blocks.dimension, blocks.passes) == (dense.dimension, dense.passes)
+    assert np.abs(blocks.dense_elements() - dense.elements).max(initial=0.0) <= 1e-12
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        g = rng.normal(size=(w.dim, w.dim)) + 1j * rng.normal(size=(w.dim, w.dim))
+        member = np.tensordot(rng.normal(size=dense.dimension), dense.elements, axes=1)
+        for x in (0.5j * (g + g.conj().T), member):
+            assert abs(liealg.member_residual(blocks, x)
+                       - liealg.member_residual(dense, x)) <= 1e-12
+    assert liealg.conjugation_invariance_residual(blocks, w) <= 1e-10
+    # a recorded group that contradicts the moves table is refused
+    shape, offsets = w.group
+    wrong = [(shape, offsets[1:] + offsets[:1]), (shape[::-1], offsets),
+             ((w.walker_dim,), offsets)]
+    for group in wrong[0 if w.coin_dim > 1 else 2:]:
+        if group[0] != shape or group[1] != offsets:
+            with pytest.raises(BadSpec):
+                walks.CoinedWalk(w.graph, w.moves, group)

@@ -7,6 +7,7 @@ from qwl import graphs
 from qwl.errors import DimMismatch, NonHermitian
 from qwl.linalg import (
     commutator,
+    expm_eig,
     expm_hermitian,
     frob,
     hermitian_eig,
@@ -95,6 +96,17 @@ def test_expm_cycle4_eigenphases():
     expected = np.exp(-1j * np.array([2.0, 0.0, -2.0, 0.0]))
     got = np.linalg.eigvals(u)
     assert np.allclose(sorted(got, key=np.angle), sorted(expected, key=np.angle), atol=1e-10)
+
+
+def test_expm_eig_applied_to_a_state():
+    rng = np.random.default_rng(3)
+    h = random_matrix(rng, 6)
+    h = h + h.conj().T
+    psi = random_matrix(rng, 6)[0]
+    eig = hermitian_eig(h)
+    for s in (0.0, 0.4, -2.5):
+        assert np.abs(expm_eig(eig, s, psi) - expm_eig(eig, s) @ psi).max() <= 1e-12
+    assert np.array_equal(expm_eig(eig, 0.0, psi), psi)
 
 
 def test_expm_rejects_non_hermitian():

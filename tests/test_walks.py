@@ -140,6 +140,27 @@ def test_coined_walk_validation():
         walks.CoinedWalk(g, [[1, 2, 3, 0], [2, 3, 0, 1]])
 
 
+def test_walks_compare_by_identity():
+    w = walks.cycle_walk(4)
+    assert w == w and w != walks.cycle_walk(4)
+    assert len({w, walks.cycle_walk(4), w}) == 2
+
+
+def test_translation_walks_record_their_group():
+    assert walks.cycle_walk(5).group == ((5,), ((1,), (-1,)))
+    assert walks.lattice_walk(3, 2).group == ((3, 3), ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    assert walks.example_walk().group == ((2, 2), ((1, 0), (0, 1), (1, 1)))
+    assert walks.walk_from_json(walks.walk_to_json(walks.cycle_walk(5))).group is None
+    w = walks.cycle_walk(6)
+    # offsets are group elements: any representative mod the shape will do
+    assert walks.CoinedWalk(w.graph, w.moves, ((6,), [(7,), (5,)])).group == \
+        ((6,), ((7,), (5,)))
+    for group in (((6,), [(-1,), (1,)]), ((6,), [(1,), (1,)]), ((2, 3), [(0, 1), (0, -1)]),
+                  ((3, 2), [(1,), (-1,)]), ((6,), [(1,)]), ((-6,), [(1,), (-1,)])):
+        with pytest.raises(BadSpec):
+            walks.CoinedWalk(w.graph, w.moves, group)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(cayley_walks(), st.sampled_from(["duplicate", "out of range", "shape", "size"]),
        st.data())

@@ -1,4 +1,4 @@
-"""Walks shared by several test modules: relabelled cycles and Cayley walks of Z_n."""
+"""Walks shared by several test modules: relabelled cycles, Cayley and translation walks."""
 
 from hypothesis import strategies as st
 
@@ -31,3 +31,26 @@ def cayley_walks(draw, max_size=None):
     edges = [(j, (j + s) % n) for s in shifts for j in range(n)]
     moves = [[(j + s) % n for j in range(n)] for s in shifts]
     return walks.CoinedWalk(graphs.graph(n, edges), moves)
+
+
+@st.composite
+def translation_walks(draw):
+    """Translation walk with a recorded group: Z_n with a random offset set, or Z_n x Z_m.
+
+    The offset set is symmetric (so the graph is regular), drawn in random
+    coin order, and each offset is written with a random representative mod
+    the shape, negative ones included.
+    """
+    if draw(st.booleans()):
+        shape = (draw(st.integers(3, 8)),)
+        half = draw(st.sets(st.integers(1, shape[0] // 2), min_size=1, max_size=2))
+        elements = {(s % shape[0],) for h in half for s in (h, -h)}
+    else:
+        shape = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+        half = draw(st.sets(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]),
+                            min_size=1, max_size=2))
+        elements = {(sa * a % shape[0], sa * b % shape[1]) for a, b in half for sa in (1, -1)}
+    elements = draw(st.permutations(sorted(elements - {(0,) * len(shape)})))
+    offsets = [tuple(t - draw(st.integers(0, 1)) * n for t, n in zip(off, shape))
+               for off in elements]
+    return walks._translation_walk(shape, offsets)
