@@ -12,8 +12,10 @@ An element is a dense (n, n) matrix or a stack of diagonal blocks.
 ``walk_closure`` closes a translation walk's generators in momentum
 blocks: the walker Fourier transform makes each S^l (X x 1) S^-l block
 diagonal with block p = D_p^l X D_p^-l, and it is unitary, so N blocks of
-c x c give the dense closure's dimension, passes and residuals.  Walks
-without a recorded group (file walks) are closed densely.
+c x c give the dense closure's dimension, passes and residuals.  Every
+walk whose moves commute and act transitively is a translation walk, its
+group found from the move table (``CoinedWalk.group``), whether it is
+built in or read from a file; any other walk is closed densely.
 
 Candidates (generators and brackets alike) are admitted a chunk at a
 time: a C-contiguous (m, ...) stack of at most ``_CHUNK_BYTES``, so the
@@ -292,7 +294,7 @@ def _block_generators(w: CoinedWalk):
 
 
 def walk_closure(w: CoinedWalk, tol: float = DEFAULT_TOL) -> LieBasis:
-    """The closure of generators(w): in momentum blocks if w records its group, else dense.
+    """The closure of generators(w): in momentum blocks if w has a translation group, else dense.
 
     Both bases take the same dense arguments in ``member_residual`` and
     ``conjugation_invariance_residual``, and share dimension and passes.

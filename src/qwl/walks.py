@@ -9,8 +9,10 @@ and it checks the size cap ``MAX_DIM`` and the move table, so every walk's
 shift is a permutation.  The built-in walks are translation walks on Z_n,
 Z_n^d and Z_2^2, all built from their move tables by ``_translation_walk``;
 ``cycle_walk`` and ``lattice_walk`` check the cap before they build a table.
-A translation walk records its group, which the constructor checks against
-the table; in the walker's Fourier basis its shift is diagonal, so
+Any walk whose moves commute and act transitively on the vertices is a
+translation walk on the abelian group they generate, and the constructor
+finds that group from the move table alone, for a built-in walk and a file
+walk alike.  In the walker's Fourier basis its shift is diagonal, so
 ``momentum_blocks`` splits an operator into N coin blocks of c x c.
 """
 
@@ -84,19 +86,22 @@ class CoinedWalk:
     permutation of {0..cN-1} sending index k*N+j to k*N+moves[k, j].
     Construction checks, in order: coin_dim * walker_dim <= MAX_DIM, before
     anything sized by the graph is allocated; that the graph is regular of
-    degree m and the table is m x N; row by row, that each row is a
-    bijection on vertices whose every move follows an edge; and that the
-    translation group, if one is given, generates the table.
+    degree m and the table is m x N; and row by row, that each row is a
+    bijection on vertices whose every move follows an edge.
 
-    group is None or (shape, offsets): vertices are the elements of
-    Z_shape, indexed row-major, and coin result k adds offsets[k].  Walks
-    compare by identity.
+    group is found from the moves table.  If the moves commute and act
+    transitively, they generate an abelian group acting regularly on the
+    vertices, and group is (shape, offsets, labels): vertex v is the element
+    of Z_shape indexed labels[v] row-major, shape lists the cyclic factors
+    of one diagonal form of the group (sizes above 1, not necessarily the
+    invariant factors), and coin result k adds offsets[k].  Otherwise group
+    is None.  Walks compare by identity.
     """
 
     graph: graphs.Graph
     moves: np.ndarray
-    group: tuple = None
     shift: np.ndarray = field(init=False)
+    group: tuple = field(init=False)
 
     def __post_init__(self):
         g = self.graph
@@ -114,21 +119,12 @@ class CoinedWalk:
             for j, t in enumerate(row):
                 if (min(j, t), max(j, t)) not in edge_set or j == t:
                     raise NotAnEdge(j, k)
-        if self.group is not None:
-            shape, offsets = self.group
-            shape = tuple(int(s) for s in shape)
-            offsets = np.array(offsets, dtype=int, ndmin=2)
-            if min(shape, default=1) < 1 or math.prod(shape) != g.n \
-                    or offsets.shape != (m, len(shape)) \
-                    or not np.array_equal(_translation_moves(shape, offsets), moves):
-                raise BadSpec(f"translations {offsets.tolist()} of Z_{shape} "
-                              "do not generate the moves table")
-            object.__setattr__(self, "group", (shape, tuple(map(tuple, offsets.tolist()))))
         shift = (np.arange(m)[:, None] * g.n + moves).ravel()
         moves.setflags(write=False)
         shift.setflags(write=False)
         object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "group", _translation_group(moves))
 
     @property
     def coin_dim(self) -> int:
@@ -141,6 +137,96 @@ class CoinedWalk:
     @property
     def dim(self) -> int:
         return self.moves.size
+
+
+def _translation_group(moves: np.ndarray):
+    """(shape, offsets, labels) of the group the moves generate, or None (see CoinedWalk).
+
+    The orbit of vertex 0 grows one coin at a time, with each vertex's
+    exponents of the coins that grew it.  Coin k multiplies the orbit by the
+    least m_k with P_k^m_k 0 in the orbit so far; coins with m_k > 1 (at
+    most log2 N of them) give the relations m_k e_k - exponents(P_k^m_k 0),
+    which generate every relation.  A diagonal form U R V = diag(d) of the
+    relation matrix R turns exponents e into the element e V mod d.
+    """
+    n = moves.shape[1]
+    products = moves[:, moves]  # products[a, b] = P_a P_b
+    if not np.array_equal(products, products.swapaxes(0, 1)):
+        return None
+    orbit = np.zeros(1, dtype=int)
+    where = np.full(n, -1)  # position of each vertex in orbit, -1 outside it
+    where[0] = 0
+    exps = np.zeros((1, 0), dtype=int)
+    relations = []  # (m_k, exponents of P_k^m_k 0) for each coin that grew the orbit
+    for row in moves:
+        cosets, x = [orbit], row[0]
+        while where[x] < 0:
+            cosets.append(row[cosets[-1]])
+            x = row[x]
+        if len(cosets) == 1:
+            continue
+        relations.append((len(cosets), exps[where[x]].tolist()))
+        exps = np.hstack([np.tile(exps, (len(cosets), 1)),
+                          np.repeat(np.arange(len(cosets)), len(orbit))[:, None]])
+        orbit = np.concatenate(cosets)
+        where[orbit] = np.arange(len(orbit))
+    if len(orbit) < n or not relations:
+        return None
+    r = len(relations)
+    d, v = _diagonal_form([[-e for e in prior] + [m] + [0] * (r - 1 - t)
+                               for t, (m, prior) in enumerate(relations)])
+    keep = [i for i in range(r) if d[i] > 1]
+    shape = tuple(d[i] for i in keep)
+    # column i of v only matters mod d[i], so no sum of products exceeds log2(N) N^2
+    coords = exps @ np.array([[v[j][i] % d[i] for i in keep] for j in range(r)]) % shape
+    labels = np.empty(n, dtype=int)
+    labels[orbit] = np.ravel_multi_index(tuple(coords.T), shape)
+    labels.setflags(write=False)
+    offsets = tuple(map(tuple, coords[where[moves[:, 0]]].tolist()))
+    return shape, offsets, labels
+
+
+def _diagonal_form(a):
+    """(d, v) for a nonsingular integer matrix a, in Python ints.
+
+    U a v = diag(d) with every d[t] > 0 for some unimodular U and the
+    unimodular v; only the column operations are tracked.  Z^r / a is then
+    the direct sum of the Z_d[t], which is all a translation group needs,
+    so d is not brought to invariant factors (0 < d[0] | d[1] | ...).
+    """
+    a = [list(row) for row in a]
+    r = len(a)
+    v = [[int(i == j) for j in range(r)] for i in range(r)]
+
+    def add_column(dst, src, q):
+        for mat in (a, v):
+            for row in mat:
+                row[dst] += q * row[src]
+
+    def swap_columns(i, j):
+        for mat in (a, v):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
+
+    for t in range(r):
+        while True:
+            _, i, j = min((abs(a[i][j]), i, j)
+                          for i in range(t, r) for j in range(t, r) if a[i][j])
+            a[t], a[i] = a[i], a[t]
+            swap_columns(t, j)
+            p = a[t][t]
+            for i in range(t + 1, r):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, r):
+                add_column(j, t, -(a[t][j] // p))
+            if not any(a[i][t] for i in range(t + 1, r)) and not any(a[t][t + 1:]):
+                break
+        if a[t][t] < 0:
+            for mat in (a, v):
+                for row in mat:
+                    row[t] = -row[t]
+    return [a[t][t] for t in range(r)], v
 
 
 def _translation_moves(shape, offsets) -> np.ndarray:
@@ -158,7 +244,7 @@ def _translation_walk(shape, offsets) -> CoinedWalk:
     """
     moves = _translation_moves(shape, offsets)
     g = graphs.graph(moves.shape[1], [(j, t) for row in moves.tolist() for j, t in enumerate(row)])
-    return CoinedWalk(g, moves, (shape, offsets))
+    return CoinedWalk(g, moves)
 
 
 def cycle_walk(n: int) -> CoinedWalk:
@@ -241,13 +327,14 @@ def checked_shift_order(w: CoinedWalk) -> int:
 def momentum_angles(w: CoinedWalk):
     """(angles, period): coin k moves momentum p by the phase exp(-2 pi i angles[p, k] / period).
 
-    In the Fourier basis |p> = N^(-1/2) sum_v exp(2 pi i p.v) |v> of the
-    walker space (p.v = sum_i p_i v_i / shape_i, momenta row-major like
-    vertices), the shift is diag(D_p) with D_p = diag_k exp(-2 pi i p.t_k).
+    In the Fourier basis |p> = N^(-1/2) sum_g exp(2 pi i p.g) |g> of the
+    walker space (g ranges over Z_shape, |g> is the vertex labelled g,
+    p.g = sum_i p_i g_i / shape_i, momenta row-major like labels), the
+    shift is diag(D_p) with D_p = diag_k exp(-2 pi i p.t_k).
     The angles are integers mod period = lcm(shape), so a power D_p^l is
     exact as (l * angles mod period) / period.
     """
-    shape, offsets = w.group
+    shape, offsets, _ = w.group
     period = math.lcm(*shape)
     momenta = np.indices(shape).reshape(len(shape), -1).T * (period // np.array(shape))
     return momenta @ np.array(offsets).T % period, period
@@ -263,13 +350,16 @@ def momentum_blocks(w: CoinedWalk, x):
 
     Returns the C-contiguous (..., N, c, c) blocks <a,p| x |b,p> and, for
     each operator, the norm of its entries <a,p| x |b,q> with p != q, so
-    that ||x||^2 = ||blocks||^2 + off^2.  Needs w.group.
+    that ||x||^2 = ||blocks||^2 + off^2.  The walker axes are first put in
+    group order (vertex v at labels[v]).  Needs w.group.
     """
-    shape = w.group[0]
+    shape, _, labels = w.group
     c, n = w.coin_dim, w.walker_dim
     lead = np.shape(x)[:-2]
+    vertex = np.argsort(labels)  # vertex[g] has label g
+    x = np.take(np.take(np.reshape(x, lead + (c, n, c, n)), vertex, axis=-3), vertex, axis=-1)
     bra, ket = _walker_axes(len(shape))
-    xt = np.fft.fftn(np.reshape(x, lead + (c, *shape, c, *shape)), axes=bra, norm="ortho")
+    xt = np.fft.fftn(x.reshape(lead + (c, *shape, c, *shape)), axes=bra, norm="ortho")
     xt = np.fft.ifftn(xt, axes=ket, norm="ortho").reshape(lead + (c, n, c, n))
     blocks = np.moveaxis(np.diagonal(xt, axis1=-3, axis2=-1), -1, -3).copy()
     p = np.arange(n)
@@ -279,7 +369,7 @@ def momentum_blocks(w: CoinedWalk, x):
 
 def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
     """The dense (..., dim, dim) operators whose momentum blocks are blocks (..., N, c, c)."""
-    shape = w.group[0]
+    shape, _, labels = w.group
     c, n = w.coin_dim, w.walker_dim
     lead = np.shape(blocks)[:-3]
     xt = np.zeros(lead + (c, n, c, n), dtype=complex)
@@ -288,6 +378,7 @@ def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
     xt = xt.reshape(lead + (c, *shape, c, *shape))
     bra, ket = _walker_axes(len(shape))
     xt = np.fft.fftn(np.fft.ifftn(xt, axes=bra, norm="ortho"), axes=ket, norm="ortho")
+    xt = np.take(np.take(xt.reshape(lead + (c, n, c, n)), labels, axis=-3), labels, axis=-1)
     return xt.reshape(lead + (c * n, c * n))
 
 

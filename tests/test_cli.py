@@ -14,7 +14,12 @@ import pytest
 from qwl import cli, graphs, limits, walks
 from qwl.errors import BadSpec, NotACycle
 from qwl.rng import seeded_state
-from walk_cases import relabelled_cycle, relabelled_cycle_json
+from walk_cases import (
+    relabelled_cycle,
+    relabelled_cycle_json,
+    relabelled_json,
+    turn_or_flip_cycle_json,
+)
 
 
 def run(args, out=None):
@@ -512,10 +517,11 @@ def test_walk_over_size_cap_writes_nothing(tmp_path, capsys, monkeypatch, spec):
 
 
 @pytest.mark.parametrize("command, element_shape", [
-    ("closure", (5, 2, 2)),        # cycle:5 in momentum blocks
-    ("simulable", (4, 3, 3)),      # example in momentum blocks
-    ("file-closure", (14, 14)),    # a relabelled 7-cycle file walk stays dense
-], ids=["closure", "simulable", "file-closure"])
+    ("closure", (5, 2, 2)),                # cycle:5 in momentum blocks
+    ("simulable", (4, 3, 3)),              # example in momentum blocks
+    ("file-closure", (12, 12)),            # turn-or-flip 6-cycle moves do not commute: dense
+    ("relabelled-file-closure", (7, 2, 2)),  # a relabelled 7-cycle file walk: blocks
+], ids=["closure", "simulable", "file-closure", "relabelled-file-closure"])
 def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, command,
                                                 element_shape):
     spec = "cycle:5"
@@ -525,9 +531,10 @@ def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, c
         h_path = tmp_path / "h.json"
         h_path.write_text(json.dumps(matrix_json(np.diag([1.0] + [0.0] * 11))))
         argv = ["simulable", "--walk", spec, "--hamiltonian", str(h_path)]
-    if command == "file-closure":
+    if command.endswith("file-closure"):
         path = tmp_path / "walk.json"
-        path.write_text(json.dumps(relabelled_cycle_json()))
+        path.write_text(json.dumps(relabelled_cycle_json() if command.startswith("relabelled")
+                                   else turn_or_flip_cycle_json()))
         spec = f"file:{path}"
         argv = ["closure", "--walk", spec]
     basis = cli.liealg.walk_closure(cli.resolve_walk(spec))
@@ -542,6 +549,19 @@ def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, c
     assert not out.exists()
     assert run(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_relabelled_file_walk_closure_report_is_the_cycles(tmp_path):
+    path = tmp_path / "walk.json"
+    perm = np.random.default_rng(40).permutation(40)
+    path.write_text(json.dumps(relabelled_json(walks.cycle_walk(40), perm)))
+    reports = []
+    for spec in ("cycle:40", f"file:{path}"):
+        out = tmp_path / "closure.json"
+        assert run(["closure", "--walk", spec, "--format", "json"], out) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["dimension"] == 61
 
 
 @pytest.mark.parametrize("entry", [[True, False], ["1", "0"], [1.0, 0.0, 99.0]],

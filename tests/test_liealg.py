@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qwl import liealg, limits, walks
 from qwl.errors import (
-    BadSpec,
     DimMismatch,
     DomainExceeded,
     NonHermitian,
@@ -16,7 +15,13 @@ from qwl.errors import (
     TooSmall,
 )
 from qwl.linalg import commutator, frob, hs_inner, is_skew_hermitian, kron
-from walk_cases import cayley_walks, relabelled_cycle, translation_walks
+from walk_cases import (
+    cayley_walks,
+    relabelled,
+    relabelled_cycle,
+    translation_walks,
+    turn_or_flip_cycle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -386,13 +391,15 @@ def test_closure_memory_cap(monkeypatch):
 
 
 def test_translation_walks_close_in_momentum_blocks():
-    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk()):
+    # a relabelled 7-cycle read from a file closes in (7, 2, 2) blocks like cycle:7
+    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk(),
+              relabelled_cycle()):
         basis = liealg.walk_closure(w)
         assert basis.walk is w and basis.dim_ambient == w.dim
         assert basis.elements.shape[1:] == (w.walker_dim, w.coin_dim, w.coin_dim)
-    # a file walk records no group and is closed densely
-    basis = liealg.walk_closure(relabelled_cycle())
-    assert basis.walk is None and basis.elements.shape[1:] == (14, 14)
+    # a walk whose moves do not commute has no translation group and is closed densely
+    basis = liealg.walk_closure(turn_or_flip_cycle())
+    assert basis.walk is None and basis.elements.shape[1:] == (12, 12)
     with pytest.raises(DomainExceeded):
         liealg.walk_closure(walks.cycle_walk(5), 1e-3)
 
@@ -415,23 +422,20 @@ def test_block_closure_refuses_long_orbits(monkeypatch):
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(translation_walks(), st.integers(0, 2 ** 32 - 1))
 def test_block_closure_matches_dense_oracle(w, seed):
-    blocks = liealg.walk_closure(w, 1e-9)
-    dense = liealg.lie_closure(liealg.generators(w), 1e-9)
-    assert (blocks.dimension, blocks.passes) == (dense.dimension, dense.passes)
-    assert np.abs(blocks.dense_elements() - dense.elements).max(initial=0.0) <= 1e-12
     rng = np.random.default_rng(seed)
-    for _ in range(3):
-        g = rng.normal(size=(w.dim, w.dim)) + 1j * rng.normal(size=(w.dim, w.dim))
-        member = np.tensordot(rng.normal(size=dense.dimension), dense.elements, axes=1)
-        for x in (0.5j * (g + g.conj().T), member):
-            assert abs(liealg.member_residual(blocks, x)
-                       - liealg.member_residual(dense, x)) <= 1e-12
-    assert liealg.conjugation_invariance_residual(blocks, w) <= 1e-10
-    # a recorded group that contradicts the moves table is refused
-    shape, offsets = w.group
-    wrong = [(shape, offsets[1:] + offsets[:1]), (shape[::-1], offsets),
-             ((w.walker_dim,), offsets)]
-    for group in wrong[0 if w.coin_dim > 1 else 2:]:
-        if group[0] != shape or group[1] != offsets:
-            with pytest.raises(BadSpec):
-                walks.CoinedWalk(w.graph, w.moves, group)
+    # the built walk, and the same walk with its vertices renamed, read from JSON
+    for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
+        assert walk.group is not None
+        dim = walk.dim
+        blocks = liealg.walk_closure(walk, 1e-9)
+        dense = liealg.lie_closure(liealg.generators(walk), 1e-9)
+        assert blocks.walk is walk and dense.walk is None
+        assert (blocks.dimension, blocks.passes) == (dense.dimension, dense.passes)
+        assert np.abs(blocks.dense_elements() - dense.elements).max(initial=0.0) <= 1e-12
+        for _ in range(3):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            member = np.tensordot(rng.normal(size=dense.dimension), dense.elements, axes=1)
+            for x in (0.5j * (g + g.conj().T), member):
+                assert abs(liealg.member_residual(blocks, x)
+                           - liealg.member_residual(dense, x)) <= 1e-12
+        assert liealg.conjugation_invariance_residual(blocks, walk) <= 1e-10

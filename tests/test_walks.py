@@ -1,6 +1,7 @@
 """Coined walks, the edge-space equivalence, and classical/quantum propagators."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qwl.errors import (
 )
 from qwl.linalg import frob, is_permutation, is_unitary, kron
 from qwl.rng import seeded_state, seeded_unitary
-from walk_cases import cayley_walks, relabelled_cycle
+from walk_cases import cayley_walks, relabelled, relabelled_cycle, turn_or_flip_cycle
 
 R = np.array([[0, -1j], [-1j, 0]])
 
@@ -146,19 +147,35 @@ def test_walks_compare_by_identity():
     assert len({w, walks.cycle_walk(4), w}) == 2
 
 
+def _assert_translation_group(w):
+    """w.group is a translation group of Z_shape whose translations are w's moves."""
+    shape, offsets, labels = w.group
+    assert math.prod(shape) == w.walker_dim and min(shape) > 1
+    assert sorted(labels.tolist()) == list(range(w.walker_dim))
+    assert np.array_equal(walks._translation_moves(shape, offsets)[:, labels], labels[w.moves])
+
+
 def test_translation_walks_record_their_group():
-    assert walks.cycle_walk(5).group == ((5,), ((1,), (-1,)))
-    assert walks.lattice_walk(3, 2).group == ((3, 3), ((1, 0), (-1, 0), (0, 1), (0, -1)))
-    assert walks.example_walk().group == ((2, 2), ((1, 0), (0, 1), (1, 1)))
-    assert walks.walk_from_json(walks.walk_to_json(walks.cycle_walk(5))).group is None
-    w = walks.cycle_walk(6)
-    # offsets are group elements: any representative mod the shape will do
-    assert walks.CoinedWalk(w.graph, w.moves, ((6,), [(7,), (5,)])).group == \
-        ((6,), ((7,), (5,)))
-    for group in (((6,), [(-1,), (1,)]), ((6,), [(1,), (1,)]), ((2, 3), [(0, 1), (0, -1)]),
-                  ((3, 2), [(1,), (-1,)]), ((6,), [(1,)]), ((-6,), [(1,), (-1,)])):
-        with pytest.raises(BadSpec):
-            walks.CoinedWalk(w.graph, w.moves, group)
+    rng = np.random.default_rng(5)
+    # each walk with its group's exponent, lcm(shape), which any diagonal form shares
+    cases = [(walks.cycle_walk(40), 40), (walks.cycle_walk(6), 6),
+             (walks.lattice_walk(3, 2), 3), (walks.lattice_walk(4, 3), 4),
+             (walks.example_walk(), 2),
+             # Z_2 x Z_3 and the generators 2, 3 of Z_6 are both the cyclic Z_6
+             (walks._translation_walk((2, 3), [(1, 0), (0, 1), (0, -1)]), 6),
+             (walks._translation_walk((6,), [(2,), (-2,), (3,)]), 6),
+             (walks._translation_walk((2, 4), [(1, 0), (0, 1), (0, -1)]), 4),
+             (walks._translation_walk((4, 6), [(1, 0), (-1, 0), (0, 3), (1, 1), (-1, -1)]), 12)]
+    for w, exponent in cases:
+        _assert_translation_group(w)
+        assert math.lcm(*w.group[0]) == exponent
+        # a relabelled round trip through JSON finds the same relations, so the same shape
+        rw = relabelled(w, rng.permutation(w.walker_dim))
+        _assert_translation_group(rw)
+        assert rw.group[0] == w.group[0]
+    # moves that do not commute, and moves that do not reach every vertex
+    assert turn_or_flip_cycle().group is None
+    assert walks._translation_walk((4, 6), [(2, 0), (0, 1), (0, -1)]).group is None
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

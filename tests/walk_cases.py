@@ -1,5 +1,9 @@
-"""Walks shared by several test modules: relabelled cycles, Cayley and translation walks."""
+"""Walks shared by several test modules: relabelled and turn-or-flip cycles, Cayley and
+translation walks."""
 
+import math
+
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from qwl import graphs, walks
@@ -7,19 +11,56 @@ from qwl import graphs, walks
 CYCLE7_RELABELLING = (3, 6, 0, 4, 1, 5, 2)
 
 
+def relabelled_json(w, perm):
+    """walk_to_json(w) with vertex j renamed perm[j]."""
+    perm = [int(p) for p in perm]
+    obj = walks.walk_to_json(w)
+    obj["graph"]["edges"] = [[perm[u], perm[v]] for u, v in obj["graph"]["edges"]]
+    obj["moves"] = [[perm[row[perm.index(j)]] for j in range(len(perm))] for row in obj["moves"]]
+    return obj
+
+
+def relabelled(w, perm):
+    """w with vertex j renamed perm[j], read back through walk_from_json."""
+    return walks.walk_from_json(relabelled_json(w, perm))
+
+
 def relabelled_cycle_json(perm=CYCLE7_RELABELLING):
     """Walk JSON of cycle_walk(len(perm)) with vertex j renamed perm[j]."""
-    perm = list(perm)
-    cyc = walks.cycle_walk(len(perm))
-    return {"graph": {"n": len(perm), "edges": [[perm[u], perm[v]] for u, v in cyc.graph.edges]},
-            "coin_dim": 2,
-            "moves": [[int(perm[row[perm.index(j)]]) for j in range(len(perm))]
-                      for row in cyc.moves]}
+    return relabelled_json(walks.cycle_walk(len(perm)), perm)
 
 
 def relabelled_cycle(perm=CYCLE7_RELABELLING):
     """The relabelled cycle walk, read back through walk_from_json."""
-    return walks.walk_from_json(relabelled_cycle_json(perm))
+    return relabelled(walks.cycle_walk(len(perm)), perm)
+
+
+def turn_or_flip_cycle_json(n=6):
+    """A walk on the even n-cycle: coin 0 turns it forward, coin 1 swaps 2i <-> 2i+1.
+
+    Coin 0 alone reaches every vertex, but the moves do not commute, so
+    they generate no translation group.
+    """
+    return {"graph": graphs.graph_to_json(graphs.cycle_graph(n)), "coin_dim": 2,
+            "moves": [[(j + 1) % n for j in range(n)], [j ^ 1 for j in range(n)]]}
+
+
+def turn_or_flip_cycle(n=6):
+    """The turn-or-flip walk, read back through walk_from_json."""
+    return walks.walk_from_json(turn_or_flip_cycle_json(n))
+
+
+def generates(shape, elements) -> bool:
+    """True iff the elements generate the whole group Z_shape."""
+    reached, frontier = {(0,) * len(shape)}, [(0,) * len(shape)]
+    while frontier:
+        g = frontier.pop()
+        for e in elements:
+            h = tuple((a + b) % n for a, b, n in zip(g, e, shape))
+            if h not in reached:
+                reached.add(h)
+                frontier.append(h)
+    return len(reached) == math.prod(shape)
 
 
 @st.composite
@@ -35,11 +76,12 @@ def cayley_walks(draw, max_size=None):
 
 @st.composite
 def translation_walks(draw):
-    """Translation walk with a recorded group: Z_n with a random offset set, or Z_n x Z_m.
+    """Translation walk on Z_n with a random offset set, or on Z_n x Z_m.
 
-    The offset set is symmetric (so the graph is regular), drawn in random
-    coin order, and each offset is written with a random representative mod
-    the shape, negative ones included.
+    The offset set generates the group (so the moves act transitively) and
+    is symmetric (so the graph is regular); it is drawn in random coin
+    order, and each offset is written with a random representative mod the
+    shape, negative ones included.
     """
     if draw(st.booleans()):
         shape = (draw(st.integers(3, 8)),)
@@ -50,6 +92,7 @@ def translation_walks(draw):
         half = draw(st.sets(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]),
                             min_size=1, max_size=2))
         elements = {(sa * a % shape[0], sa * b % shape[1]) for a, b in half for sa in (1, -1)}
+    assume(generates(shape, elements))
     elements = draw(st.permutations(sorted(elements - {(0,) * len(shape)})))
     offsets = [tuple(t - draw(st.integers(0, 1)) * n for t, n in zip(off, shape))
                for off in elements]
