@@ -266,22 +266,21 @@ def cmd_project(args):
     lap = graphs.laplacian(w.graph)
     h = limits.orbit_hamiltonian(w)
     psi0 = seeded_state(2 * n, args.seed)
-    psit = walks.ctqw_propagator(h, gamma, t) @ psi0
+    psit = expm_eig(hermitian_eig(h), gamma * t, psi0)
     combos0 = limits.chiral_combinations(*limits.chiral_split(psi0, n), n)
     combost = limits.chiral_combinations(*limits.chiral_split(psit, n), n)
 
-    # A and L are real symmetric, so exp(+i*gamma*A*t) = conj(exp(-i*gamma*A*t)).
-    u_a = walks.ctqw_propagator(a, gamma, t)
-    u_l = walks.ctqw_propagator(lap, gamma, t)
+    # each combination evolves under exp(-i*sign*gamma*A*t), and its phi under L alike
+    eig_a = hermitian_eig(a)
+    eig_l = hermitian_eig(lap)
     psi_res = 0.0
     phi_res = 0.0
-    for i in range(4):
-        sign = 1 if i < 2 else -1
-        u_a_i, u_l_i = (u_a, u_l) if sign == 1 else (u_a.conj(), u_l.conj())
-        psi_res = max(psi_res, float(np.linalg.norm(combost[i] - u_a_i @ combos0[i])))
+    for i, sign in enumerate((1, 1, -1, -1)):
+        s = sign * gamma * t
+        psi_res = max(psi_res, float(np.linalg.norm(combost[i] - expm_eig(eig_a, s, combos0[i]))))
         phi_t = limits.phi_transform(combost[i], gamma, t, sign)
         phi_0 = limits.phi_transform(combos0[i], gamma, 0.0, sign)
-        phi_res = max(phi_res, float(np.linalg.norm(phi_t - u_l_i @ phi_0)))
+        phi_res = max(phi_res, float(np.linalg.norm(phi_t - expm_eig(eig_l, s, phi_0))))
     rec = 0.5 * (np.concatenate([combost[0], combost[1]])
                  + np.concatenate([combost[2], combost[3]]))
     rec_res = float(np.linalg.norm(rec - psit))

@@ -14,6 +14,8 @@ translation walk on the abelian group they generate, and the constructor
 finds that group from the move table alone, for a built-in walk and a file
 walk alike.  In the walker's Fourier basis its shift is diagonal, so
 ``momentum_blocks`` splits an operator into N coin blocks of c x c.
+The edge-space form ``EdgeWalk`` is held as index maps from the move
+table, and ``intertwining_residual`` applies them by scatter.
 """
 
 import math
@@ -50,7 +52,6 @@ __all__ = [
     "momentum_blocks",
     "from_momentum_blocks",
     "apply_step",
-    "step_operator",
     "coined_to_edge_walk",
     "intertwining_residual",
     "ctqw_propagator",
@@ -391,77 +392,73 @@ def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_operator(w: CoinedWalk, coin) -> np.ndarray:
-    """One walk step S (C x 1) for a unitary coin C."""
-    coin = as_matrix(coin)
-    if coin.shape != (w.coin_dim, w.coin_dim):
-        raise NotUnitary(f"coin must be {w.coin_dim}x{w.coin_dim}, got {coin.shape}")
-    if not is_unitary(coin):
-        raise NotUnitary("coin operation is not unitary within 1e-10")
-    return apply_step(w, coin, np.eye(w.dim, dtype=complex))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeWalk:
-    """Edge-space form of a coined walk.
+    """Edge-space form of a coined walk, held as index maps on the edge basis.
 
     edge_basis lists the ordered pairs (present, future) in sorted order,
-    which does not depend on the coin labels; w_matrix moves the future
-    vertex into the present slot, coin_blocks applies the per-vertex coin,
-    and chi is the permutation identifying coin x walker states with edge
-    states.  w_matrix and chi are float64 permutation matrices.
+    which does not depend on the coin labels.  chi[k*N + j] is the edge
+    (j, moves[k, j]), so chi identifies coin x walker states with edge
+    states; w[e] is the edge (f, moves[k, f]) that e = (j, f), of coin
+    label k, moves to; out[l, j] is the edge that coin result l takes out
+    of vertex j, and the per-vertex coin C~ applies coin to out[:, j].
     """
 
     edge_basis: tuple
-    w_matrix: np.ndarray
-    coin_blocks: np.ndarray
     chi: np.ndarray
+    w: np.ndarray
+    out: np.ndarray
+    coin: np.ndarray
 
 
 def coined_to_edge_walk(w: CoinedWalk, coin) -> EdgeWalk:
     """Express a coined walk step on the edge space spanned by (j, n_j(c_k)).
 
     The edge basis is the sorted list of pairs (j, moves[k, j]), so chi is
-    a genuine permutation, not the identity.  chi, W and the coin blocks
-    are each filled from their own defining rule, so the intertwining
-    identity chi S (C x 1) = W C~ chi is a consistency check of three
-    independent constructions.
+    a genuine permutation, not the identity.  chi, w and out are each
+    filled from their own defining rule, so the intertwining identity
+    chi S (C x 1) = W C~ chi is a consistency check of three independent
+    constructions.
     """
     coin = as_matrix(coin)
     if coin.shape != (w.coin_dim, w.coin_dim) or not is_unitary(coin):
         raise NotUnitary("coin operation is not unitary within 1e-10")
     c, n = w.coin_dim, w.walker_dim
-    dim = c * n
-    label = {}
-    for k in range(c):
-        for j in range(n):
-            pair = (j, int(w.moves[k, j]))
-            if pair in label:
-                raise QwlError(
-                    f"two coin results move vertex {pair[0]} to vertex {pair[1]}; "
-                    "the edge-space form needs distinct targets per vertex")
-            label[pair] = k
-    basis = tuple(sorted(label))
-    index = {pair: p for p, pair in enumerate(basis)}
-
-    chi = np.zeros((dim, dim))
-    wmat = np.zeros((dim, dim))
-    blocks = np.zeros((dim, dim), dtype=complex)
-    for (j, f), k in label.items():
-        p = index[j, f]
-        chi[p, k * n + j] = 1
-        wmat[index[f, int(w.moves[k, f])], p] = 1
-        for l in range(c):
-            blocks[index[j, int(w.moves[l, j])], p] = coin[l, k]
-
-    return EdgeWalk(basis, wmat, blocks, chi)
+    keys = (np.arange(n) * n + w.moves).ravel()  # edge (j, f) has key j*N + f
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if len(repeats):
+        first = repeats.min()  # in coin-major order
+        raise QwlError(
+            f"two coin results move vertex {first % n} to vertex {w.moves.flat[first]}; "
+            "the edge-space form needs distinct targets per vertex")
+    present, future = np.divmod(sorted_keys, n)
+    label = order // n  # coin label of each edge
+    chi = np.searchsorted(sorted_keys, keys)
+    w_map = np.searchsorted(sorted_keys, future * n + w.moves[label, future])
+    out = np.empty((c, n), dtype=int)
+    out[label, present] = np.arange(c * n)
+    basis = tuple(zip(present.tolist(), future.tolist()))
+    return EdgeWalk(basis, chi, w_map, out, coin)
 
 
 def intertwining_residual(w: CoinedWalk, coin) -> float:
-    """Frobenius residual of chi S (C x 1) - W C~ chi; zero in exact arithmetic."""
+    """Frobenius residual of chi S (C x 1) - W C~ chi; zero in exact arithmetic.
+
+    Each permutation is applied as a row scatter and C~ as one contraction
+    over the out-edges of every vertex; no operator is multiplied out.
+    """
     ew = coined_to_edge_walk(w, coin)
-    lhs = ew.chi @ step_operator(w, coin)
-    rhs = ew.w_matrix @ ew.coin_blocks @ ew.chi
+    dim = w.dim
+    lhs = np.empty((dim, dim), dtype=complex)
+    lhs[ew.chi] = apply_step(w, ew.coin, np.eye(dim))
+    chi = np.zeros((dim, dim))
+    chi[ew.chi, np.arange(dim)] = 1
+    coined = np.empty_like(lhs)
+    coined[ew.out] = np.tensordot(ew.coin, chi[ew.out], axes=1)
+    rhs = np.empty_like(lhs)
+    rhs[ew.w] = coined
     return frob(lhs - rhs)
 
 

@@ -1,5 +1,6 @@
 """Coined walks, the edge-space equivalence, and classical/quantum propagators."""
 
+import dataclasses
 import json
 import math
 
@@ -17,6 +18,7 @@ from qwl.errors import (
     NotLaplacian,
     NotRegular,
     NotUnitary,
+    QwlError,
     TooSmall,
     Unstable,
 )
@@ -121,9 +123,9 @@ def test_edge_walk_is_not_the_coined_form():
         coin = seeded_unitary(w.coin_dim, 7)
         ew = walks.coined_to_edge_walk(w, coin)
         assert list(ew.edge_basis) == sorted(ew.edge_basis)
-        assert is_permutation(ew.chi)
-        assert not np.array_equal(ew.chi, np.eye(w.dim))
-        assert not np.array_equal(ew.w_matrix, walks.shift_matrix(w))
+        assert _is_index_permutation(ew.chi)
+        assert not np.array_equal(ew.chi, np.arange(w.dim))
+        assert not np.array_equal(ew.w, w.shift)
         assert walks.intertwining_residual(w, coin) <= 1e-12 * w.dim
 
 
@@ -244,14 +246,13 @@ def test_example_walk_matches_matchings():
 
 def test_step_operator():
     w = walks.cycle_walk(4)
-    assert np.array_equal(walks.step_operator(w, np.eye(2)), walks.shift_matrix(w))
-    u = walks.step_operator(w, R)
-    assert frob(u @ u + np.eye(8)) <= 1e-12
+    eye = np.eye(8, dtype=complex)
+    assert np.array_equal(walks.apply_step(w, np.eye(2), eye), walks.shift_matrix(w))
+    # with the coin R the step squares to -1
+    assert frob(walks.apply_step(w, R, walks.apply_step(w, R, eye)) + eye) <= 1e-12
     coin = seeded_unitary(2, 42)
-    step = walks.step_operator(w, coin)
-    assert frob(step.conj().T @ step - np.eye(8)) <= 1e-12 * 8
-    with pytest.raises(NotUnitary):
-        walks.step_operator(w, 2 * np.eye(2))
+    step = walks.apply_step(w, coin, eye)
+    assert frob(step.conj().T @ step - eye) <= 1e-12 * 8
 
     # apply_step against the dense S (C x 1) m, for a state and for a
     # matrix's columns, with a unitary coin and a non-unitary product
@@ -266,8 +267,7 @@ def test_step_operator():
             dense = walks.shift_matrix(w) @ kron(coin, np.eye(w.walker_dim))
             assert frob(walks.apply_step(w, coin, vec) - dense @ vec) <= 1e-12
             assert frob(walks.apply_step(w, coin, mat) - dense @ mat) <= 1e-12
-        assert frob(walks.step_operator(w, unitary)
-                    - walks.shift_matrix(w) @ kron(unitary, np.eye(w.walker_dim))) <= 1e-12
+            assert frob(walks.apply_step(w, coin, np.eye(w.dim)) - dense) <= 1e-12
 
 
 def test_shift_is_permutation_with_exact_order():
@@ -282,20 +282,55 @@ def test_shift_is_permutation_with_exact_order():
             assert not np.array_equal(np.linalg.matrix_power(s, k), np.eye(w.dim))
 
 
+def _is_index_permutation(p):
+    return np.array_equal(np.sort(np.ravel(p)), np.arange(np.size(p)))
+
+
 def test_edge_walk_structure():
     w = walks.cycle_walk(3)
     ew = walks.coined_to_edge_walk(w, np.eye(2))
-    assert is_permutation(ew.chi)
-    assert is_permutation(ew.w_matrix)
-    assert is_unitary(ew.coin_blocks)
+    assert _is_index_permutation(ew.chi)
+    assert _is_index_permutation(ew.w)
+    assert _is_index_permutation(ew.out)
+    assert is_unitary(ew.coin)
     assert walks.intertwining_residual(w, np.eye(2)) <= 1e-14
-    # the coin operator never mixes different present vertices
+    with pytest.raises(NotUnitary):
+        walks.coined_to_edge_walk(w, 2 * np.eye(2))
+    # the coin operator never mixes different present vertices: the edges
+    # it mixes at vertex j all start at j
     coin = seeded_unitary(3, 5)
     ew2 = walks.coined_to_edge_walk(walks.example_walk(), coin)
-    for p, (j1, _) in enumerate(ew2.edge_basis):
-        for q, (j2, _) in enumerate(ew2.edge_basis):
-            if j1 != j2:
-                assert ew2.coin_blocks[p, q] == 0
+    for j in range(4):
+        assert [ew2.edge_basis[e][0] for e in ew2.out[:, j]] == [j] * 3
+
+
+def test_edge_walk_needs_distinct_targets():
+    # a valid walk whose two coin results both step forward
+    w = walks.CoinedWalk(graphs.cycle_graph(4), [[1, 2, 3, 0], [1, 2, 3, 0]])
+    with pytest.raises(QwlError, match="move vertex 0 to vertex 1;"):
+        walks.coined_to_edge_walk(w, np.eye(2))
+
+
+def test_edge_walk_is_index_maps_at_scale():
+    w = walks.lattice_walk(10, 3)
+    ew = walks.coined_to_edge_walk(w, seeded_unitary(6, 1))
+    for perm in (ew.chi, ew.w):
+        assert perm.shape == (6000,)
+        assert np.issubdtype(perm.dtype, np.integer)
+    assert ew.out.shape == (6, 1000)
+
+
+@pytest.mark.parametrize("field", ["chi", "w", "out"])
+def test_intertwining_residual_sees_a_wrong_map(monkeypatch, field):
+    build = walks.coined_to_edge_walk
+
+    def rolled(w, coin):
+        ew = build(w, coin)
+        return dataclasses.replace(ew, **{field: np.roll(getattr(ew, field), 1)})
+
+    monkeypatch.setattr(walks, "coined_to_edge_walk", rolled)
+    for w in (walks.cycle_walk(5), walks.example_walk()):
+        assert walks.intertwining_residual(w, seeded_unitary(w.coin_dim, 4)) > 1e-12
 
 
 def _assert_float64_equal(real, oracle):
@@ -314,16 +349,23 @@ def test_real_builders_match_complex_formulas():
         s = np.zeros((w.dim, w.dim), dtype=complex)
         s[w.shift, np.arange(w.dim)] = 1
         _assert_float64_equal(walks.shift_matrix(w), s)
-        ew = walks.coined_to_edge_walk(w, seeded_unitary(w.coin_dim, 3))
+    # each edge-space index map equals its defining rule, entry for entry
+    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk(),
+              relabelled_cycle()):
+        c, n = w.coin_dim, w.walker_dim
+        ew = walks.coined_to_edge_walk(w, seeded_unitary(c, 3))
+        assert ew.edge_basis == tuple(sorted((j, int(w.moves[k, j]))
+                                             for k in range(c) for j in range(n)))
         index = {pair: p for p, pair in enumerate(ew.edge_basis)}
-        chi = np.zeros((w.dim, w.dim), dtype=complex)
-        wmat = np.zeros((w.dim, w.dim), dtype=complex)
-        for p, (j, f) in enumerate(ew.edge_basis):
+        chi = [index[(j, int(w.moves[k, j]))] for k in range(c) for j in range(n)]
+        wmap = []
+        for j, f in ew.edge_basis:
             k = list(w.moves[:, j]).index(f)
-            chi[index[(j, int(w.moves[k, j]))], k * w.walker_dim + j] = 1
-            wmat[index[(f, int(w.moves[k, f]))], p] = 1
-        _assert_float64_equal(ew.chi, chi)
-        _assert_float64_equal(ew.w_matrix, wmat)
+            wmap.append(index[(f, int(w.moves[k, f]))])
+        out = [[index[(j, int(w.moves[l, j]))] for j in range(n)] for l in range(c)]
+        for got, rule in ((ew.chi, chi), (ew.w, wmap), (ew.out, out)):
+            assert np.issubdtype(got.dtype, np.integer)
+            assert np.array_equal(got, rule)
     # the Laplacian's complex eigendecomposition, cast back to complex, is the oracle
     for g in (graphs.cycle_graph(6), graphs.cartesian_product(graphs.cycle_graph(3),
                                                                 graphs.cycle_graph(4))):
@@ -343,6 +385,8 @@ def test_intertwining_residuals():
     w = walks.example_walk()
     coin = seeded_unitary(3, 11)
     assert walks.intertwining_residual(w, coin) <= 1e-12
+    w = walks.lattice_walk(6, 3)
+    assert walks.intertwining_residual(w, seeded_unitary(6, 2)) <= 1e-12 * w.dim
 
 
 def test_ctqw_propagator():
