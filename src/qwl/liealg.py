@@ -10,12 +10,12 @@ applied twice, and admission is scale-free.
 
 An element is a dense (n, n) matrix or a stack of diagonal blocks.
 ``walk_closure`` closes a translation walk's generators in momentum
-blocks: the walker Fourier transform makes each S^l (X x 1) S^-l block
-diagonal with block p = D_p^l X D_p^-l, and it is unitary, so N blocks of
-c x c give the dense closure's dimension, passes and residuals.  Every
-walk whose moves commute and act transitively is a translation walk, its
-group found from the move table (``CoinedWalk.group``), whether it is
-built in or read from a file; any other walk is closed densely.
+blocks: the unitary change to the basis of the group's characters makes
+each S^l (X x 1) S^-l block diagonal with block p = D_p^l X D_p^-l, so N
+blocks of c x c give the dense closure's dimension, passes and residuals.
+Every walk whose moves commute and act transitively is a translation walk,
+its characters built from the move table (``CoinedWalk.group``), whether
+it is built in or read from a file; any other walk is closed densely.
 
 Candidates (generators and brackets alike) are admitted a chunk at a
 time: a C-contiguous (m, ...) stack of at most ``_CHUNK_BYTES``, so the
@@ -149,7 +149,9 @@ class LieBasis:
 
     def dense_elements(self) -> np.ndarray:
         """The elements as dense (k, dim_ambient, dim_ambient) matrices."""
-        return _dense(self, self.elements)
+        if self.walk is None:
+            return self.elements
+        return from_momentum_blocks(self.walk, self.elements)
 
 
 def _project_out(elements: np.ndarray, x: np.ndarray) -> None:
@@ -277,20 +279,25 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     raise IterationCapExceeded(f"closure did not stabilize within {cap} passes")
 
 
-def _block_generators(w: CoinedWalk):
-    """generators(w) in momentum blocks, in the same order.
+def _conjugation_phases(w: CoinedWalk, power: int) -> np.ndarray:
+    """The (N, c, c) phases that conjugation by S^power puts on momentum blocks, entrywise.
 
     Block p of S^l (X x 1) S^-l is D_p^l X D_p^-l, whose entry (a, b) is
     X[a, b] exp(-2 pi i l (angle_a - angle_b) / period) for the integer
     angles of ``walks.momentum_angles``; l * (angle_a - angle_b) is reduced
     mod period before it becomes a phase, so no power of D_p is formed.
     """
-    r = checked_shift_order(w)
     angles, period = momentum_angles(w)
     diff = angles[:, :, None] - angles[:, None, :]
+    return np.exp(-2j * np.pi * (power * diff % period) / period)
+
+
+def _block_generators(w: CoinedWalk):
+    """generators(w) in momentum blocks, in the same order."""
+    r = checked_shift_order(w)
     coin_basis = np.array(u_basis(w.coin_dim))[:, None]
     for power in range(r):
-        yield from coin_basis * np.exp(-2j * np.pi * (power * diff % period) / period)
+        yield from coin_basis * _conjugation_phases(w, power)
 
 
 def walk_closure(w: CoinedWalk, tol: float = DEFAULT_TOL) -> LieBasis:
@@ -302,22 +309,6 @@ def walk_closure(w: CoinedWalk, tol: float = DEFAULT_TOL) -> LieBasis:
     if w.group is None:
         return lie_closure(generators(w), tol)
     return replace(lie_closure(_block_generators(w), tol), dim_ambient=w.dim, walk=w)
-
-
-def _dense(basis: LieBasis, stack: np.ndarray) -> np.ndarray:
-    """A stack of basis elements as dense (m, n, n) matrices."""
-    return stack if basis.walk is None else from_momentum_blocks(basis.walk, stack)
-
-
-def _in_basis_form(basis: LieBasis, x: np.ndarray):
-    """A dense (m, n, n) stack as a C-contiguous stack of basis elements, and each one's mass lost.
-
-    The mass lost is the Frobenius norm of the part outside the momentum
-    blocks, which is orthogonal to every element of a walk's basis.
-    """
-    if basis.walk is None:
-        return np.array(x, order="C"), np.zeros(len(x))
-    return momentum_blocks(basis.walk, x)
 
 
 def member_residual(basis: LieBasis, x) -> float:
@@ -334,9 +325,13 @@ def member_residual(basis: LieBasis, x) -> float:
     norm = frob(x)
     if norm == 0:
         return 0.0
-    r, off = _in_basis_form(basis, x[None])
+    if basis.walk is None:
+        r, off = x.copy(), 0.0
+    else:
+        # the part of x off the momentum blocks is orthogonal to every element
+        (r,), (off,) = momentum_blocks(basis.walk, x[None])
     _project_out(basis.elements, r)
-    return math.hypot(frob(r), off[0]) / norm
+    return math.hypot(frob(r), off) / norm
 
 
 def is_simulable(basis: LieBasis, h, tol: float) -> bool:
@@ -348,18 +343,31 @@ def is_simulable(basis: LieBasis, h, tol: float) -> bool:
 
 
 def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
-    """Worst distance of S b S^-1 from the span, over basis elements b (0 if empty)."""
+    """Worst distance of S b S^-1 from the span, over basis elements b (0 if empty).
+
+    A basis of momentum blocks is conjugated block by block, D_p b_p D_p^-1,
+    which only works for its own walk's shift: any other raises DimMismatch.
+    """
     if w.dim != basis.dim_ambient:
         raise DimMismatch("walk dimension does not match the basis")
-    inv = np.argsort(w.shift)
-    m = _chunk_len(w.dim ** 2)
+    if basis.walk is None:
+        inv = np.argsort(w.shift)
+    elif np.array_equal(w.shift, basis.walk.shift):
+        phase = _conjugation_phases(w, 1)
+    else:
+        raise DimMismatch("a basis of momentum blocks is conjugated by its own walk's shift only")
+    m = _chunk_len(math.prod(basis.elements.shape[1:]))
     worst = 0.0
     for lo in range(0, basis.dimension, m):
-        dense = _dense(basis, basis.elements[lo:lo + m])
-        conj, off = _in_basis_form(basis, dense[:, inv[:, None], inv])
+        b = basis.elements[lo:lo + m]
+        if basis.walk is None:
+            # the gather need not come out C-ordered
+            conj = np.ascontiguousarray(b[:, inv[:, None], inv])
+        else:
+            conj = b * phase
         _project_out(basis.elements, conj)
-        # conjugation by a permutation keeps each element's unit norm
-        worst = max(worst, float(np.hypot(_norms(conj), off).max()))
+        # conjugation by a permutation or by phases keeps each element's unit norm
+        worst = max(worst, float(_norms(conj).max()))
     return worst
 
 

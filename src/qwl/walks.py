@@ -11,9 +11,10 @@ Z_n^d and Z_2^2, all built from their move tables by ``_translation_walk``;
 ``cycle_walk`` and ``lattice_walk`` check the cap before they build a table.
 Any walk whose moves commute and act transitively on the vertices is a
 translation walk on the abelian group they generate, and the constructor
-finds that group from the move table alone, for a built-in walk and a file
-walk alike.  In the walker's Fourier basis its shift is diagonal, so
-``momentum_blocks`` splits an operator into N coin blocks of c x c.
+builds that group's N characters from the move table alone, for a built-in
+walk and a file walk alike.  In the basis of characters (momenta) the
+shift is diagonal, so ``momentum_blocks`` splits an operator into N coin
+blocks of c x c.
 The edge-space form ``EdgeWalk`` is held as index maps from the move
 table, and ``intertwining_residual`` applies them by scatter.
 """
@@ -92,11 +93,11 @@ class CoinedWalk:
 
     group is found from the moves table.  If the moves commute and act
     transitively, they generate an abelian group acting regularly on the
-    vertices, and group is (shape, offsets, labels): vertex v is the element
-    of Z_shape indexed labels[v] row-major, shape lists the cyclic factors
-    of one diagonal form of the group (sizes above 1, not necessarily the
-    invariant factors), and coin result k adds offsets[k].  Otherwise group
-    is None.  Walks compare by identity.
+    vertices, and group is (chars, exps), two read-only (N, r) integer
+    arrays with r <= log2 N: vertex v is P_1^e_1 ... P_r^e_r 0 for the
+    exponents e = exps[v] of the r coins that grew the orbit of vertex 0,
+    and character p takes vertex v to exp(2 pi i (chars[p] . exps[v] mod N) / N).
+    Otherwise group is None.  Walks compare by identity.
     """
 
     graph: graphs.Graph
@@ -141,14 +142,15 @@ class CoinedWalk:
 
 
 def _translation_group(moves: np.ndarray):
-    """(shape, offsets, labels) of the group the moves generate, or None (see CoinedWalk).
+    """(chars, exps) of the group the moves generate, or None (see CoinedWalk).
 
     The orbit of vertex 0 grows one coin at a time, with each vertex's
     exponents of the coins that grew it.  Coin k multiplies the orbit by the
-    least m_k with P_k^m_k 0 in the orbit so far; coins with m_k > 1 (at
-    most log2 N of them) give the relations m_k e_k - exponents(P_k^m_k 0),
-    which generate every relation.  A diagonal form U R V = diag(d) of the
-    relation matrix R turns exponents e into the element e V mod d.
+    least m_k with P_k^m_k 0 in the orbit so far, and each character of the
+    group found so far then extends in m_k ways: its angle at P_k 0 is an
+    m_k-th part of its known angle a at P_k^m_k 0, a / m_k + j N / m_k for
+    j < m_k.  Every character value is an N-th root of unity, so a is a
+    multiple of m_k and the division is exact.
     """
     n = moves.shape[1]
     products = moves[:, moves]  # products[a, b] = P_a P_b
@@ -158,83 +160,27 @@ def _translation_group(moves: np.ndarray):
     where = np.full(n, -1)  # position of each vertex in orbit, -1 outside it
     where[0] = 0
     exps = np.zeros((1, 0), dtype=int)
-    relations = []  # (m_k, exponents of P_k^m_k 0) for each coin that grew the orbit
+    chars = np.zeros((1, 0), dtype=int)
     for row in moves:
         cosets, x = [orbit], row[0]
         while where[x] < 0:
             cosets.append(row[cosets[-1]])
             x = row[x]
-        if len(cosets) == 1:
+        m = len(cosets)
+        if m == 1:
             continue
-        relations.append((len(cosets), exps[where[x]].tolist()))
-        exps = np.hstack([np.tile(exps, (len(cosets), 1)),
-                          np.repeat(np.arange(len(cosets)), len(orbit))[:, None]])
+        # a character's angle is below n and an exponent below m, so the sum stays below r n^2
+        roots = (chars @ exps[where[x]] % n // m)[:, None] + np.arange(m) * (n // m)
+        chars = np.hstack([np.repeat(chars, m, axis=0), roots.reshape(-1, 1)])
+        exps = np.hstack([np.tile(exps, (m, 1)), np.repeat(np.arange(m), len(orbit))[:, None]])
         orbit = np.concatenate(cosets)
         where[orbit] = np.arange(len(orbit))
-    if len(orbit) < n or not relations:
+    if len(orbit) < n:
         return None
-    r = len(relations)
-    d, v = _diagonal_form([[-e for e in prior] + [m] + [0] * (r - 1 - t)
-                               for t, (m, prior) in enumerate(relations)])
-    keep = [i for i in range(r) if d[i] > 1]
-    shape = tuple(d[i] for i in keep)
-    # column i of v only matters mod d[i], so no sum of products exceeds log2(N) N^2
-    coords = exps @ np.array([[v[j][i] % d[i] for i in keep] for j in range(r)]) % shape
-    labels = np.empty(n, dtype=int)
-    labels[orbit] = np.ravel_multi_index(tuple(coords.T), shape)
-    labels.setflags(write=False)
-    offsets = tuple(map(tuple, coords[where[moves[:, 0]]].tolist()))
-    return shape, offsets, labels
-
-
-def _diagonal_form(a):
-    """(d, v) for a nonsingular integer matrix a, in Python ints.
-
-    U a v = diag(d) with every d[t] > 0 for some unimodular U and the
-    unimodular v; only the column operations are tracked.  Z^r / a is then
-    the direct sum of the Z_d[t], which is all a translation group needs,
-    so d is not brought to invariant factors (0 < d[0] | d[1] | ...).
-    """
-    a = [list(row) for row in a]
-    r = len(a)
-    v = [[int(i == j) for j in range(r)] for i in range(r)]
-
-    def add_column(dst, src, q):
-        for mat in (a, v):
-            for row in mat:
-                row[dst] += q * row[src]
-
-    def swap_columns(i, j):
-        for mat in (a, v):
-            for row in mat:
-                row[i], row[j] = row[j], row[i]
-
-    for t in range(r):
-        while True:
-            _, i, j = min((abs(a[i][j]), i, j)
-                          for i in range(t, r) for j in range(t, r) if a[i][j])
-            a[t], a[i] = a[i], a[t]
-            swap_columns(t, j)
-            p = a[t][t]
-            for i in range(t + 1, r):
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, r):
-                add_column(j, t, -(a[t][j] // p))
-            if not any(a[i][t] for i in range(t + 1, r)) and not any(a[t][t + 1:]):
-                break
-        if a[t][t] < 0:
-            for mat in (a, v):
-                for row in mat:
-                    row[t] = -row[t]
-    return [a[t][t] for t in range(r)], v
-
-
-def _translation_moves(shape, offsets) -> np.ndarray:
-    """Moves table of the translations of Z_shape (row-major vertices) by offsets."""
-    coords = np.indices(shape).reshape(len(shape), -1)
-    return np.stack([np.ravel_multi_index(coords + np.reshape(off, (-1, 1)), shape, mode="wrap")
-                     for off in offsets])
+    exps = exps[where]  # row v holds the exponents of vertex v
+    chars.setflags(write=False)
+    exps.setflags(write=False)
+    return chars, exps
 
 
 def _translation_walk(shape, offsets) -> CoinedWalk:
@@ -243,7 +189,9 @@ def _translation_walk(shape, offsets) -> CoinedWalk:
     Vertices are indexed row-major with coordinate 0 most significant; the
     graph joins every vertex to the vertices its moves reach.
     """
-    moves = _translation_moves(shape, offsets)
+    coords = np.indices(shape).reshape(len(shape), -1)
+    moves = np.stack([np.ravel_multi_index(coords + np.reshape(off, (-1, 1)), shape, mode="wrap")
+                      for off in offsets])
     g = graphs.graph(moves.shape[1], [(j, t) for row in moves.tolist() for j, t in enumerate(row)])
     return CoinedWalk(g, moves)
 
@@ -328,22 +276,22 @@ def checked_shift_order(w: CoinedWalk) -> int:
 def momentum_angles(w: CoinedWalk):
     """(angles, period): coin k moves momentum p by the phase exp(-2 pi i angles[p, k] / period).
 
-    In the Fourier basis |p> = N^(-1/2) sum_g exp(2 pi i p.g) |g> of the
-    walker space (g ranges over Z_shape, |g> is the vertex labelled g,
-    p.g = sum_i p_i g_i / shape_i, momenta row-major like labels), the
-    shift is diag(D_p) with D_p = diag_k exp(-2 pi i p.t_k).
-    The angles are integers mod period = lcm(shape), so a power D_p^l is
-    exact as (l * angles mod period) / period.
+    Momentum p is the character p of w.group, and in the basis
+    |p> = N^(-1/2) sum_v chi_p(v) |v> of the walker space the shift is
+    diag(D_p) with D_p = diag_k conj(chi_p(P_k 0)).  The angles are
+    integers mod period = N, so a power D_p^l is exact as
+    (l * angles mod period) / period.
     """
-    shape, offsets, _ = w.group
-    period = math.lcm(*shape)
-    momenta = np.indices(shape).reshape(len(shape), -1).T * (period // np.array(shape))
-    return momenta @ np.array(offsets).T % period, period
+    chars, exps = w.group
+    n = w.walker_dim
+    return chars @ exps[w.moves[:, 0]].T % n, n
 
 
-def _walker_axes(d: int):
-    """Axes of the bra and the ket walker coordinates in a (..., c, *shape, c, *shape) array."""
-    return tuple(range(-2 * d - 1, -d - 1)), tuple(range(-d, 0))
+def _characters(w: CoinedWalk) -> np.ndarray:
+    """The unitary N x N matrix whose column p is the momentum state |p>."""
+    chars, exps = w.group
+    n = w.walker_dim
+    return np.exp(2j * np.pi * (exps @ chars.T % n) / n) / math.sqrt(n)
 
 
 def momentum_blocks(w: CoinedWalk, x):
@@ -351,36 +299,27 @@ def momentum_blocks(w: CoinedWalk, x):
 
     Returns the C-contiguous (..., N, c, c) blocks <a,p| x |b,p> and, for
     each operator, the norm of its entries <a,p| x |b,q> with p != q, so
-    that ||x||^2 = ||blocks||^2 + off^2.  The walker axes are first put in
-    group order (vertex v at labels[v]).  Needs w.group.
+    that ||x||^2 = ||blocks||^2 + off^2.  Needs w.group.
     """
-    shape, _, labels = w.group
+    f = _characters(w)
     c, n = w.coin_dim, w.walker_dim
     lead = np.shape(x)[:-2]
-    vertex = np.argsort(labels)  # vertex[g] has label g
-    x = np.take(np.take(np.reshape(x, lead + (c, n, c, n)), vertex, axis=-3), vertex, axis=-1)
-    bra, ket = _walker_axes(len(shape))
-    xt = np.fft.fftn(x.reshape(lead + (c, *shape, c, *shape)), axes=bra, norm="ortho")
-    xt = np.fft.ifftn(xt, axes=ket, norm="ortho").reshape(lead + (c, n, c, n))
-    blocks = np.moveaxis(np.diagonal(xt, axis1=-3, axis2=-1), -1, -3).copy()
+    # xt[..., a, b, p, q] = <a,p| x |b,q>
+    xt = f.conj().T @ np.reshape(x, lead + (c, n, c, n)).swapaxes(-3, -2) @ f
+    blocks = np.moveaxis(np.diagonal(xt, axis1=-2, axis2=-1), -1, -3).copy()
     p = np.arange(n)
-    xt[..., p, :, p] = 0
+    xt[..., p, p] = 0
     return blocks, np.linalg.norm(xt.reshape(lead + (-1,)), axis=-1)
 
 
 def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
     """The dense (..., dim, dim) operators whose momentum blocks are blocks (..., N, c, c)."""
-    shape, _, labels = w.group
+    f = _characters(w)
     c, n = w.coin_dim, w.walker_dim
     lead = np.shape(blocks)[:-3]
-    xt = np.zeros(lead + (c, n, c, n), dtype=complex)
-    p = np.arange(n)
-    xt[..., p, :, p] = np.moveaxis(blocks, -3, 0)
-    xt = xt.reshape(lead + (c, *shape, c, *shape))
-    bra, ket = _walker_axes(len(shape))
-    xt = np.fft.fftn(np.fft.ifftn(xt, axes=bra, norm="ortho"), axes=ket, norm="ortho")
-    xt = np.take(np.take(xt.reshape(lead + (c, n, c, n)), labels, axis=-3), labels, axis=-1)
-    return xt.reshape(lead + (c * n, c * n))
+    # x[..., a, b] = F diag(blocks[..., :, a, b]) F^dag on the walker axes
+    x = (f * np.moveaxis(blocks, -3, -1)[..., None, :]) @ f.conj().T
+    return x.swapaxes(-3, -2).reshape(lead + (c * n, c * n))
 
 
 def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -513,6 +452,8 @@ def walk_from_json(obj) -> CoinedWalk:
         if isinstance(exc, BadSpec):
             raise
         raise BadSpec(f"walk JSON needs 'graph', 'coin_dim', 'moves': {exc}") from exc
+    except OverflowError as exc:
+        raise BadSpec(f"a move is out of range: {exc}") from exc
     if moves.ndim != 2 or moves.shape[0] != c:
         raise BadSpec(f"moves must have {c} rows, got shape {moves.shape}")
     return CoinedWalk(g, moves)

@@ -474,7 +474,11 @@ def test_protocol_depth_cap_is_inclusive(tmp_path):
     lambda w: w["graph"].__setitem__("n", 4.9),
     lambda w: w.__setitem__("coin_dim", 2.5),
     lambda w: w.__setitem__("coin_dim", True),
-], ids=["move-float", "n-float", "coin-dim-float", "coin-dim-bool"])
+    # integral, but beyond int64
+    lambda w: w["moves"][0].__setitem__(0, 10 ** 29),
+    lambda w: w["moves"][0].__setitem__(0, 1e300),
+], ids=["move-float", "n-float", "coin-dim-float", "coin-dim-bool", "move-huge-int",
+        "move-huge-float"])
 def test_walk_file_non_integers_rejected(tmp_path, capsys, edit):
     spec = walks.walk_to_json(walks.cycle_walk(4))
     edit(spec)

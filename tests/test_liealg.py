@@ -1,5 +1,7 @@
 """Generator sets, numerical closure, membership, and the K4 example."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,38 @@ def test_conjugation_invariance_lattice():
     assert basis.dimension == 136
     assert basis.elements.flags.c_contiguous
     assert liealg.conjugation_invariance_residual(basis, w) <= 1e-10
+
+
+def _random_block_basis(w, k, rng):
+    """k orthonormal skew-Hermitian momentum-block elements of w, spanning no Lie algebra."""
+    shape = (k, w.walker_dim, w.coin_dim, w.coin_dim)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rows = np.linalg.qr((g - g.conj().swapaxes(-1, -2)).reshape(k, -1).view(float).T)[0].T
+    elements = np.ascontiguousarray(rows).view(complex).reshape(shape)
+    return liealg.LieBasis(w.dim, elements, 1e-9, 1, w)
+
+
+def test_block_conjugation_invariance_matches_dense():
+    rng = np.random.default_rng(7)
+    for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk(),
+              relabelled_cycle()):
+        # u(c) x 1 alone is not shift-invariant, so its residual is far from 0
+        coin = [np.broadcast_to(b, (w.walker_dim, *b.shape)) for b in liealg.u_basis(w.coin_dim)]
+        coin_closure = replace(liealg.lie_closure(coin), dim_ambient=w.dim, walk=w)
+        assert coin_closure.dimension == w.coin_dim ** 2
+        assert liealg.conjugation_invariance_residual(coin_closure, w) > 0.5
+        # the worst residual of a random set tells S b S^-1 from S^-1 b S
+        for blocks in (coin_closure, _random_block_basis(w, 3, rng)):
+            dense = replace(blocks, elements=blocks.dense_elements(), walk=None)
+            residual = liealg.conjugation_invariance_residual(blocks, w)
+            assert abs(residual - liealg.conjugation_invariance_residual(dense, w)) <= 1e-12
+            # the same shift from another walk object is the same conjugation
+            rebuilt = walks.CoinedWalk(w.graph, w.moves)
+            assert liealg.conjugation_invariance_residual(blocks, rebuilt) == residual
+    # a block basis is conjugated by its own walk's shift only
+    blocks = liealg.walk_closure(walks.cycle_walk(7))
+    with pytest.raises(DimMismatch):
+        liealg.conjugation_invariance_residual(blocks, relabelled_cycle())
 
 
 def _lstsq_residual(basis, x):

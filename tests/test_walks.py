@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -24,7 +23,13 @@ from qwl.errors import (
 )
 from qwl.linalg import frob, is_permutation, is_unitary, kron
 from qwl.rng import seeded_state, seeded_unitary
-from walk_cases import cayley_walks, relabelled, relabelled_cycle, turn_or_flip_cycle
+from walk_cases import (
+    cayley_walks,
+    relabelled,
+    relabelled_cycle,
+    translation_walks,
+    turn_or_flip_cycle,
+)
 
 R = np.array([[0, -1j], [-1j, 0]])
 
@@ -149,35 +154,80 @@ def test_walks_compare_by_identity():
     assert len({w, walks.cycle_walk(4), w}) == 2
 
 
-def _assert_translation_group(w):
-    """w.group is a translation group of Z_shape whose translations are w's moves."""
-    shape, offsets, labels = w.group
-    assert math.prod(shape) == w.walker_dim and min(shape) > 1
-    assert sorted(labels.tolist()) == list(range(w.walker_dim))
-    assert np.array_equal(walks._translation_moves(shape, offsets)[:, labels], labels[w.moves])
+def _translation(row) -> np.ndarray:
+    """The permutation matrix P with P e_j = e_row[j]."""
+    p = np.zeros((len(row), len(row)))
+    p[row, np.arange(len(row))] = 1
+    return p
+
+
+def _assert_characters(w):
+    """w.group's character matrix F is unitary and diagonalizes every move.
+
+    F^dag P_k F = diag(exp(-2 pi i angles[:, k] / N)) for every coin k.
+    """
+    chars, exps = w.group
+    n = w.walker_dim
+    r = chars.shape[1]
+    assert chars.shape == exps.shape == (n, r) and 2 ** r <= n
+    assert chars.dtype.kind == exps.dtype.kind == "i"
+    assert not chars.flags.writeable and not exps.flags.writeable
+    f = walks._characters(w)
+    assert np.abs(f.conj().T @ f - np.eye(n)).max() <= 1e-12
+    angles, period = walks.momentum_angles(w)
+    assert period == n and angles.shape == (n, w.coin_dim)
+    for k, row in enumerate(w.moves):
+        expected = np.diag(np.exp(-2j * np.pi * angles[:, k] / n))
+        assert np.abs(f.conj().T @ _translation(row) @ f - expected).max() <= 1e-12
+
+
+def _assert_momentum_transform(w, rng):
+    """momentum_blocks keeps the Frobenius norm and inverts from_momentum_blocks."""
+    c, n, dim = w.coin_dim, w.walker_dim, w.dim
+    x = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    blocks, off = walks.momentum_blocks(w, x)
+    assert blocks.shape == (2, n, c, c) and blocks.flags.c_contiguous and off.shape == (2,)
+    total = np.linalg.norm(x.reshape(2, -1), axis=1) ** 2
+    assert np.allclose(np.linalg.norm(blocks.reshape(2, -1), axis=1) ** 2 + off ** 2, total,
+                       rtol=1e-12, atol=0)
+    # sum_k A_k x P_k commutes with every translation, so it is block diagonal
+    coins = rng.normal(size=(c, c, c)) + 1j * rng.normal(size=(c, c, c))
+    x = sum(kron(a, _translation(row)) for a, row in zip(coins, w.moves))
+    angles, _ = walks.momentum_angles(w)
+    expected = np.tensordot(np.exp(-2j * np.pi * angles / n), coins, axes=1)
+    blocks, off = walks.momentum_blocks(w, x)
+    assert off <= 1e-12 * frob(x)
+    assert np.abs(blocks - expected).max() <= 1e-12 * frob(x)
+    assert np.abs(walks.from_momentum_blocks(w, blocks) - x).max() <= 1e-12 * frob(x)
+    assert np.abs(walks.from_momentum_blocks(w, blocks[None])[0] - x).max() <= 1e-12 * frob(x)
 
 
 def test_translation_walks_record_their_group():
     rng = np.random.default_rng(5)
-    # each walk with its group's exponent, lcm(shape), which any diagonal form shares
-    cases = [(walks.cycle_walk(40), 40), (walks.cycle_walk(6), 6),
-             (walks.lattice_walk(3, 2), 3), (walks.lattice_walk(4, 3), 4),
-             (walks.example_walk(), 2),
+    cases = [walks.cycle_walk(40), walks.cycle_walk(6), walks.lattice_walk(3, 2),
+             walks.lattice_walk(4, 3), walks.example_walk(),
              # Z_2 x Z_3 and the generators 2, 3 of Z_6 are both the cyclic Z_6
-             (walks._translation_walk((2, 3), [(1, 0), (0, 1), (0, -1)]), 6),
-             (walks._translation_walk((6,), [(2,), (-2,), (3,)]), 6),
-             (walks._translation_walk((2, 4), [(1, 0), (0, 1), (0, -1)]), 4),
-             (walks._translation_walk((4, 6), [(1, 0), (-1, 0), (0, 3), (1, 1), (-1, -1)]), 12)]
-    for w, exponent in cases:
-        _assert_translation_group(w)
-        assert math.lcm(*w.group[0]) == exponent
-        # a relabelled round trip through JSON finds the same relations, so the same shape
-        rw = relabelled(w, rng.permutation(w.walker_dim))
-        _assert_translation_group(rw)
-        assert rw.group[0] == w.group[0]
+             walks._translation_walk((2, 3), [(1, 0), (0, 1), (0, -1)]),
+             walks._translation_walk((6,), [(2,), (-2,), (3,)]),
+             walks._translation_walk((2, 4), [(1, 0), (0, 1), (0, -1)]),
+             walks._translation_walk((4, 6), [(1, 0), (-1, 0), (0, 3), (1, 1), (-1, -1)])]
+    for w in cases:
+        # and the same walk with its vertices renamed, read from JSON
+        for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
+            _assert_characters(walk)
+            _assert_momentum_transform(walk, rng)
     # moves that do not commute, and moves that do not reach every vertex
     assert turn_or_flip_cycle().group is None
     assert walks._translation_walk((4, 6), [(2, 0), (0, 1), (0, -1)]).group is None
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(translation_walks(), st.integers(0, 2 ** 32 - 1))
+def test_translation_walk_characters_diagonalize_the_moves(w, seed):
+    rng = np.random.default_rng(seed)
+    for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
+        _assert_characters(walk)
+        _assert_momentum_transform(walk, rng)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
