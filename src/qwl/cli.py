@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Builds walks and protocols from inline shorthand ("cycle:8", "strauch") or
-JSON files, runs convergence studies, cycle projections, Lie closures and
-the complete-graph example, and writes CSV or JSON reports.  All numeric
-output uses scientific notation with 17 significant digits and seeded
-states come from the fixed stream in ``qwl.rng``, so identical flags give
-byte-identical files.
+JSON files, runs convergence studies, chiral projections of two-coin walks,
+Lie closures and the complete-graph example, and writes CSV or JSON
+reports.  All numeric output uses scientific notation with 17 significant
+digits and seeded states come from the fixed stream in ``qwl.rng``, so
+identical flags give byte-identical files.
 
 ``main`` validates the flags once (``_validate``, before any work); each
 ``cmd_*`` returns its report dict, its CSV rows and its exit code, and
@@ -28,7 +28,6 @@ from .errors import (
     BadSpec,
     DimMismatch,
     NonHermitian,
-    NotACycle,
     NumericalError,
     QwlError,
 )
@@ -146,15 +145,6 @@ def resolve_walk(spec: str) -> walks.CoinedWalk:
     raise BadSpec(f"unrecognized walk spec {spec!r}")
 
 
-def _cycle_size(w: walks.CoinedWalk) -> int:
-    """The cycle length if w is structurally the two-coin cycle walk."""
-    n = w.walker_dim
-    j = np.arange(n)
-    if w.coin_dim == 2 and np.array_equal(w.moves, [(j + 1) % n, (j - 1) % n]):
-        return n
-    raise NotACycle("this operation is specific to the two-coin cycle walk")
-
-
 def _protocol_steps_from_json(items):
     if not isinstance(items, list):
         raise BadSpec(f"protocol 'steps' must be a list, got {type(items).__name__}")
@@ -196,9 +186,13 @@ def _protocol_from_json(obj, fallback_walk=None, depth=0):
 
 
 def resolve_protocol(spec: str, walk: walks.CoinedWalk):
-    """Build a protocol from "strauch" (cycle walks), "evencyc" (any walk) or "file:PATH"."""
+    """Build a protocol on walk from "strauch", "evencyc" or "file:PATH".
+
+    "strauch" is two R-coin steps, refused by ``limits.Atom`` unless walk has
+    two coins whose moves undo each other; "evencyc" is the shift orbit of any walk.
+    """
     if spec == "strauch":
-        return limits.strauch_protocol(_cycle_size(walk))
+        return limits.two_step_protocol(walk)
     if spec == "evencyc":
         return limits.orbit_protocol(walk)
     if spec.startswith("file:"):
@@ -260,30 +254,27 @@ def cmd_evolve(args):
 
 def cmd_project(args):
     w = resolve_walk(args.walk)
-    n = _cycle_size(w)
+    if w.coin_dim != 2:
+        raise DimMismatch(f"project needs a two-coin walk, got coin_dim {w.coin_dim}")
     gamma, t = args.gamma, args.t
-    a = graphs.adjacency(w.graph)
-    lap = graphs.laplacian(w.graph)
+    psi0 = seeded_state(w.dim, args.seed)
     h = limits.orbit_hamiltonian(w)
-    psi0 = seeded_state(2 * n, args.seed)
     psit = expm_eig(hermitian_eig(h), gamma * t, psi0)
-    combos0 = limits.chiral_combinations(*limits.chiral_split(psi0, n), n)
-    combost = limits.chiral_combinations(*limits.chiral_split(psit, n), n)
+    pair0, pairt = limits.chiral_pair(w, psi0), limits.chiral_pair(w, psit)
 
-    # each combination evolves under exp(-i*sign*gamma*A*t), and its phi under L alike
-    eig_a = hermitian_eig(a)
-    eig_l = hermitian_eig(lap)
+    # each coin block of psi + sign X S^T psi evolves as exp(-i*sign*gamma*A*t), its phi under L
+    eig_a = hermitian_eig(graphs.adjacency(w.graph))
+    eig_l = hermitian_eig(graphs.laplacian(w.graph))
     psi_res = 0.0
     phi_res = 0.0
-    for i, sign in enumerate((1, 1, -1, -1)):
+    for sign, x0, xt in zip((1, -1), pair0, pairt):
         s = sign * gamma * t
-        psi_res = max(psi_res, float(np.linalg.norm(combost[i] - expm_eig(eig_a, s, combos0[i]))))
-        phi_t = limits.phi_transform(combost[i], gamma, t, sign)
-        phi_0 = limits.phi_transform(combos0[i], gamma, 0.0, sign)
-        phi_res = max(phi_res, float(np.linalg.norm(phi_t - expm_eig(eig_l, s, phi_0))))
-    rec = 0.5 * (np.concatenate([combost[0], combost[1]])
-                 + np.concatenate([combost[2], combost[3]]))
-    rec_res = float(np.linalg.norm(rec - psit))
+        for b0, bt in zip(np.split(x0, 2), np.split(xt, 2)):
+            psi_res = max(psi_res, float(np.linalg.norm(bt - expm_eig(eig_a, s, b0))))
+            phi_t = limits.phi_transform(bt, gamma, t, sign)
+            phi_0 = limits.phi_transform(b0, gamma, 0.0, sign)
+            phi_res = max(phi_res, float(np.linalg.norm(phi_t - expm_eig(eig_l, s, phi_0))))
+    rec_res = float(np.linalg.norm(0.5 * (pairt[0] + pairt[1]) - psit))
 
     ok = psi_res <= PROJECT_TOL and phi_res <= PROJECT_TOL and rec_res <= PROJECT_TOL
     report = {

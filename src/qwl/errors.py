@@ -20,7 +20,6 @@ __all__ = [
     "DomainExceeded",
     "NotScalarAtZero",
     "NonNormalInput",
-    "NotACycle",
     "BadSpec",
     "IterationCapExceeded",
 ]
@@ -92,10 +91,6 @@ class NotScalarAtZero(QwlError):
 
 
 class NonNormalInput(QwlError):
-    pass
-
-
-class NotACycle(QwlError):
     pass
 
 

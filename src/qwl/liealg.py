@@ -6,7 +6,7 @@ characterizes which Hamiltonians the walk can reach in the continuous
 limit (membership of -iH).  The closure is one orthonormal (k, ..., s, s)
 array in the real Hilbert-Schmidt geometry; admission, membership and
 conjugation invariance all measure distance to it with one projection,
-applied twice, and admission is scale-free.
+applied twice, and admission and membership are scale-free.
 
 An element is a dense (n, n) matrix or a stack of diagonal blocks.
 ``walk_closure`` closes a translation walk's generators in momentum
@@ -322,11 +322,15 @@ def member_residual(basis: LieBasis, x) -> float:
             f"(elements of shape {basis.elements.shape[1:]})")
     if not is_skew_hermitian(x):
         raise NotSkewHermitian("membership is defined for skew-Hermitian elements")
+    # an exact power of two takes the largest entry into [1/2, 1): whatever the scale of x,
+    # no norm below under- or overflows
+    _, e = np.frexp(np.abs(x).max())
+    x = np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
     norm = frob(x)
     if norm == 0:
         return 0.0
     if basis.walk is None:
-        r, off = x.copy(), 0.0
+        r, off = x, 0.0
     else:
         # the part of x off the momentum blocks is orthogonal to every element
         (r,), (off,) = momentum_blocks(basis.walk, x[None])
@@ -393,27 +397,12 @@ def spectrum_multiset(h, digits: int = 8):
 def example_subspace_element() -> np.ndarray:
     """A closure element of the K4 walk with spectrum {+-3i, +-i x3, 0 x4}.
 
-    The three matchings S1, S2, S3 share the walker eigenbasis of sign
-    patterns over (1,1,1,1), (1,-1,1,-1), (1,1,-1,-1), (1,-1,-1,1); the
-    element acts as diag(3i,-3i,0) on the symmetric vector and as
-    diag(i,-i,0) on the other three.  Expanding the four spectral
-    projectors over {1, S1, S2, S3} gives coin blocks A in u(3) and
-    B, C, D in su(3), so the result lies in the closure span by
-    construction.
+    In momentum blocks it is diag(3i, -3i, 0) at the trivial character
+    (every angle 0) and diag(i, -i, 0) at the other three.  The closure
+    holds every block-diagonal element whose blocks share one trace
+    (1 + 4 * 8 = 33 dimensions), so this one, of trace 0 in every block, is in it.
     """
-    eye4 = np.eye(4)
-    # S_k e_j = e_(moves[k, j]): column j of S_k is column moves[k, j] of the identity
-    s_blocks = [eye4[:, row] for row in example_walk().moves]
-    signs = np.array([
-        [1, 1, -1, -1],
-        [1, -1, 1, -1],
-        [1, -1, -1, 1],
-    ])
-    blocks = [np.diag([3j, -3j, 0]), np.diag([1j, -1j, 0]),
-              np.diag([1j, -1j, 0]), np.diag([1j, -1j, 0])]
-    coin_a = sum(blocks) / 4
-    out = kron(coin_a, eye4)
-    for i in range(3):
-        coin_i = sum(signs[i, k] * blocks[k] for k in range(4)) / 4
-        out += kron(coin_i, s_blocks[i])
-    return out
+    w = example_walk()
+    trivial = ~momentum_angles(w)[0].any(axis=1)
+    blocks = np.where(trivial[:, None, None], np.diag([3j, -3j, 0]), np.diag([1j, -1j, 0]))
+    return from_momentum_blocks(w, blocks)

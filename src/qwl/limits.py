@@ -39,6 +39,7 @@ __all__ = [
     "Commutator",
     "ConvergenceReport",
     "strauch_coin",
+    "two_step_protocol",
     "strauch_protocol",
     "orbit_protocol",
     "orbit_hamiltonian",
@@ -51,6 +52,7 @@ __all__ = [
     "convergence_study",
     "single_step_study",
     "chiral_split",
+    "chiral_pair",
     "chiral_combinations",
     "phi_transform",
 ]
@@ -195,10 +197,18 @@ def strauch_coin(x: float) -> np.ndarray:
     return R_COIN @ expm_hermitian(D_COIN, -x)
 
 
-def strauch_protocol(n: int) -> Atom:
-    """Two perturbed steps on the n-cycle; reference product is -identity."""
+def two_step_protocol(w: CoinedWalk) -> Atom:
+    """Two perturbed R-coin steps on w; the reference product is -identity.
+
+    ``Atom`` refuses w unless it has two coins whose moves undo each other.
+    """
     step = ProtocolStep(coin=R_COIN, generator=1j * D_COIN)
-    return Atom(cycle_walk(n), [step, step])
+    return Atom(w, [step, step])
+
+
+def strauch_protocol(n: int) -> Atom:
+    """``two_step_protocol`` on the n-cycle (Strauch's construction)."""
+    return two_step_protocol(cycle_walk(n))
 
 
 def orbit_protocol(w: CoinedWalk) -> Atom:
@@ -330,20 +340,33 @@ def chiral_split(psi, n: int):
     return psi[:n].copy(), psi[n:].copy()
 
 
-def chiral_combinations(psi_r, psi_l, n: int):
-    """The four combinations of the chiral halves that evolve under +-A.
+def chiral_pair(w: CoinedWalk, psi):
+    """(psi + X S^T psi, psi - X S^T psi) for a state psi of a two-coin walk, X the coin swap.
 
-    Returns (psi_R + F psi_L, psi_L + F^T psi_R, psi_R - F psi_L,
-    psi_L - F^T psi_R); under the cycle limit Hamiltonian the first two
-    evolve as exp(-i*gamma*A*t), the last two as exp(+i*gamma*A*t).
+    If coin 1's moves undo coin 0's, then under the orbit Hamiltonian each
+    coin block of the first evolves as exp(-i*gamma*A*t), of the second as
+    exp(+i*gamma*A*t), for A = P_0 + P_0^T the sum of the two move permutations.
+    """
+    if w.coin_dim != 2:
+        raise DimMismatch(f"the chiral pair needs a two-coin walk, got coin_dim {w.coin_dim}")
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (w.dim,):
+        raise DimMismatch(f"state must have dimension {w.dim}, got {psi.shape}")
+    swapped = np.roll(psi[w.shift], w.walker_dim)
+    return psi + swapped, psi - swapped
+
+
+def chiral_combinations(psi_r, psi_l, n: int):
+    """The four coin blocks of ``chiral_pair`` on the n-cycle, from the chiral halves:
+
+    (psi_R + F psi_L, psi_L + F^T psi_R, psi_R - F psi_L, psi_L - F^T psi_R).
     """
     psi_r = np.asarray(psi_r, dtype=complex)
     psi_l = np.asarray(psi_l, dtype=complex)
     if psi_r.shape != (n,) or psi_l.shape != (n,):
         raise DimMismatch("both halves must have dimension n")
-    # F moves entry k to k+1 and F^T moves it back: both are rolls
-    f_l, ft_r = np.roll(psi_l, 1), np.roll(psi_r, -1)
-    return psi_r + f_l, psi_l + ft_r, psi_r - f_l, psi_l - ft_r
+    plus, minus = chiral_pair(cycle_walk(n), np.concatenate([psi_r, psi_l]))
+    return plus[:n], plus[n:], minus[:n], minus[n:]
 
 
 def phi_transform(psi_pm, gamma: float, t: float, sign: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qwl import cli, graphs, limits, walks
-from qwl.errors import BadSpec, NotACycle
+from qwl.errors import BadSpec, DimMismatch, NotScalarAtZero
 from qwl.rng import seeded_state
 from walk_cases import (
     relabelled_cycle,
@@ -42,14 +42,40 @@ def test_resolve_walk_specs():
             cli.resolve_walk(bad)
 
 
+def _one_way_c4_json():
+    """A two-coin walk on the 4-cycle whose coin 1 does not undo coin 0: both send 0 to 1."""
+    return {"graph": graphs.graph_to_json(graphs.cycle_graph(4)), "coin_dim": 2,
+            "moves": [[1, 2, 3, 0], [1, 0, 3, 2]]}
+
+
 def test_strauch_requires_cycle_and_evencyc_takes_any_walk():
-    for w in (walks.example_walk(), relabelled_cycle()):
-        with pytest.raises(NotACycle):
-            cli.resolve_protocol("strauch", w)
+    # strauch needs two coins whose moves undo each other; the atom's own checks decide
+    with pytest.raises(DimMismatch):
+        cli.resolve_protocol("strauch", walks.example_walk())
+    with pytest.raises(NotScalarAtZero):
+        cli.resolve_protocol("strauch", walks.walk_from_json(_one_way_c4_json()))
+    for w in (relabelled_cycle(), walks.walk_from_json(_coprime_cycles_json([3, 3]))):
+        assert cli.resolve_protocol("strauch", w).phase == pytest.approx(-1.0)
     for w in (walks.cycle_walk(5), walks.lattice_walk(4, 2), walks.example_walk(),
               relabelled_cycle()):
         p = cli.resolve_protocol("evencyc", w)
         assert len(p.steps) == walks.shift_order(w)
+
+
+def test_strauch_on_a_relabelled_cycle_is_the_r_coin_atom(tmp_path):
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps(relabelled_cycle_json()))
+    atom = tmp_path / "atom.json"
+    step = {"coin": matrix_json(limits.R_COIN), "generator": matrix_json(1j * limits.D_COIN)}
+    atom.write_text(json.dumps({"kind": "atom", "steps": [step, step]}))
+    texts = []
+    for proto in ("strauch", f"file:{atom}"):
+        out = tmp_path / "conv.json"
+        assert run(["converge", "--walk", f"file:{walk}", "--protocol", proto,
+                    "--m-list", "32,64,128", "--format", "json"], out) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert abs(json.loads(texts[0])["fitted_exponent"] - 1) <= 0.15
 
 
 def test_info_reports(tmp_path):
@@ -196,11 +222,32 @@ def test_project_residuals(tmp_path):
     assert rep["phi_laplacian_residual"] <= 1e-10
     assert rep["reconstruction_residual"] <= 1e-12
     assert rep["pass"] is True
-    assert run(["project", "--walk", "example"]) == 2
-    # a relabelled 7-cycle is a cycle graph, but its move rows are not j+1 and j-1
+    # a relabelled 7-cycle: its move rows are not j+1 and j-1, but they undo each other
     path = tmp_path / "walk.json"
     path.write_text(json.dumps(relabelled_cycle_json()))
-    assert run(["project", "--walk", f"file:{path}"]) == 2
+    assert run(["project", "--walk", f"file:{path}", "--format", "json"], out) == 0
+    assert json.loads(out.read_text())["pass"] is True
+    never = tmp_path / "never.json"
+    for spec in ("example", "lattice:4,2"):
+        assert run(["project", "--walk", spec], never) == 2
+        assert not never.exists()
+
+
+@pytest.mark.parametrize("walk, code", [
+    (_coprime_cycles_json([3, 3]), 0),
+    (_one_way_c4_json(), 3),
+], ids=["disjoint-triangles", "one-way-c4"])
+def test_project_on_two_coin_walks(tmp_path, walk, code):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(walk))
+    out = tmp_path / "proj.json"
+    assert run(["project", "--walk", f"file:{path}", "--format", "json"], out) == code
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is (code == 0)
+    assert rep["reconstruction_residual"] <= 1e-14
+    if code:
+        # the one-way walk's chiral blocks do not follow the adjacency dynamics
+        assert rep["psi_adjacency_residual"] > 0.1
 
 
 def test_project_eigendecomposes_real_matrices(tmp_path, monkeypatch):
@@ -291,6 +338,30 @@ def test_simulable_command(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(matrix_json(np.eye(3))))
     assert run(["simulable", "--walk", "example", "--hamiltonian", str(bad)]) == 2
+
+
+def _simulable_report(tmp_path, walk, h):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(matrix_json(h)))
+    out = tmp_path / "sim.json"
+    assert run(["simulable", "--walk", walk, "--hamiltonian", str(path), "--format", "json"],
+               out) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulable_verdict_does_not_depend_on_the_scale_of_h(tmp_path):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h = (m + m.conj().T) / 2  # exactly Hermitian, and so is every real multiple
+    base = _simulable_report(tmp_path, "example", h)
+    assert base["simulable"] is False
+    for scale in (1e-170, 1e200, 2.0 ** -900):
+        rep = _simulable_report(tmp_path, "example", scale * h)
+        assert rep["simulable"] is False
+        assert rep["residual"] == pytest.approx(base["residual"], rel=1e-12, abs=0)
+    orbit = limits.orbit_hamiltonian(walks.cycle_walk(5))
+    assert _simulable_report(tmp_path, "cycle:5", 1e300 * orbit)["simulable"] is True
 
 
 def test_example_command(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qwl import graphs, limits, walks
-from qwl.errors import DomainExceeded, NotBijective, NotScalarAtZero, TooSmall
+from qwl.errors import DimMismatch, DomainExceeded, NotBijective, NotScalarAtZero, TooSmall
 from qwl.liealg import u_basis
 from qwl.linalg import commutator, expm_hermitian, expm_skew, frob, is_hermitian, is_unitary, kron
 from qwl.rng import LcgStream, seeded_state
@@ -445,6 +445,25 @@ def test_chiral_combinations_substitution():
     expected = (psi_r + f @ psi_l, psi_l + f.T @ psi_r, psi_r - f @ psi_l, psi_l - f.T @ psi_r)
     for got, want in zip(limits.chiral_combinations(psi_r, psi_l, n), expected):
         assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_chiral_pair_on_the_cycle_is_the_roll_formulas(n):
+    psi_r, psi_l = seeded_state(n, 21), seeded_state(n, 22)
+    # F moves entry k to k+1 and F^T moves it back: both are rolls
+    f_l, ft_r = np.roll(psi_l, 1), np.roll(psi_r, -1)
+    rolls = (psi_r + f_l, psi_l + ft_r, psi_r - f_l, psi_l - ft_r)
+    plus, minus = limits.chiral_pair(walks.cycle_walk(n), np.concatenate([psi_r, psi_l]))
+    blocks = (plus[:n], plus[n:], minus[:n], minus[n:])
+    for got in (blocks, limits.chiral_combinations(psi_r, psi_l, n)):
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in rolls]
+
+
+def test_chiral_pair_needs_two_coins_and_a_full_state():
+    with pytest.raises(DimMismatch):
+        limits.chiral_pair(walks.example_walk(), np.zeros(12))
+    with pytest.raises(DimMismatch):
+        limits.chiral_pair(walks.cycle_walk(4), np.zeros(7))
 
 
 def test_chiral_reconstruction_exact():
