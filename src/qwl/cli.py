@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     QwlError,
 )
-from .linalg import expm_eig, hermitian_eig, is_hermitian
+from .linalg import expm_eig, hermitian_eig, is_hermitian, scaled
 from .rng import seeded_state
 
 __all__ = ["main"]
@@ -310,8 +310,8 @@ def cmd_simulable(args):
     h = _matrix_from_json(_load_json(args.hamiltonian))
     if h.shape != (w.dim, w.dim):
         raise DimMismatch(f"Hamiltonian is {h.shape}, walk space is {w.dim}x{w.dim}")
-    if not is_hermitian(h):
-        raise NonHermitian("Hamiltonian file is not Hermitian within 1e-10")
+    if not is_hermitian(scaled(h)):
+        raise NonHermitian("Hamiltonian file is not Hermitian within 1e-10 of its largest entry")
     basis = liealg.walk_closure(w, args.tol)
     residual = liealg.member_residual(basis, -1j * h)
     report = {

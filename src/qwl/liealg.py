@@ -1,32 +1,32 @@
-"""Numerical closure of the Lie algebra of reachable (simulable) generators.
+"""Lie algebra of reachable (simulable) generators, and membership in it.
 
 The generator set is the coin algebra u(c) x 1 together with all its
 conjugates by powers of the shift; the real span closed under commutators
 characterizes which Hamiltonians the walk can reach in the continuous
-limit (membership of -iH).  The closure is one orthonormal (k, ..., s, s)
-array in the real Hilbert-Schmidt geometry; admission, membership and
-conjugation invariance all measure distance to it with one projection,
-applied twice, and admission and membership are scale-free.
+limit (membership of -iH).  A closure is one orthonormal (k, ...) array in
+the real Hilbert-Schmidt geometry; membership and conjugation invariance
+measure distance to it with one projection, applied twice.
 
-An element is a dense (n, n) matrix or a stack of diagonal blocks.
-``walk_closure`` closes a translation walk's generators in momentum
-blocks: the unitary change to the basis of the group's characters makes
-each S^l (X x 1) S^-l block diagonal with block p = D_p^l X D_p^-l, so N
-blocks of c x c give the dense closure's dimension, passes and residuals.
-Every walk whose moves commute and act transitively is a translation walk,
-its characters built from the move table (``CoinedWalk.group``), whether
-it is built in or read from a file; any other walk is closed densely.
+A translation walk (its moves commute and act transitively; see
+``CoinedWalk.group``) has its closure in closed form.  In momentum blocks
+S^l (X x 1) S^-l has block p = D_p^l X D_p^-l; call p and p' linked when
+D_p is a phase times D_p'.  With q linked classes the closure is
+M = u(1) + su(c)^q, the block-diagonal elements whose blocks are equal
+within each class and share one trace, of dimension 1 + q (c^2 - 1)
+(Goursat's lemma; Zeier and Schulte-Herbrueggen, J. Math. Phys. 52,
+113510 (2011)).  ``walk_closure`` builds its basis in momentum blocks.
 
-Candidates (generators and brackets alike) are admitted a chunk at a
-time: a C-contiguous (m, ...) stack of at most ``_CHUNK_BYTES``, so the
-projection on the span is one matrix product per chunk.  Generators
-stream, so the r*c^2 generators are never all held at once, and the basis
-may not grow past ``MAX_CLOSURE_BYTES``.
+Any other walk is closed by ``lie_closure``, which brackets pairs until a
+pass admits nothing; it is also the test oracle for M.  Candidates are
+admitted a C-contiguous (m, n, n) chunk of at most ``_CHUNK_BYTES`` at a
+time, so the projection on the span is one matrix product per chunk.
+Generators stream, so the r*c^2 generators are never all held at once,
+and no basis may grow past ``MAX_CLOSURE_BYTES``.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     NotSkewHermitian,
     TooSmall,
 )
-from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermitian, kron
+from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermitian, kron, scaled
 from .walks import (
     CoinedWalk,
     checked_shift_order,
@@ -128,13 +128,12 @@ class LieBasis:
     Re tr(A^dag B) summed over blocks; they are orthonormal, and every
     distance to the span is measured by subtracting the projection on them
     twice, for a whole chunk of candidates in one matrix product.
-    ``lie_closure`` grows the array by doubling and raises DomainExceeded
-    rather than let it pass ``MAX_CLOSURE_BYTES``.
 
     With ``walk`` None the elements are dense (n, n) matrices; otherwise
-    they are the walk's (N, c, c) momentum blocks, and ``dim_ambient`` is
-    the walk's dim.  ``member_residual`` and
-    ``conjugation_invariance_residual`` take dense operators either way.
+    they are the walk's (N, c, c) momentum blocks, ``dim_ambient`` is the
+    walk's dim, and ``passes`` is 0, since no bracket was taken.
+    ``member_residual`` and ``conjugation_invariance_residual`` take dense
+    operators either way.
     """
 
     dim_ambient: int
@@ -180,38 +179,35 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _check_skew(stack: np.ndarray) -> np.ndarray:
-    """The (m, ..., s, s) stack, once every element in it is skew-Hermitian within HERMITIAN_TOL."""
+    """The (m, n, n) stack, once every element in it is skew-Hermitian within HERMITIAN_TOL."""
     if not (_norms(stack + stack.conj().swapaxes(-1, -2)) <= HERMITIAN_TOL).all():
         raise NotSkewHermitian("closure generators must be skew-Hermitian")
     return stack
 
 
-def _grown(basis: np.ndarray, k: int) -> np.ndarray:
-    """A basis array of twice the capacity (at least 1) holding basis[:k].
+def _check_tol(tol: float) -> None:
+    if not (1e-12 <= tol <= 1e-6):
+        raise DomainExceeded(f"closure tolerance {tol} outside [1e-12, 1e-6]")
 
-    Raises DomainExceeded, before allocating, if it would exceed MAX_CLOSURE_BYTES.
-    """
-    cap = max(1, 2 * len(basis))
-    shape = basis.shape[1:]
-    if cap * math.prod(shape) * 16 > MAX_CLOSURE_BYTES:
-        raise DomainExceeded(f"closure basis of {cap} elements of shape {shape} would exceed "
+
+def _basis_array(k: int, shape: tuple) -> np.ndarray:
+    """A zeroed (k, *shape) basis array, refused before allocating past MAX_CLOSURE_BYTES."""
+    if k * math.prod(shape) * 16 > MAX_CLOSURE_BYTES:
+        raise DomainExceeded(f"closure basis of {k} elements of shape {shape} would exceed "
                              f"MAX_CLOSURE_BYTES = {MAX_CLOSURE_BYTES}")
-    out = np.empty((cap, *shape), dtype=complex)
-    out[:k] = basis[:k]
-    return out
+    return np.zeros((k, *shape), dtype=complex)
 
 
 def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     """Smallest bracket-closed real span containing the generators.
 
-    ``gens`` is any iterable of skew-Hermitian elements of one shape
-    (..., s, s): a matrix, or a stack of diagonal blocks whose brackets are
-    taken block by block.  It is read once, a chunk of ``_chunk_len`` at a
-    time, and each chunk's shapes and skew-Hermiticity are checked before
-    it is admitted.  Each pass then brackets every pair of elements
-    admitted before the pass began (pairs bracketed in an earlier pass are
-    skipped), one chunk [b_i, b_j] for a contiguous run of j at a time,
-    until a pass admits nothing.  ``dim_ambient`` is s.
+    ``gens`` is any iterable of skew-Hermitian (n, n) matrices.  It is read
+    once, a chunk of ``_chunk_len`` at a time, and each chunk's shapes and
+    skew-Hermiticity are checked before it is admitted.  Each pass then
+    brackets every pair of elements admitted before the pass began (pairs
+    bracketed in an earlier pass are skipped), one chunk [b_i, b_j] for a
+    contiguous run of j at a time, until a pass admits nothing.  The basis
+    array doubles as it fills, within ``MAX_CLOSURE_BYTES``.
 
     Admission is scale-free and keeps candidate order: a chunk's candidates
     of norm above tol are normalized and projected off the span with one
@@ -219,14 +215,13 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     the elements admitted from the same chunk, and admitted, normalized,
     if it stays above tol.
     """
-    if not (1e-12 <= tol <= 1e-6):
-        raise DomainExceeded(f"closure tolerance {tol} outside [1e-12, 1e-6]")
+    _check_tol(tol)
     gens = iter(gens)
     first = next(gens, None)
     if first is None:
         raise TooSmall("need at least one generator")
     shape = np.shape(first)
-    if len(shape) < 2 or shape[-1] != shape[-2]:
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise DimMismatch("generators must share one square shape")
     entries = math.prod(shape)
     m = _chunk_len(entries)
@@ -240,7 +235,7 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
         nonzero = norms > tol
         if not nonzero.all():
             stack, norms = stack[nonzero], norms[nonzero]
-        stack /= norms.reshape((-1,) + (1,) * len(shape))
+        stack /= norms[:, None, None]
         _project_out(basis[:k], stack)
         start = k
         for x in stack[_norms(stack) > tol]:
@@ -248,7 +243,9 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
             rnorm = frob(x)
             if rnorm > tol:
                 if k == len(basis):
-                    basis = _grown(basis, k)
+                    grown = _basis_array(max(1, 2 * k), shape)
+                    grown[:k] = basis
+                    basis = grown
                 np.divide(x, rnorm, out=basis[k])
                 k += 1
 
@@ -274,58 +271,48 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
                 blk = basis[lo:min(lo + m, size)]
                 admit(basis[i] @ blk - blk @ basis[i])
         if k == size:
-            return LieBasis(shape[-1], basis[:k].copy(), tol, passes)
+            return LieBasis(shape[0], basis[:k].copy(), tol, passes)
         start = size
     raise IterationCapExceeded(f"closure did not stabilize within {cap} passes")
 
 
-def _conjugation_phases(w: CoinedWalk, power: int) -> np.ndarray:
-    """The (N, c, c) phases that conjugation by S^power puts on momentum blocks, entrywise.
-
-    Block p of S^l (X x 1) S^-l is D_p^l X D_p^-l, whose entry (a, b) is
-    X[a, b] exp(-2 pi i l (angle_a - angle_b) / period) for the integer
-    angles of ``walks.momentum_angles``; l * (angle_a - angle_b) is reduced
-    mod period before it becomes a phase, so no power of D_p is formed.
-    """
-    angles, period = momentum_angles(w)
-    diff = angles[:, :, None] - angles[:, None, :]
-    return np.exp(-2j * np.pi * (power * diff % period) / period)
-
-
-def _block_generators(w: CoinedWalk):
-    """generators(w) in momentum blocks, in the same order."""
-    r = checked_shift_order(w)
-    coin_basis = np.array(u_basis(w.coin_dim))[:, None]
-    for power in range(r):
-        yield from coin_basis * _conjugation_phases(w, power)
-
-
 def walk_closure(w: CoinedWalk, tol: float = DEFAULT_TOL) -> LieBasis:
-    """The closure of generators(w): in momentum blocks if w has a translation group, else dense.
+    """The closure of generators(w): M = u(1) + su(c)^q in momentum blocks if w has a group.
 
-    Both bases take the same dense arguments in ``member_residual`` and
-    ``conjugation_invariance_residual``, and share dimension and passes.
+    Momenta p and p' are linked when rows p and p' of (angles - angles[:, :1])
+    mod N are equal.  The basis is i*1, then for each class an orthonormal
+    su(c) basis placed in its blocks, each element of unit norm.  Any other
+    walk is closed densely by ``lie_closure``.
     """
     if w.group is None:
         return lie_closure(generators(w), tol)
-    return replace(lie_closure(_block_generators(w), tol), dim_ambient=w.dim, walk=w)
+    _check_tol(tol)
+    angles, n = momentum_angles(w)
+    _, linked = np.unique((angles - angles[:, :1]) % n, axis=0, return_inverse=True)
+    linked = linked.ravel()  # its shape differs across numpy versions
+    c, q = w.coin_dim, linked.max() + 1
+    su = np.reshape(su_basis(c), (-1, c * c)) if c > 1 else np.zeros((0, 1), dtype=complex)
+    # orthonormal rows spanning su(c), from one QR in the real geometry
+    su = np.ascontiguousarray(np.linalg.qr(su.view(float).T)[0].T).view(complex)
+    elements = _basis_array(1 + q * len(su), (n, c, c))
+    elements[0] = 1j * np.eye(c) / math.sqrt(c * n)
+    # element 1 + j (c^2 - 1) + a holds su[a] in every block of class j, scaled to unit norm
+    scale = np.sqrt(np.bincount(linked)[linked])[:, None, None, None]
+    per_class = elements[1:].reshape(q, len(su), n, c, c)
+    per_class[linked, :, np.arange(n)] = su.reshape(-1, c, c) / scale
+    return LieBasis(w.dim, elements, tol, 0, w)
 
 
 def member_residual(basis: LieBasis, x) -> float:
     """Relative Frobenius distance of x from the basis span (0 for x = 0)."""
     x = np.asarray(x, dtype=complex)
-    # a basis of blocks closed without its walk has no dense form to compare with
-    if x.shape != (basis.dim_ambient,) * 2 or (basis.walk is None
-                                               and x.shape != basis.elements.shape[1:]):
-        raise DimMismatch(
-            f"element is {x.shape}, basis ambient dimension is {basis.dim_ambient} "
-            f"(elements of shape {basis.elements.shape[1:]})")
+    if x.shape != (basis.dim_ambient,) * 2:
+        raise DimMismatch(f"element is {x.shape}, basis ambient dimension is {basis.dim_ambient}")
+    # whatever the scale of x, no norm below under- or overflows, and skew-Hermiticity
+    # is checked relative to its largest entry
+    x = scaled(x)
     if not is_skew_hermitian(x):
         raise NotSkewHermitian("membership is defined for skew-Hermitian elements")
-    # an exact power of two takes the largest entry into [1/2, 1): whatever the scale of x,
-    # no norm below under- or overflows
-    _, e = np.frexp(np.abs(x).max())
-    x = np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
     norm = frob(x)
     if norm == 0:
         return 0.0
@@ -339,9 +326,9 @@ def member_residual(basis: LieBasis, x) -> float:
 
 
 def is_simulable(basis: LieBasis, h, tol: float) -> bool:
-    """True iff -i*h lies in the closure within tol (h Hermitian)."""
+    """True iff -i*h lies in the closure within tol (h Hermitian relative to its largest entry)."""
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
+    if not is_hermitian(scaled(h)):
         raise NonHermitian("simulability is defined for Hermitian matrices")
     return member_residual(basis, -1j * h) <= tol
 
@@ -357,7 +344,9 @@ def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
     if basis.walk is None:
         inv = np.argsort(w.shift)
     elif np.array_equal(w.shift, basis.walk.shift):
-        phase = _conjugation_phases(w, 1)
+        # entry (a, b) of block p picks up the phase of D_p X D_p^-1
+        angles, n = momentum_angles(w)
+        phase = np.exp(-2j * np.pi * (angles[:, :, None] - angles[:, None, :]) / n)
     else:
         raise DimMismatch("a basis of momentum blocks is conjugated by its own walk's shift only")
     m = _chunk_len(math.prod(basis.elements.shape[1:]))

@@ -27,6 +27,7 @@ __all__ = [
     "hs_inner",
     "commutator",
     "frob",
+    "scaled",
 ]
 
 HERMITIAN_TOL = 1e-10
@@ -44,6 +45,16 @@ def as_matrix(a) -> np.ndarray:
 def frob(a) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
+
+
+def scaled(a) -> np.ndarray:
+    """a times the power of two that takes its largest entry into [1/2, 1), as complex.
+
+    Exact, so no norm of it under- or overflows and a tolerance on it is relative to max|a|.
+    """
+    a = as_matrix(a)
+    _, e = np.frexp(np.abs(a).max(initial=0.0))
+    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
 
 
 def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:

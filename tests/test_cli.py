@@ -306,7 +306,10 @@ def test_dumped_basis_matches_the_dense_closure(tmp_path, spec):
     w = cli.resolve_walk(spec)
     dense = cli.liealg.lie_closure(cli.liealg.generators(w))
     assert dumped.shape == dense.elements.shape
-    assert np.abs(dumped - dense.elements).max() <= 1e-12
+    # as many elements, orthonormal, and each in the dense span: the same span
+    rows = dumped.reshape(len(dumped), -1).view(float)
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-12
+    assert max(cli.liealg.member_residual(dense, x) for x in dumped) <= 1e-10
 
 
 def test_simulable_command(tmp_path):
@@ -433,6 +436,26 @@ def test_module_entry_point(tmp_path):
     assert proc2.returncode == 2
 
 
+def test_simulable_hermiticity_is_relative_to_the_largest_entry(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    h_path, out = tmp_path / "h.json", tmp_path / "sim.json"
+    # a non-Hermitian matrix is refused however small its entries
+    h_path.write_text(json.dumps(matrix_json(1e-12 * g)))
+    assert run(["simulable", "--walk", "example", "--hamiltonian", str(h_path)], out) == 2
+    assert "not Hermitian" in capsys.readouterr().err and not out.exists()
+    # a Hermitian one is accepted however large, with the report of scale 1 but its residual
+    reports = []
+    for scale in (1.0, 1e6):
+        h_path.write_text(json.dumps(matrix_json(scale * (g + g.conj().T))))
+        assert run(["simulable", "--walk", "example", "--hamiltonian", str(h_path),
+                    "--format", "json"], out) == 0
+        reports.append(json.loads(out.read_text()))
+    for rep in reports:
+        assert rep["simulable"] is False and rep["closure_dimension"] == 33
+        assert abs(rep["residual"] - reports[0]["residual"]) <= 1e-12
+
+
 def test_gamma_validation():
     assert run(["info", "--walk", "cycle:4", "--gamma", "0"]) == 2
     assert run(["info", "--walk", "cycle:4", "--t", "-1"]) == 2
@@ -445,8 +468,11 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
         raise IterationCapExceeded("closure did not stabilize")
 
     monkeypatch.setattr(cli.liealg, "lie_closure", exploding_closure)
+    # a walk without a translation group, so the closure brackets densely
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(turn_or_flip_cycle_json()))
     out = tmp_path / "never.json"
-    assert run(["closure", "--walk", "cycle:4", "--format", "json"], out) == 3
+    assert run(["closure", "--walk", f"file:{path}", "--format", "json"], out) == 3
     assert not out.exists()
 
 
@@ -701,10 +727,10 @@ def test_example_csv_report(tmp_path):
 
 
 def test_dump_basis_needs_json_before_the_closure(tmp_path, capsys, monkeypatch):
-    def no_closure(gens, tol):
+    def no_closure(w, tol):
         raise AssertionError("the closure ran before the format was checked")
 
-    monkeypatch.setattr(cli.liealg, "lie_closure", no_closure)
+    monkeypatch.setattr(cli.liealg, "walk_closure", no_closure)
     out = tmp_path / "never.csv"
     assert run(["closure", "--walk", "example", "--dump-basis"], out) == 2
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwl import liealg, limits, walks
@@ -112,6 +112,9 @@ def test_closure_rejects_bad_input():
         liealg.lie_closure([np.eye(2, dtype=complex)], 1e-9)
     with pytest.raises(DomainExceeded):
         liealg.lie_closure([np.diag([1j, -1j])], 1e-3)
+    # a stack of momentum blocks is not a matrix
+    with pytest.raises(DimMismatch):
+        liealg.lie_closure([np.zeros((2, 2, 2), dtype=complex)], 1e-9)
 
 
 def test_example_closure_dimension(example_closure):
@@ -216,10 +219,11 @@ def test_block_conjugation_invariance_matches_dense():
     rng = np.random.default_rng(7)
     for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk(),
               relabelled_cycle()):
-        # u(c) x 1 alone is not shift-invariant, so its residual is far from 0
-        coin = [np.broadcast_to(b, (w.walker_dim, *b.shape)) for b in liealg.u_basis(w.coin_dim)]
-        coin_closure = replace(liealg.lie_closure(coin), dim_ambient=w.dim, walk=w)
-        assert coin_closure.dimension == w.coin_dim ** 2
+        # u(c) x 1 alone, in every block and orthonormal, is not shift-invariant,
+        # so its residual is far from 0
+        coin = np.array([np.broadcast_to(b / frob(b), (w.walker_dim, *b.shape))
+                         for b in liealg.u_basis(w.coin_dim)]) / np.sqrt(w.walker_dim)
+        coin_closure = liealg.LieBasis(w.dim, coin, 1e-9, 1, w)
         assert liealg.conjugation_invariance_residual(coin_closure, w) > 0.5
         # the worst residual of a random set tells S b S^-1 from S^-1 b S
         for blocks in (coin_closure, _random_block_basis(w, 3, rng)):
@@ -438,24 +442,13 @@ def test_translation_walks_close_in_momentum_blocks():
         liealg.walk_closure(walks.cycle_walk(5), 1e-3)
 
 
-def test_block_stack_closure_without_its_walk_has_no_dense_form():
-    stack = np.array([np.diag([1j, -1j]), np.diag([2j, -1j])])  # two 2x2 diagonal blocks
-    basis = liealg.lie_closure([stack])
-    assert basis.elements.shape == (1, 2, 2, 2) and basis.walk is None
-    with pytest.raises(DimMismatch):
-        liealg.member_residual(basis, np.diag([1j, -1j]))
-
-
-def test_block_closure_refuses_long_orbits(monkeypatch):
-    w = walks.cycle_walk(9)  # shift order 9
-    monkeypatch.setattr(walks, "MAX_DIM", 8)
-    with pytest.raises(DomainExceeded, match="shift order 9"):
-        liealg.walk_closure(w)
-
-
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(translation_walks(), st.integers(0, 2 ** 32 - 1))
+@example(walks.cycle_walk(4), 0)
+@example(walks.lattice_walk(4, 2), 1)
+@example(walks.example_walk(), 2)
 def test_block_closure_matches_dense_oracle(w, seed):
+    # the closed form u(1) + su(c)^q against the pairwise dense closure of the generators
     rng = np.random.default_rng(seed)
     # the built walk, and the same walk with its vertices renamed, read from JSON
     for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
@@ -463,9 +456,12 @@ def test_block_closure_matches_dense_oracle(w, seed):
         dim = walk.dim
         blocks = liealg.walk_closure(walk, 1e-9)
         dense = liealg.lie_closure(liealg.generators(walk), 1e-9)
-        assert blocks.walk is walk and dense.walk is None
-        assert (blocks.dimension, blocks.passes) == (dense.dimension, dense.passes)
-        assert np.abs(blocks.dense_elements() - dense.elements).max(initial=0.0) <= 1e-12
+        assert blocks.walk is walk and dense.walk is None and blocks.passes == 0
+        assert blocks.dimension == dense.dimension
+        # each basis lies in the other's span
+        for basis, other in ((blocks, dense), (dense, blocks)):
+            for x in basis.dense_elements():
+                assert liealg.member_residual(other, x) <= 1e-10
         for _ in range(3):
             g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             member = np.tensordot(rng.normal(size=dense.dimension), dense.elements, axes=1)
@@ -473,3 +469,31 @@ def test_block_closure_matches_dense_oracle(w, seed):
                 assert abs(liealg.member_residual(blocks, x)
                            - liealg.member_residual(dense, x)) <= 1e-12
         assert liealg.conjugation_invariance_residual(blocks, walk) <= 1e-10
+
+
+def test_closed_form_beyond_dense_reach():
+    # the dimensions the pairwise closure in momentum blocks reported, in minutes on the lattices
+    for w, dimension in ((walks.lattice_walk(3, 3), 946), (walks.lattice_walk(10, 2), 751),
+                         (walks.cycle_walk(200), 301)):
+        assert liealg.walk_closure(w).dimension == dimension
+    w = walks.lattice_walk(3, 3)
+    basis = liealg.walk_closure(w)
+    assert max(liealg.member_residual(basis, g) for g in liealg.generators(w)) <= 1e-9
+    assert liealg.conjugation_invariance_residual(basis, w) <= 1e-10
+
+
+def test_hermiticity_is_checked_relative_to_the_largest_entry(example_closure):
+    w, dense = example_closure
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    members = kron(np.diag([-3.0, 1.0, 2.0]), np.eye(4))
+    for basis in (dense, liealg.walk_closure(w)):
+        for scale in (1e-12, 1.0, 1e6):
+            # a non-Hermitian matrix is refused at any scale
+            with pytest.raises(NonHermitian):
+                liealg.is_simulable(basis, scale * g, 1e-8)
+            with pytest.raises(NotSkewHermitian):
+                liealg.member_residual(basis, scale * g)
+            # a Hermitian one is accepted at any scale, with the verdict of scale 1
+            assert liealg.is_simulable(basis, scale * members, 1e-8)
+            assert not liealg.is_simulable(basis, scale * (g + g.conj().T), 1e-8)
