@@ -200,9 +200,32 @@ def resolve_protocol(spec: str, walk: walks.CoinedWalk):
     raise BadSpec(f"unrecognized protocol spec {spec!r}")
 
 
+def _adjacency_spectrum(w):
+    """The graph spectrum of w as (value, multiplicity) pairs, from its momentum blocks if any."""
+    blocks = walks.adjacency_blocks(w)
+    if blocks is None:
+        return liealg.spectrum_multiset(graphs.adjacency(w.graph), 8)
+    return liealg.eigenvalue_multiset(blocks.ravel(), 8)
+
+
+def _adjacency_eig(w):
+    """Eigenpairs of w's graph adjacency: of its momentum blocks if it has them, else dense."""
+    blocks = walks.adjacency_blocks(w)
+    if blocks is None:
+        return hermitian_eig(graphs.adjacency(w.graph))
+    return np.linalg.eigh(blocks)
+
+
+def _expm(w, eig, s, psi):
+    """exp(-i*s*K) psi from K's eigenpairs, dense (1-D values) or of momentum blocks (2-D)."""
+    if np.ndim(eig[0]) == 1:
+        return expm_eig(eig, s, psi)
+    return walks.expm_momentum(w, eig, s, psi)
+
+
 def cmd_info(args):
     w = resolve_walk(args.walk)
-    spectrum = liealg.spectrum_multiset(graphs.adjacency(w.graph), 8)
+    spectrum = _adjacency_spectrum(w)
     report = {
         "walk": args.walk,
         "coin_dim": w.coin_dim,
@@ -234,9 +257,8 @@ def cmd_converge(args):
 
 def cmd_evolve(args):
     w = resolve_walk(args.walk)
-    a = graphs.adjacency(w.graph)
     psi0 = seeded_state(w.graph.n, args.seed)
-    psit = expm_eig(hermitian_eig(a), args.gamma * args.t, psi0)
+    psit = _expm(w, _adjacency_eig(w), args.gamma * args.t, psi0)
     norm_residual = abs(np.linalg.norm(psit) - 1.0)
     report = {
         "walk": args.walk,
@@ -258,22 +280,26 @@ def cmd_project(args):
         raise DimMismatch(f"project needs a two-coin walk, got coin_dim {w.coin_dim}")
     gamma, t = args.gamma, args.t
     psi0 = seeded_state(w.dim, args.seed)
-    h = limits.orbit_hamiltonian(w)
-    psit = expm_eig(hermitian_eig(h), gamma * t, psi0)
+    if w.group is None:
+        eig_h = hermitian_eig(limits.orbit_hamiltonian(w))
+    else:
+        eig_h = np.linalg.eigh(limits.orbit_hamiltonian_blocks(w))
+    psit = _expm(w, eig_h, gamma * t, psi0)
     pair0, pairt = limits.chiral_pair(w, psi0), limits.chiral_pair(w, psit)
 
-    # each coin block of psi + sign X S^T psi evolves as exp(-i*sign*gamma*A*t), its phi under L
-    eig_a = hermitian_eig(graphs.adjacency(w.graph))
-    eig_l = hermitian_eig(graphs.laplacian(w.graph))
+    # each coin block of psi + sign X S^T psi evolves as exp(-i*sign*gamma*A*t), its phi under
+    # L, which is A - 2 on the 2-regular graph and so has A's eigenvectors
+    eig_a = _adjacency_eig(w)
+    eig_l = (eig_a[0] - 2, eig_a[1])
     psi_res = 0.0
     phi_res = 0.0
     for sign, x0, xt in zip((1, -1), pair0, pairt):
         s = sign * gamma * t
         for b0, bt in zip(np.split(x0, 2), np.split(xt, 2)):
-            psi_res = max(psi_res, float(np.linalg.norm(bt - expm_eig(eig_a, s, b0))))
+            psi_res = max(psi_res, float(np.linalg.norm(bt - _expm(w, eig_a, s, b0))))
             phi_t = limits.phi_transform(bt, gamma, t, sign)
             phi_0 = limits.phi_transform(b0, gamma, 0.0, sign)
-            phi_res = max(phi_res, float(np.linalg.norm(phi_t - expm_eig(eig_l, s, phi_0))))
+            phi_res = max(phi_res, float(np.linalg.norm(phi_t - _expm(w, eig_l, s, phi_0))))
     rec_res = float(np.linalg.norm(0.5 * (pairt[0] + pairt[1]) - psit))
 
     ok = psi_res <= PROJECT_TOL and phi_res <= PROJECT_TOL and rec_res <= PROJECT_TOL
@@ -331,7 +357,7 @@ def cmd_example(args):
     items.append({"name": "shift_order", "expected": 2, "actual": order,
                   "pass": order == 2})
 
-    spectrum = liealg.spectrum_multiset(graphs.adjacency(w.graph), 8)
+    spectrum = _adjacency_spectrum(w)
     expected_spec = [(3.0, 1), (-1.0, 3)]
     items.append({"name": "adjacency_spectrum", "expected": expected_spec,
                   "actual": spectrum, "pass": spectrum == expected_spec})

@@ -61,6 +61,7 @@ __all__ = [
     "is_simulable",
     "conjugation_invariance_residual",
     "spectrum_multiset",
+    "eigenvalue_multiset",
     "example_subspace_element",
 ]
 
@@ -379,6 +380,14 @@ def spectrum_multiset(h, digits: int = 8):
         vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
     else:
         raise NonNormalInput("spectrum needs a Hermitian or skew-Hermitian matrix")
+    return eigenvalue_multiset(vals, digits)
+
+
+def eigenvalue_multiset(vals, digits: int = 8):
+    """Real eigenvalues clustered by rounding to digits, as (value, multiplicity) pairs.
+
+    Values are sorted descending, and -0.0 counts as 0.0.
+    """
     counts = Counter(round(float(v), digits) + 0.0 for v in vals)
     return sorted(counts.items(), key=lambda kv: -kv[0])
 

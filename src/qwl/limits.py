@@ -30,7 +30,8 @@ from .errors import (
 )
 from .linalg import (expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig, is_permutation,
                      is_skew_hermitian, is_unitary)
-from .walks import CoinedWalk, apply_step, checked_shift_order, cycle_walk, shift_matrix
+from .walks import (CoinedWalk, apply_step, checked_shift_order, cycle_walk, momentum_angles,
+                    shift_matrix)
 
 __all__ = [
     "ProtocolStep",
@@ -43,6 +44,7 @@ __all__ = [
     "strauch_protocol",
     "orbit_protocol",
     "orbit_hamiltonian",
+    "orbit_hamiltonian_blocks",
     "evencyc_protocol",
     "limit_hamiltonian_cycle",
     "protocol_unitary",
@@ -240,6 +242,17 @@ def orbit_hamiltonian(w: CoinedWalk) -> np.ndarray:
     h[rows, cols] = 1
     h[w.shift[rows], w.shift[cols]] += 1
     return h
+
+
+def orbit_hamiltonian_blocks(w: CoinedWalk) -> np.ndarray:
+    """The (N, c, c) momentum blocks X + D_p X D_p^dag of ``orbit_hamiltonian(w)``; needs w.group.
+
+    X = J - 1, and D_p = diag(exp(-2 pi i angles[p] / N)) is the shift's block p.
+    """
+    angles, n = momentum_angles(w)
+    c = w.coin_dim
+    x = np.ones((c, c)) - np.eye(c)
+    return x + x * np.exp(-2j * np.pi * ((angles[:, :, None] - angles[:, None, :]) % n) / n)
 
 
 def evencyc_protocol(n: int) -> Atom:

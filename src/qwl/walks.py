@@ -14,13 +14,19 @@ translation walk on the abelian group they generate, and the constructor
 builds that group's N characters from the move table alone, for a built-in
 walk and a file walk alike.  In the basis of characters (momenta) the
 shift is diagonal, so ``momentum_blocks`` splits an operator into N coin
-blocks of c x c.
+blocks of c x c.  The continuous-time operators are diagonal there too:
+when every vertex's coins reach distinct neighbours, the adjacency is
+sum_k P_k, with eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p
+(``adjacency_blocks``), and ``expm_momentum`` applies exp(-i s K) to a state
+from the eigenpairs of K's blocks, so no dense eigh runs.  Any other walk
+keeps the dense path, which is also the test oracle.
 The edge-space form ``EdgeWalk`` is held as index maps from the move
 table, and ``intertwining_residual`` applies them by scatter.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +58,8 @@ __all__ = [
     "momentum_angles",
     "momentum_blocks",
     "from_momentum_blocks",
+    "adjacency_blocks",
+    "expm_momentum",
     "apply_step",
     "coined_to_edge_walk",
     "intertwining_residual",
@@ -139,6 +147,20 @@ class CoinedWalk:
     @property
     def dim(self) -> int:
         return self.moves.size
+
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """The read-only unitary N x N matrix whose column p is the momentum state |p>.
+
+        Needs group.  Entry (v, p) is read from a table of the N roots
+        exp(2 pi i k / N) / sqrt(N) at k = chars[p] . exps[v] mod N, once per walk.
+        """
+        chars, exps = self.group
+        n = self.walker_dim
+        roots = np.exp(2j * np.pi * np.arange(n) / n) / math.sqrt(n)
+        f = roots[exps @ chars.T % n]
+        f.setflags(write=False)
+        return f
 
 
 def _translation_group(moves: np.ndarray):
@@ -287,13 +309,6 @@ def momentum_angles(w: CoinedWalk):
     return chars @ exps[w.moves[:, 0]].T % n, n
 
 
-def _characters(w: CoinedWalk) -> np.ndarray:
-    """The unitary N x N matrix whose column p is the momentum state |p>."""
-    chars, exps = w.group
-    n = w.walker_dim
-    return np.exp(2j * np.pi * (exps @ chars.T % n) / n) / math.sqrt(n)
-
-
 def momentum_blocks(w: CoinedWalk, x):
     """Momentum blocks of operators x, of shape (..., dim, dim), and the Frobenius mass off them.
 
@@ -301,7 +316,7 @@ def momentum_blocks(w: CoinedWalk, x):
     each operator, the norm of its entries <a,p| x |b,q> with p != q, so
     that ||x||^2 = ||blocks||^2 + off^2.  Needs w.group.
     """
-    f = _characters(w)
+    f = w.characters
     c, n = w.coin_dim, w.walker_dim
     lead = np.shape(x)[:-2]
     # xt[..., a, b, p, q] = <a,p| x |b,q>
@@ -314,12 +329,48 @@ def momentum_blocks(w: CoinedWalk, x):
 
 def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
     """The dense (..., dim, dim) operators whose momentum blocks are blocks (..., N, c, c)."""
-    f = _characters(w)
+    f = w.characters
     c, n = w.coin_dim, w.walker_dim
     lead = np.shape(blocks)[:-3]
     # x[..., a, b] = F diag(blocks[..., :, a, b]) F^dag on the walker axes
     x = (f * np.moveaxis(blocks, -3, -1)[..., None, :]) @ f.conj().T
     return x.swapaxes(-3, -2).reshape(lead + (c * n, c * n))
+
+
+def adjacency_blocks(w: CoinedWalk):
+    """The (N, 1, 1) momentum blocks of w's graph adjacency A, or None if A is not diagonal in them.
+
+    If every vertex's coins reach distinct neighbours, the m coins of the
+    m-regular graph reach all of them, so A = sum_k P_k and block p is
+    sum_k cos(2 pi angles[p, k] / N), the real part of sum_k D_p[k] (A is
+    real symmetric).  Otherwise, or without a group, A may not commute with
+    the shift, and None is returned.
+    """
+    if w.group is None:
+        return None
+    targets = np.sort(w.moves, axis=0)
+    if np.any(targets[1:] == targets[:-1]):
+        return None
+    angles, n = momentum_angles(w)
+    return np.cos(2 * np.pi * angles / n).sum(axis=1)[:, None, None]
+
+
+def expm_momentum(w: CoinedWalk, eig, s: float, psi) -> np.ndarray:
+    """exp(-i*s*K) psi for an operator K given by the eigenpairs of its momentum blocks.
+
+    eig = (vals, vecs) is np.linalg.eigh of K's (N, k, k) blocks, with k = 1
+    for an operator on the walker space and k = c on the walk space; psi has
+    size k*N, coin-major.  The state goes to the characters and back with
+    two products by the N x N character matrix; no operator of size kN is formed.
+    """
+    if s == 0:
+        return np.array(psi, dtype=complex)
+    vals, vecs = eig
+    f = w.characters
+    n, k = vals.shape
+    x = (np.reshape(psi, (k, n)).conj() @ f).conj()  # x[a, p] = <a,p| psi>
+    x = np.einsum("pba,bp->pa", vecs.conj(), x) * np.exp(-1j * s * vals)
+    return (f @ np.einsum("pab,pb->pa", vecs, x)).T.ravel()
 
 
 def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ from qwl import cli, graphs, limits, walks
 from qwl.errors import BadSpec, DimMismatch, NotScalarAtZero
 from qwl.rng import seeded_state
 from walk_cases import (
+    CYCLE8_CHORDS,
     relabelled_cycle,
     relabelled_cycle_json,
     relabelled_json,
+    repeated_target_json,
     turn_or_flip_cycle_json,
 )
 
@@ -250,17 +252,94 @@ def test_project_on_two_coin_walks(tmp_path, walk, code):
         assert rep["psi_adjacency_residual"] > 0.1
 
 
-def test_project_eigendecomposes_real_matrices(tmp_path, monkeypatch):
-    dtypes = []
+def test_project_eigendecomposes_blocks_or_two_real_matrices(tmp_path, monkeypatch):
+    calls = []
     eigh = np.linalg.eigh
 
     def recording_eigh(a, *args, **kwargs):
-        dtypes.append(np.asarray(a).dtype)
+        calls.append((np.shape(a), np.asarray(a).dtype))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    # a translation walk decomposes its momentum blocks, nothing larger than c x c
     assert run(["project", "--walk", "cycle:16"], tmp_path / "proj.csv") == 0
-    assert dtypes == [np.float64] * 3
+    assert calls and all(shape[-2:] in ((1, 1), (2, 2)) for shape, _ in calls)
+    # a walk with no group: H and A once each, as float64; L's eigenpairs are A's, shifted
+    # (its coins do not undo each other, so the chiral blocks miss A and it exits 3)
+    calls.clear()
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(turn_or_flip_cycle_json()))
+    assert run(["project", "--walk", f"file:{path}"], tmp_path / "proj.csv") == 3
+    assert calls == [((12, 12), np.float64), ((6, 6), np.float64)]
+
+
+def _run_with_and_without_group(monkeypatch, tmp_path, args):
+    """[(exit code, JSON report or None)] of args as given, then with no walk given a group.
+
+    Without a group every walk takes the dense eigendecompositions.
+    """
+    results = []
+    for dense in (False, True):
+        out = tmp_path / f"report_{dense}.json"
+        with monkeypatch.context() as m:
+            if dense:
+                m.setattr(walks, "_translation_group", lambda moves: None)
+            code = run([*args, "--format", "json"], out)
+        results.append((code, json.loads(out.read_text()) if out.exists() else None))
+        out.unlink(missing_ok=True)
+    return results
+
+
+def _assert_as_dense(monkeypatch, tmp_path, spec):
+    """info, evolve and project on spec report what the dense path reports.
+
+    info spectra are equal, evolve states and project residuals are within
+    1e-12, and exit codes are equal.
+    """
+    (code, rep), (dense_code, dense) = _run_with_and_without_group(
+        monkeypatch, tmp_path, ["info", "--walk", spec])
+    assert code == dense_code == 0 and rep == dense
+    (code, rep), (dense_code, dense) = _run_with_and_without_group(
+        monkeypatch, tmp_path, ["evolve", "--walk", spec, "--gamma", "0.8", "--t", "1.7"])
+    assert code == dense_code == 0
+    assert np.abs(np.array(rep["state"]) - np.array(dense["state"])).max() <= 1e-12
+    assert rep["norm_residual"] <= 1e-12
+    (code, rep), (dense_code, dense) = _run_with_and_without_group(
+        monkeypatch, tmp_path, ["project", "--walk", spec, "--t", "0.9", "--seed", "2"])
+    assert code == dense_code
+    if rep is not None:
+        for key in ("psi_adjacency_residual", "phi_laplacian_residual",
+                    "reconstruction_residual"):
+            assert abs(rep[key] - dense[key]) <= 1e-12
+        assert rep["pass"] is dense["pass"]
+
+
+@pytest.mark.parametrize("walk", ["cycle:8", "lattice:4,2", "example", "relabelled cycle:7",
+                                  "relabelled lattice:3,3"])
+def test_translation_walks_report_as_the_dense_path(tmp_path, monkeypatch, walk):
+    spec = walk
+    if walk.startswith("relabelled"):
+        w = cli.resolve_walk(walk.split()[1])
+        path = tmp_path / "walk.json"
+        rng = np.random.default_rng(3)
+        path.write_text(json.dumps(relabelled_json(w, rng.permutation(w.walker_dim))))
+        spec = f"file:{path}"
+    _assert_as_dense(monkeypatch, tmp_path, spec)
+
+
+@pytest.mark.parametrize("c, chords", [(3, CYCLE8_CHORDS), (2, ())],
+                         ids=["three-coins-with-chords", "two-coins"])
+def test_coins_that_repeat_a_target_take_the_dense_adjacency(tmp_path, monkeypatch, c, chords):
+    obj = repeated_target_json(c, chords)
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(obj))
+    _assert_as_dense(monkeypatch, tmp_path, f"file:{path}")
+    w = walks.walk_from_json(obj)
+    assert w.group is not None and walks.adjacency_blocks(w) is None
+    # the chords make A neither the sum of the moves nor translation-invariant
+    a = graphs.adjacency(w.graph)
+    p = np.eye(8)[w.moves[0]].T
+    assert not chords or np.abs(a @ p - p @ a).max() > 0
 
 
 def test_project_t_zero(tmp_path):

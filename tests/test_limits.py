@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qwl import graphs, limits, walks
+from qwl import graphs, liealg, limits, walks
 from qwl.errors import DimMismatch, DomainExceeded, NotBijective, NotScalarAtZero, TooSmall
 from qwl.liealg import u_basis
-from qwl.linalg import commutator, expm_hermitian, expm_skew, frob, is_hermitian, is_unitary, kron
+from qwl.linalg import (commutator, expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig,
+                         is_hermitian, is_unitary, kron)
 from qwl.rng import LcgStream, seeded_state
-from walk_cases import cayley_walks, relabelled_cycle
+from walk_cases import cayley_walks, relabelled, relabelled_cycle, translation_walks
 
 R = limits.R_COIN
 D = limits.D_COIN
@@ -295,6 +296,45 @@ def test_orbit_hamiltonian_is_the_fold_and_intertwines_the_adjacency(name):
 @given(cayley_walks())
 def test_orbit_limit_on_cayley_walks(w):
     _assert_orbit_limit(w)
+
+
+def _assert_character_operators(w, s, seed):
+    """A's spectrum, exp(-i*s*A) and exp(-i*s*H) from w's momentum angles match the dense path.
+
+    The spectrum multiset is equal, and states and orbit-H blocks are within 1e-12.
+    """
+    a = graphs.adjacency(w.graph)
+    blocks = walks.adjacency_blocks(w)
+    assert blocks.shape == (w.walker_dim, 1, 1)
+    assert liealg.eigenvalue_multiset(blocks.ravel()) == liealg.spectrum_multiset(a)
+    psi = seeded_state(w.walker_dim, seed)
+    state = walks.expm_momentum(w, np.linalg.eigh(blocks), s, psi)
+    assert np.abs(state - expm_eig(hermitian_eig(a), s, psi)).max() <= 1e-12
+    h = limits.orbit_hamiltonian(w)
+    h_blocks = limits.orbit_hamiltonian_blocks(w)
+    expected, off = walks.momentum_blocks(w, h)
+    assert off <= 1e-12 and np.abs(h_blocks - expected).max() <= 1e-12
+    psi = seeded_state(w.dim, seed)
+    state = walks.expm_momentum(w, np.linalg.eigh(h_blocks), s, psi)
+    assert np.abs(state - expm_eig(hermitian_eig(h), s, psi)).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.one_of(translation_walks(), cayley_walks()), st.floats(-3, 3), st.integers(0, 2 ** 31))
+@example(walks.cycle_walk(8), 0.7, 0)
+@example(walks.lattice_walk(4, 2), 1.3, 1)
+@example(walks.example_walk(), -2.0, 2)
+def test_character_operators_match_the_dense_path(w, s, seed):
+    rng = np.random.default_rng(seed)
+    for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
+        _assert_character_operators(walk, s, seed)
+
+
+def test_character_kernel_at_s_zero_returns_the_state():
+    w = walks.lattice_walk(3, 2)
+    psi = seeded_state(w.dim, 4)
+    eig = np.linalg.eigh(limits.orbit_hamiltonian_blocks(w))
+    assert np.array_equal(walks.expm_momentum(w, eig, 0.0, psi), psi)
 
 
 def test_orbit_protocol_rejects_long_orbits(monkeypatch):

@@ -24,9 +24,11 @@ from qwl.errors import (
 from qwl.linalg import frob, is_permutation, is_unitary, kron
 from qwl.rng import seeded_state, seeded_unitary
 from walk_cases import (
+    CYCLE8_CHORDS,
     cayley_walks,
     relabelled,
     relabelled_cycle,
+    repeated_target_json,
     translation_walks,
     turn_or_flip_cycle,
 )
@@ -172,7 +174,7 @@ def _assert_characters(w):
     assert chars.shape == exps.shape == (n, r) and 2 ** r <= n
     assert chars.dtype.kind == exps.dtype.kind == "i"
     assert not chars.flags.writeable and not exps.flags.writeable
-    f = walks._characters(w)
+    f = w.characters
     assert np.abs(f.conj().T @ f - np.eye(n)).max() <= 1e-12
     angles, period = walks.momentum_angles(w)
     assert period == n and angles.shape == (n, w.coin_dim)
@@ -200,6 +202,28 @@ def _assert_momentum_transform(w, rng):
     assert np.abs(blocks - expected).max() <= 1e-12 * frob(x)
     assert np.abs(walks.from_momentum_blocks(w, blocks) - x).max() <= 1e-12 * frob(x)
     assert np.abs(walks.from_momentum_blocks(w, blocks[None])[0] - x).max() <= 1e-12 * frob(x)
+
+
+@pytest.mark.parametrize("make", [lambda: walks.cycle_walk(7), lambda: walks.lattice_walk(4, 2),
+                                  walks.example_walk, relabelled_cycle],
+                         ids=["cycle:7", "lattice:4,2", "example", "relabelled cycle:7"])
+def test_characters_are_the_exponential_formula_bitwise(make):
+    w = make()
+    chars, exps = w.group
+    n = w.walker_dim
+    expected = np.exp(2j * np.pi * (exps @ chars.T % n) / n) / np.sqrt(n)
+    assert np.array_equal(w.characters, expected)
+    # built once per walk, and read-only so that no caller can change it
+    assert w.characters is w.characters and not w.characters.flags.writeable
+
+
+def test_adjacency_blocks_need_a_group_and_distinct_targets():
+    assert walks.adjacency_blocks(turn_or_flip_cycle()) is None
+    w = walks.walk_from_json(repeated_target_json(3, CYCLE8_CHORDS))
+    assert w.group is not None and walks.adjacency_blocks(w) is None
+    blocks = walks.adjacency_blocks(walks.cycle_walk(5))
+    assert np.allclose(blocks.ravel(), 2 * np.cos(2 * np.pi * np.arange(5) / 5), rtol=0,
+                       atol=1e-15)
 
 
 def test_translation_walks_record_their_group():

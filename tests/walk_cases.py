@@ -50,6 +50,20 @@ def turn_or_flip_cycle(n=6):
     return walks.walk_from_json(turn_or_flip_cycle_json(n))
 
 
+CYCLE8_CHORDS = ((0, 2), (1, 5), (3, 7), (4, 6))
+
+
+def repeated_target_json(c, chords=()):
+    """c coins that all step +1 on the 8-cycle, on the cycle with chords added.
+
+    The moves commute and act transitively, so the walk has a group, but the
+    coins at every vertex repeat one target, so A is not the sum of the moves.
+    """
+    edges = [[j, (j + 1) % 8] for j in range(8)] + [list(e) for e in chords]
+    return {"graph": {"n": 8, "edges": edges}, "coin_dim": c,
+            "moves": [[(j + 1) % 8 for j in range(8)]] * c}
+
+
 def generates(shape, elements) -> bool:
     """True iff the elements generate the whole group Z_shape."""
     reached, frontier = {(0,) * len(shape)}, [(0,) * len(shape)]
