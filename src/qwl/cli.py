@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     QwlError,
 )
-from .linalg import expm_eig, hermitian_eig, is_hermitian, scaled
+from .linalg import is_hermitian
 from .rng import seeded_state
 
 __all__ = ["main"]
@@ -200,32 +200,9 @@ def resolve_protocol(spec: str, walk: walks.CoinedWalk):
     raise BadSpec(f"unrecognized protocol spec {spec!r}")
 
 
-def _adjacency_spectrum(w):
-    """The graph spectrum of w as (value, multiplicity) pairs, from its momentum blocks if any."""
-    blocks = walks.adjacency_blocks(w)
-    if blocks is None:
-        return liealg.spectrum_multiset(graphs.adjacency(w.graph), 8)
-    return liealg.eigenvalue_multiset(blocks.ravel(), 8)
-
-
-def _adjacency_eig(w):
-    """Eigenpairs of w's graph adjacency: of its momentum blocks if it has them, else dense."""
-    blocks = walks.adjacency_blocks(w)
-    if blocks is None:
-        return hermitian_eig(graphs.adjacency(w.graph))
-    return np.linalg.eigh(blocks)
-
-
-def _expm(w, eig, s, psi):
-    """exp(-i*s*K) psi from K's eigenpairs, dense (1-D values) or of momentum blocks (2-D)."""
-    if np.ndim(eig[0]) == 1:
-        return expm_eig(eig, s, psi)
-    return walks.expm_momentum(w, eig, s, psi)
-
-
 def cmd_info(args):
     w = resolve_walk(args.walk)
-    spectrum = _adjacency_spectrum(w)
+    spectrum = liealg.eigenvalue_multiset(walks.adjacency_spectrum(w), 8)
     report = {
         "walk": args.walk,
         "coin_dim": w.coin_dim,
@@ -258,7 +235,7 @@ def cmd_converge(args):
 def cmd_evolve(args):
     w = resolve_walk(args.walk)
     psi0 = seeded_state(w.graph.n, args.seed)
-    psit = _expm(w, _adjacency_eig(w), args.gamma * args.t, psi0)
+    psit = walks.expm_state(w, walks.adjacency_eig(w), args.gamma * args.t, psi0)
     norm_residual = abs(np.linalg.norm(psit) - 1.0)
     report = {
         "walk": args.walk,
@@ -280,26 +257,23 @@ def cmd_project(args):
         raise DimMismatch(f"project needs a two-coin walk, got coin_dim {w.coin_dim}")
     gamma, t = args.gamma, args.t
     psi0 = seeded_state(w.dim, args.seed)
-    if w.group is None:
-        eig_h = hermitian_eig(limits.orbit_hamiltonian(w))
-    else:
-        eig_h = np.linalg.eigh(limits.orbit_hamiltonian_blocks(w))
-    psit = _expm(w, eig_h, gamma * t, psi0)
+    psit = walks.expm_state(w, limits.orbit_eig(w), gamma * t, psi0)
     pair0, pairt = limits.chiral_pair(w, psi0), limits.chiral_pair(w, psit)
 
     # each coin block of psi + sign X S^T psi evolves as exp(-i*sign*gamma*A*t), its phi under
     # L, which is A - 2 on the 2-regular graph and so has A's eigenvectors
-    eig_a = _adjacency_eig(w)
+    eig_a = walks.adjacency_eig(w)
     eig_l = (eig_a[0] - 2, eig_a[1])
     psi_res = 0.0
     phi_res = 0.0
     for sign, x0, xt in zip((1, -1), pair0, pairt):
         s = sign * gamma * t
         for b0, bt in zip(np.split(x0, 2), np.split(xt, 2)):
-            psi_res = max(psi_res, float(np.linalg.norm(bt - _expm(w, eig_a, s, b0))))
+            psi_res = max(psi_res, float(np.linalg.norm(bt - walks.expm_state(w, eig_a, s, b0))))
             phi_t = limits.phi_transform(bt, gamma, t, sign)
             phi_0 = limits.phi_transform(b0, gamma, 0.0, sign)
-            phi_res = max(phi_res, float(np.linalg.norm(phi_t - _expm(w, eig_l, s, phi_0))))
+            phi_err = phi_t - walks.expm_state(w, eig_l, s, phi_0)
+            phi_res = max(phi_res, float(np.linalg.norm(phi_err)))
     rec_res = float(np.linalg.norm(0.5 * (pairt[0] + pairt[1]) - psit))
 
     ok = psi_res <= PROJECT_TOL and phi_res <= PROJECT_TOL and rec_res <= PROJECT_TOL
@@ -336,7 +310,7 @@ def cmd_simulable(args):
     h = _matrix_from_json(_load_json(args.hamiltonian))
     if h.shape != (w.dim, w.dim):
         raise DimMismatch(f"Hamiltonian is {h.shape}, walk space is {w.dim}x{w.dim}")
-    if not is_hermitian(scaled(h)):
+    if not is_hermitian(h):
         raise NonHermitian("Hamiltonian file is not Hermitian within 1e-10 of its largest entry")
     basis = liealg.walk_closure(w, args.tol)
     residual = liealg.member_residual(basis, -1j * h)
@@ -357,7 +331,7 @@ def cmd_example(args):
     items.append({"name": "shift_order", "expected": 2, "actual": order,
                   "pass": order == 2})
 
-    spectrum = _adjacency_spectrum(w)
+    spectrum = liealg.eigenvalue_multiset(walks.adjacency_spectrum(w), 8)
     expected_spec = [(3.0, 1), (-1.0, 3)]
     items.append({"name": "adjacency_spectrum", "expected": expected_spec,
                   "actual": spectrum, "pass": spectrum == expected_spec})

@@ -44,6 +44,7 @@ from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermit
 from .walks import (
     CoinedWalk,
     checked_shift_order,
+    conjugation_phases,
     example_walk,
     from_momentum_blocks,
     momentum_angles,
@@ -180,8 +181,9 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _check_skew(stack: np.ndarray) -> np.ndarray:
-    """The (m, n, n) stack, once every element in it is skew-Hermitian within HERMITIAN_TOL."""
-    if not (_norms(stack + stack.conj().swapaxes(-1, -2)) <= HERMITIAN_TOL).all():
+    """The (m, n, n) stack, once each element is skew-Hermitian relative to its largest entry."""
+    s = scaled(stack)
+    if not (_norms(s + s.conj().swapaxes(-1, -2)) <= HERMITIAN_TOL).all():
         raise NotSkewHermitian("closure generators must be skew-Hermitian")
     return stack
 
@@ -288,7 +290,7 @@ def walk_closure(w: CoinedWalk, tol: float = DEFAULT_TOL) -> LieBasis:
     if w.group is None:
         return lie_closure(generators(w), tol)
     _check_tol(tol)
-    angles, n = momentum_angles(w)
+    angles, n = momentum_angles(w), w.walker_dim
     _, linked = np.unique((angles - angles[:, :1]) % n, axis=0, return_inverse=True)
     linked = linked.ravel()  # its shape differs across numpy versions
     c, q = w.coin_dim, linked.max() + 1
@@ -329,7 +331,7 @@ def member_residual(basis: LieBasis, x) -> float:
 def is_simulable(basis: LieBasis, h, tol: float) -> bool:
     """True iff -i*h lies in the closure within tol (h Hermitian relative to its largest entry)."""
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(scaled(h)):
+    if not is_hermitian(h):
         raise NonHermitian("simulability is defined for Hermitian matrices")
     return member_residual(basis, -1j * h) <= tol
 
@@ -345,9 +347,7 @@ def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
     if basis.walk is None:
         inv = np.argsort(w.shift)
     elif np.array_equal(w.shift, basis.walk.shift):
-        # entry (a, b) of block p picks up the phase of D_p X D_p^-1
-        angles, n = momentum_angles(w)
-        phase = np.exp(-2j * np.pi * (angles[:, :, None] - angles[:, None, :]) / n)
+        phase = conjugation_phases(w)
     else:
         raise DimMismatch("a basis of momentum blocks is conjugated by its own walk's shift only")
     m = _chunk_len(math.prod(basis.elements.shape[1:]))
@@ -401,6 +401,6 @@ def example_subspace_element() -> np.ndarray:
     (1 + 4 * 8 = 33 dimensions), so this one, of trace 0 in every block, is in it.
     """
     w = example_walk()
-    trivial = ~momentum_angles(w)[0].any(axis=1)
+    trivial = ~momentum_angles(w).any(axis=1)
     blocks = np.where(trivial[:, None, None], np.diag([3j, -3j, 0]), np.diag([1j, -1j, 0]))
     return from_momentum_blocks(w, blocks)

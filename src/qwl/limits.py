@@ -30,7 +30,7 @@ from .errors import (
 )
 from .linalg import (expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig, is_permutation,
                      is_skew_hermitian, is_unitary)
-from .walks import (CoinedWalk, apply_step, checked_shift_order, cycle_walk, momentum_angles,
+from .walks import (CoinedWalk, apply_step, checked_shift_order, conjugation_phases, cycle_walk,
                     shift_matrix)
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "strauch_protocol",
     "orbit_protocol",
     "orbit_hamiltonian",
-    "orbit_hamiltonian_blocks",
+    "orbit_eig",
     "evencyc_protocol",
     "limit_hamiltonian_cycle",
     "protocol_unitary",
@@ -83,7 +83,8 @@ class ProtocolStep:
         if gen.shape != coin.shape:
             raise DimMismatch("generator and coin dimensions differ")
         if not is_skew_hermitian(gen):
-            raise NotSkewHermitian("step generator is not skew-Hermitian within 1e-10")
+            raise NotSkewHermitian(
+                "step generator is not skew-Hermitian within 1e-10 of its largest entry")
         object.__setattr__(self, "coin", coin)
         object.__setattr__(self, "generator", gen)
 
@@ -244,15 +245,16 @@ def orbit_hamiltonian(w: CoinedWalk) -> np.ndarray:
     return h
 
 
-def orbit_hamiltonian_blocks(w: CoinedWalk) -> np.ndarray:
-    """The (N, c, c) momentum blocks X + D_p X D_p^dag of ``orbit_hamiltonian(w)``; needs w.group.
+def orbit_eig(w: CoinedWalk):
+    """Eigenpairs of ``orbit_hamiltonian(w)``, for ``walks.expm_state``.
 
-    X = J - 1, and D_p = diag(exp(-2 pi i angles[p] / N)) is the shift's block p.
+    With a group they are np.linalg.eigh of its (N, c, c) momentum blocks
+    X + D_p X D_p^dag, X = J - 1; otherwise ``hermitian_eig`` of the dense H.
     """
-    angles, n = momentum_angles(w)
-    c = w.coin_dim
-    x = np.ones((c, c)) - np.eye(c)
-    return x + x * np.exp(-2j * np.pi * ((angles[:, :, None] - angles[:, None, :]) % n) / n)
+    if w.group is None:
+        return hermitian_eig(orbit_hamiltonian(w))
+    x = np.ones((w.coin_dim, w.coin_dim)) - np.eye(w.coin_dim)
+    return np.linalg.eigh(x + x * conjugation_phases(w))
 
 
 def evencyc_protocol(n: int) -> Atom:

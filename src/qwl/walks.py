@@ -14,12 +14,13 @@ translation walk on the abelian group they generate, and the constructor
 builds that group's N characters from the move table alone, for a built-in
 walk and a file walk alike.  In the basis of characters (momenta) the
 shift is diagonal, so ``momentum_blocks`` splits an operator into N coin
-blocks of c x c.  The continuous-time operators are diagonal there too:
-when every vertex's coins reach distinct neighbours, the adjacency is
-sum_k P_k, with eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p
-(``adjacency_blocks``), and ``expm_momentum`` applies exp(-i s K) to a state
-from the eigenpairs of K's blocks, so no dense eigh runs.  Any other walk
-keeps the dense path, which is also the test oracle.
+blocks of c x c, and conjugation by S multiplies each block by
+``conjugation_phases``.  The continuous-time operators are diagonal there
+too: when every vertex's coins reach distinct neighbours, the adjacency is
+sum_k P_k, with eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p.
+``adjacency_spectrum`` and ``adjacency_eig`` pick that form or the dense A,
+and ``expm_state`` applies exp(-i s K) to a state from either kind of
+eigenpairs, so no caller chooses.  The dense path is also the test oracle.
 The edge-space form ``EdgeWalk`` is held as index maps from the move
 table, and ``intertwining_residual`` applies them by scatter.
 """
@@ -43,7 +44,7 @@ from .errors import (
     TooSmall,
     Unstable,
 )
-from .linalg import as_matrix, expm_hermitian, frob, is_unitary
+from .linalg import as_matrix, expm_hermitian, frob, hermitian_eig, is_unitary
 
 __all__ = [
     "CoinedWalk",
@@ -56,10 +57,12 @@ __all__ = [
     "shift_order",
     "checked_shift_order",
     "momentum_angles",
+    "conjugation_phases",
     "momentum_blocks",
     "from_momentum_blocks",
-    "adjacency_blocks",
-    "expm_momentum",
+    "adjacency_spectrum",
+    "adjacency_eig",
+    "expm_state",
     "apply_step",
     "coined_to_edge_walk",
     "intertwining_residual",
@@ -295,18 +298,22 @@ def checked_shift_order(w: CoinedWalk) -> int:
     return r
 
 
-def momentum_angles(w: CoinedWalk):
-    """(angles, period): coin k moves momentum p by the phase exp(-2 pi i angles[p, k] / period).
+def momentum_angles(w: CoinedWalk) -> np.ndarray:
+    """(N, c) integers: coin k moves momentum p by the phase exp(-2 pi i angles[p, k] / N).
 
     Momentum p is the character p of w.group, and in the basis
     |p> = N^(-1/2) sum_v chi_p(v) |v> of the walker space the shift is
     diag(D_p) with D_p = diag_k conj(chi_p(P_k 0)).  The angles are
-    integers mod period = N, so a power D_p^l is exact as
-    (l * angles mod period) / period.
+    integers mod N, so a power D_p^l is exact as (l * angles mod N) / N.
     """
     chars, exps = w.group
-    n = w.walker_dim
-    return chars @ exps[w.moves[:, 0]].T % n, n
+    return chars @ exps[w.moves[:, 0]].T % w.walker_dim
+
+
+def conjugation_phases(w: CoinedWalk) -> np.ndarray:
+    """(N, c, c) phases D_p[a] conj(D_p[b]): block p of S X S^-1 is X_p times phases[p]."""
+    angles, n = momentum_angles(w), w.walker_dim
+    return np.exp(-2j * np.pi * ((angles[:, :, None] - angles[:, None, :]) % n) / n)
 
 
 def momentum_blocks(w: CoinedWalk, x):
@@ -337,35 +344,49 @@ def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(lead + (c * n, c * n))
 
 
-def adjacency_blocks(w: CoinedWalk):
-    """The (N, 1, 1) momentum blocks of w's graph adjacency A, or None if A is not diagonal in them.
+def _adjacency_sums(w: CoinedWalk):
+    """sum_k cos(2 pi angles[p, k] / N) for each momentum p, or None if A is not diagonal there.
 
     If every vertex's coins reach distinct neighbours, the m coins of the
-    m-regular graph reach all of them, so A = sum_k P_k and block p is
-    sum_k cos(2 pi angles[p, k] / N), the real part of sum_k D_p[k] (A is
-    real symmetric).  Otherwise, or without a group, A may not commute with
-    the shift, and None is returned.
+    m-regular graph reach all of them, so A = sum_k P_k, and its value at p
+    is the real part of sum_k D_p[k] (A is real symmetric).  Otherwise, or
+    without a group, A may not commute with the shift.
     """
-    if w.group is None:
+    if w.group is None or np.any(np.diff(np.sort(w.moves, axis=0), axis=0) == 0):
         return None
-    targets = np.sort(w.moves, axis=0)
-    if np.any(targets[1:] == targets[:-1]):
-        return None
-    angles, n = momentum_angles(w)
-    return np.cos(2 * np.pi * angles / n).sum(axis=1)[:, None, None]
+    return np.cos(2 * np.pi * momentum_angles(w) / w.walker_dim).sum(axis=1)
 
 
-def expm_momentum(w: CoinedWalk, eig, s: float, psi) -> np.ndarray:
-    """exp(-i*s*K) psi for an operator K given by the eigenpairs of its momentum blocks.
+def adjacency_spectrum(w: CoinedWalk) -> np.ndarray:
+    """The eigenvalues of w's graph adjacency A: in its characters, else eigvalsh of the dense A."""
+    sums = _adjacency_sums(w)
+    return np.linalg.eigvalsh(graphs.adjacency(w.graph)) if sums is None else sums
 
-    eig = (vals, vecs) is np.linalg.eigh of K's (N, k, k) blocks, with k = 1
-    for an operator on the walker space and k = c on the walk space; psi has
-    size k*N, coin-major.  The state goes to the characters and back with
-    two products by the N x N character matrix; no operator of size kN is formed.
+
+def adjacency_eig(w: CoinedWalk):
+    """Eigenpairs of w's graph adjacency A for ``expm_state``, dense or of its momentum blocks.
+
+    The (N, 1, 1) blocks have values of shape (N, 1) and vectors all ones.
+    """
+    sums = _adjacency_sums(w)
+    if sums is None:
+        return hermitian_eig(graphs.adjacency(w.graph))
+    return sums[:, None], np.ones((len(sums), 1, 1))
+
+
+def expm_state(w: CoinedWalk, eig, s: float, psi) -> np.ndarray:
+    """exp(-i*s*K) psi from the eigenpairs (vals, vecs) of K, dense or of its momentum blocks.
+
+    With 1-D vals they are the dense K's, and the result is V (exp(-i*s*vals) * (V^dag psi)).
+    Otherwise they are np.linalg.eigh of K's (N, k, k) blocks, k = 1 on the
+    walker space and c on the walk space; psi (size k*N, coin-major) goes to
+    the characters and back with two products by the N x N character matrix.
     """
     if s == 0:
         return np.array(psi, dtype=complex)
     vals, vecs = eig
+    if np.ndim(vals) == 1:
+        return vecs @ (np.exp(-1j * s * vals) * (vecs.conj().T @ psi))
     f = w.characters
     n, k = vals.shape
     x = (np.reshape(psi, (k, n)).conj() @ f).conj()  # x[a, p] = <a,p| psi>

@@ -273,6 +273,19 @@ def test_project_eigendecomposes_blocks_or_two_real_matrices(tmp_path, monkeypat
     assert calls == [((12, 12), np.float64), ((6, 6), np.float64)]
 
 
+def test_info_without_a_group_forms_no_eigenvectors(tmp_path, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("info needs eigenvalues only")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(turn_or_flip_cycle_json()))
+    out = tmp_path / "info.json"
+    assert run(["info", "--walk", f"file:{path}", "--format", "json"], out) == 0
+    spectrum = json.loads(out.read_text())["graph_spectrum"]
+    assert spectrum == [[2.0, 1], [1.0, 2], [-1.0, 2], [-2.0, 1]]
+
+
 def _run_with_and_without_group(monkeypatch, tmp_path, args):
     """[(exit code, JSON report or None)] of args as given, then with no walk given a group.
 
@@ -335,7 +348,9 @@ def test_coins_that_repeat_a_target_take_the_dense_adjacency(tmp_path, monkeypat
     path.write_text(json.dumps(obj))
     _assert_as_dense(monkeypatch, tmp_path, f"file:{path}")
     w = walks.walk_from_json(obj)
-    assert w.group is not None and walks.adjacency_blocks(w) is None
+    # the walk has a group, yet its adjacency eigenpairs are the dense ones
+    vals, vecs = walks.adjacency_eig(w)
+    assert w.group is not None and vals.shape == (8,) and vecs.shape == (8, 8)
     # the chords make A neither the sum of the moves nor translation-invariant
     a = graphs.adjacency(w.graph)
     p = np.eye(8)[w.moves[0]].T

@@ -293,6 +293,31 @@ def test_spectrum_multiset(example_closure):
         liealg.spectrum_multiset(np.triu(np.ones((3, 3))), 8)
 
 
+def _roundoff_skew(rng, n):
+    """i Q diag Q^dag as computed: skew-Hermitian up to roundoff, not exactly."""
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    g = 1j * (q * rng.normal(size=n)) @ q.conj().T
+    assert frob(g + g.conj().T) > 0
+    return g
+
+
+def test_spectrum_and_closure_gates_are_relative_to_each_largest_entry():
+    rng = np.random.default_rng(11)
+    g = _roundoff_skew(rng, 4)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for scale in (1e-12, 1e9):
+        vals = [v for v, _ in liealg.spectrum_multiset(scale * g, 30)]
+        expected = scale * np.linalg.eigvalsh((1j * g + (1j * g).conj().T) / 2)[::-1]
+        assert np.allclose(vals, expected, rtol=1e-12, atol=0)
+        with pytest.raises(NonNormalInput):
+            liealg.spectrum_multiset(scale * m)
+        # below tol in norm, the small generator is not admitted, but it is not refused either
+        assert liealg.lie_closure([scale * g]).dimension == (scale > 1)
+    # each generator is judged against its own largest entry, not the chunk's
+    with pytest.raises(NotSkewHermitian):
+        liealg.lie_closure([kron(1e9 * _roundoff_skew(rng, 2), np.eye(2)), 1e-12 * m])
+
+
 def test_example_subspace_element(example_closure):
     _, basis = example_closure
     el = liealg.example_subspace_element()

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qwl import graphs, liealg, limits, walks
-from qwl.errors import DimMismatch, DomainExceeded, NotBijective, NotScalarAtZero, TooSmall
+from qwl.errors import (DimMismatch, DomainExceeded, NotBijective, NotScalarAtZero,
+                        NotSkewHermitian, TooSmall)
 from qwl.liealg import u_basis
 from qwl.linalg import (commutator, expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig,
                          is_hermitian, is_unitary, kron)
@@ -304,19 +305,21 @@ def _assert_character_operators(w, s, seed):
     The spectrum multiset is equal, and states and orbit-H blocks are within 1e-12.
     """
     a = graphs.adjacency(w.graph)
-    blocks = walks.adjacency_blocks(w)
-    assert blocks.shape == (w.walker_dim, 1, 1)
-    assert liealg.eigenvalue_multiset(blocks.ravel()) == liealg.spectrum_multiset(a)
+    eig = walks.adjacency_eig(w)
+    assert eig[0].shape == (w.walker_dim, 1)
+    spectrum = walks.adjacency_spectrum(w)
+    assert liealg.eigenvalue_multiset(spectrum) == liealg.spectrum_multiset(a)
     psi = seeded_state(w.walker_dim, seed)
-    state = walks.expm_momentum(w, np.linalg.eigh(blocks), s, psi)
-    assert np.abs(state - expm_eig(hermitian_eig(a), s, psi)).max() <= 1e-12
+    state = walks.expm_state(w, eig, s, psi)
+    assert np.abs(state - expm_eig(hermitian_eig(a), s) @ psi).max() <= 1e-12
     h = limits.orbit_hamiltonian(w)
-    h_blocks = limits.orbit_hamiltonian_blocks(w)
+    vals, vecs = limits.orbit_eig(w)
+    h_blocks = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     expected, off = walks.momentum_blocks(w, h)
     assert off <= 1e-12 and np.abs(h_blocks - expected).max() <= 1e-12
     psi = seeded_state(w.dim, seed)
-    state = walks.expm_momentum(w, np.linalg.eigh(h_blocks), s, psi)
-    assert np.abs(state - expm_eig(hermitian_eig(h), s, psi)).max() <= 1e-12
+    state = walks.expm_state(w, (vals, vecs), s, psi)
+    assert np.abs(state - expm_eig(hermitian_eig(h), s) @ psi).max() <= 1e-12
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -333,8 +336,19 @@ def test_character_operators_match_the_dense_path(w, s, seed):
 def test_character_kernel_at_s_zero_returns_the_state():
     w = walks.lattice_walk(3, 2)
     psi = seeded_state(w.dim, 4)
-    eig = np.linalg.eigh(limits.orbit_hamiltonian_blocks(w))
-    assert np.array_equal(walks.expm_momentum(w, eig, 0.0, psi), psi)
+    assert np.array_equal(walks.expm_state(w, limits.orbit_eig(w), 0.0, psi), psi)
+
+
+def test_step_generators_are_skew_relative_to_their_largest_entry():
+    rng = np.random.default_rng(11)
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    g = 1j * (q * rng.normal(size=2)) @ q.conj().T  # skew-Hermitian up to roundoff
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    assert frob(g + g.conj().T) > 0
+    for scale in (1e-12, 1e9):
+        assert limits.ProtocolStep(np.eye(2), scale * g).generator.shape == (2, 2)
+        with pytest.raises(NotSkewHermitian, match="largest entry"):
+            limits.ProtocolStep(np.eye(2), scale * m)
 
 
 def test_orbit_protocol_rejects_long_orbits(monkeypatch):

@@ -7,7 +7,6 @@ from qwl import graphs
 from qwl.errors import DimMismatch, NonHermitian
 from qwl.linalg import (
     commutator,
-    expm_eig,
     expm_hermitian,
     frob,
     hermitian_eig,
@@ -98,20 +97,26 @@ def test_expm_cycle4_eigenphases():
     assert np.allclose(sorted(got, key=np.angle), sorted(expected, key=np.angle), atol=1e-10)
 
 
-def test_expm_eig_applied_to_a_state():
-    rng = np.random.default_rng(3)
-    h = random_matrix(rng, 6)
-    h = h + h.conj().T
-    psi = random_matrix(rng, 6)[0]
-    eig = hermitian_eig(h)
-    for s in (0.0, 0.4, -2.5):
-        assert np.abs(expm_eig(eig, s, psi) - expm_eig(eig, s) @ psi).max() <= 1e-12
-    assert np.array_equal(expm_eig(eig, 0.0, psi), psi)
-
-
 def test_expm_rejects_non_hermitian():
     with pytest.raises(NonHermitian):
         expm_hermitian(circulant_shift(3), 1.0)
+
+
+def test_hermiticity_gates_are_relative_to_the_largest_entry():
+    rng = np.random.default_rng(11)
+    q = np.linalg.qr(random_matrix(rng, 12))[0]
+    h = (q * rng.standard_normal(12)) @ q.conj().T  # Hermitian up to roundoff, not exactly
+    m = random_matrix(rng, 12)
+    assert frob(h - h.conj().T) > 0
+    for scale in (1e-12, 1.0, 1e7):
+        assert is_hermitian(scale * h) and not is_hermitian(scale * m)
+        assert is_skew_hermitian(1j * scale * h) and not is_skew_hermitian(scale * m)
+        assert np.allclose(hermitian_eig(scale * h)[0], scale * hermitian_eig(h)[0], rtol=1e-12,
+                           atol=0)
+        with pytest.raises(NonHermitian):
+            hermitian_eig(scale * m)
+    # unitarity stays absolute
+    assert is_unitary(q) and not is_unitary(2 * q)
 
 
 def test_expm_group_property_and_unitarity():

@@ -21,7 +21,7 @@ from qwl.errors import (
     TooSmall,
     Unstable,
 )
-from qwl.linalg import frob, is_permutation, is_unitary, kron
+from qwl.linalg import expm_eig, frob, hermitian_eig, is_permutation, is_unitary, kron
 from qwl.rng import seeded_state, seeded_unitary
 from walk_cases import (
     CYCLE8_CHORDS,
@@ -176,8 +176,8 @@ def _assert_characters(w):
     assert not chars.flags.writeable and not exps.flags.writeable
     f = w.characters
     assert np.abs(f.conj().T @ f - np.eye(n)).max() <= 1e-12
-    angles, period = walks.momentum_angles(w)
-    assert period == n and angles.shape == (n, w.coin_dim)
+    angles = walks.momentum_angles(w)
+    assert angles.shape == (n, w.coin_dim) and angles.dtype.kind == "i"
     for k, row in enumerate(w.moves):
         expected = np.diag(np.exp(-2j * np.pi * angles[:, k] / n))
         assert np.abs(f.conj().T @ _translation(row) @ f - expected).max() <= 1e-12
@@ -195,7 +195,7 @@ def _assert_momentum_transform(w, rng):
     # sum_k A_k x P_k commutes with every translation, so it is block diagonal
     coins = rng.normal(size=(c, c, c)) + 1j * rng.normal(size=(c, c, c))
     x = sum(kron(a, _translation(row)) for a, row in zip(coins, w.moves))
-    angles, _ = walks.momentum_angles(w)
+    angles = walks.momentum_angles(w)
     expected = np.tensordot(np.exp(-2j * np.pi * angles / n), coins, axes=1)
     blocks, off = walks.momentum_blocks(w, x)
     assert off <= 1e-12 * frob(x)
@@ -218,12 +218,37 @@ def test_characters_are_the_exponential_formula_bitwise(make):
 
 
 def test_adjacency_blocks_need_a_group_and_distinct_targets():
-    assert walks.adjacency_blocks(turn_or_flip_cycle()) is None
-    w = walks.walk_from_json(repeated_target_json(3, CYCLE8_CHORDS))
-    assert w.group is not None and walks.adjacency_blocks(w) is None
-    blocks = walks.adjacency_blocks(walks.cycle_walk(5))
-    assert np.allclose(blocks.ravel(), 2 * np.cos(2 * np.pi * np.arange(5) / 5), rtol=0,
+    repeated = walks.walk_from_json(repeated_target_json(3, CYCLE8_CHORDS))
+    assert repeated.group is not None
+    # without a group or with repeated targets, A is decomposed densely
+    for w in (turn_or_flip_cycle(), repeated):
+        a = graphs.adjacency(w.graph)
+        vals, vecs = walks.adjacency_eig(w)
+        dense = hermitian_eig(a)
+        assert np.array_equal(vals, dense[0]) and np.array_equal(vecs, dense[1])
+        assert np.array_equal(walks.adjacency_spectrum(w), np.linalg.eigvalsh(a))
+    w = walks.cycle_walk(5)
+    vals, vecs = walks.adjacency_eig(w)
+    assert vals.shape == (5, 1) and np.array_equal(vecs, np.ones((5, 1, 1)))
+    # bitwise what eigh of the 1 x 1 blocks returns
+    block_vals, block_vecs = np.linalg.eigh(vals[:, :, None])
+    assert np.array_equal(block_vals, vals) and np.array_equal(block_vecs, vecs)
+    assert np.array_equal(walks.adjacency_spectrum(w), vals.ravel())
+    assert np.allclose(vals.ravel(), 2 * np.cos(2 * np.pi * np.arange(5) / 5), rtol=0,
                        atol=1e-15)
+
+
+def test_expm_state_from_dense_eigenpairs_is_the_matrix_applied():
+    rng = np.random.default_rng(3)
+    w = turn_or_flip_cycle()
+    h = rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim))
+    h = h + h.conj().T
+    psi = seeded_state(w.dim, 3)
+    eig = hermitian_eig(h)
+    for s in (0.0, 0.4, -2.5):
+        state = walks.expm_state(w, eig, s, psi)
+        assert np.abs(state - expm_eig(eig, s) @ psi).max() <= 1e-12
+    assert np.array_equal(walks.expm_state(w, eig, 0.0, psi), psi)
 
 
 def test_translation_walks_record_their_group():
