@@ -11,8 +11,15 @@ such protocol (``orbit_protocol``), with a closed-form limit Hamiltonian
 (``orbit_hamiltonian``) whose dynamics contain the continuous-time walk on
 the walk's graph.
 
-H depends only on the protocol: an atom's one fold of its steps yields T(0)
-and H, and every node keeps the eigenpairs of its H from first use.
+H depends only on the protocol: an atom's one dense fold of its steps yields
+T(0) and H, and every node keeps the eigenpairs of its H from first use.
+Every node evaluates T(x) in its walk's form: on a walk with a translation
+group, the C-contiguous (N, c, c) stack of its momentum blocks, in which
+block p of a step S (C x 1) is diag(D_p) C; on any other walk, the dense
+matrix.  The eigenpairs, the m-fold powers and the errors of a convergence
+study stay in that form, and the character transform is unitary, so every
+Frobenius error is the dense one.  ``protocol_unitary`` and
+``repeated_limit`` return dense matrices on every walk.
 """
 
 from dataclasses import dataclass
@@ -31,7 +38,7 @@ from .errors import (
 from .linalg import (expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig, is_permutation,
                      is_skew_hermitian, is_unitary)
 from .walks import (CoinedWalk, apply_step, checked_shift_order, conjugation_phases, cycle_walk,
-                    shift_matrix)
+                    from_momentum_blocks, momentum_blocks, shift_matrix, shift_phases)
 
 __all__ = [
     "ProtocolStep",
@@ -88,14 +95,29 @@ class ProtocolStep:
         object.__setattr__(self, "coin", coin)
         object.__setattr__(self, "generator", gen)
 
+    def coin_at(self, x: float) -> np.ndarray:
+        """The step's coin C exp(E*a*x) at perturbation x."""
+        if not self.generator.any():
+            return self.coin
+        return self.coin @ expm_skew(self.generator, self.slope * x)
+
 
 class _Node:
     """A protocol node: it has ``walk`` and ``phase``, and keeps the eigenpairs of its H."""
 
     @cached_property
     def eigenpairs(self):
-        """(eigenvalues, eigenvectors) of the effective Hamiltonian, computed on first use."""
-        return hermitian_eig(effective_hamiltonian(self))
+        """(eigenvalues, eigenvectors) of the effective Hamiltonian in the walk's form.
+
+        With a group they are np.linalg.eigh of H's (N, c, c) momentum blocks,
+        symmetrized; otherwise ``hermitian_eig`` of the dense H.  Computed on
+        first use.
+        """
+        h = effective_hamiltonian(self)
+        if self.walk.group is None:
+            return hermitian_eig(h)
+        blocks, _ = momentum_blocks(self.walk, h)
+        return np.linalg.eigh((blocks + _adjoint(blocks)) / 2)
 
 
 class Atom(_Node):
@@ -142,11 +164,17 @@ class Atom(_Node):
         self._hamiltonian.setflags(write=False)
 
     def unitary(self, x: float) -> np.ndarray:
-        u = np.eye(self.walk.dim, dtype=complex)
+        """T(x) in the walk's form: one batched product by diag(D_p) C per step, or dense."""
+        w = self.walk
+        if w.group is None:
+            u = np.eye(w.dim, dtype=complex)
+            for st in reversed(self.steps):
+                u = apply_step(w, st.coin_at(x), u)
+            return u
+        d = shift_phases(w)[:, :, None]
+        u = np.eye(w.coin_dim, dtype=complex)
         for st in reversed(self.steps):
-            coin = st.coin @ expm_skew(st.generator, st.slope * x) if st.generator.any() \
-                else st.coin
-            u = apply_step(self.walk, coin, u)
+            u = (d * st.coin_at(x)) @ u
         return u
 
     def hamiltonian(self) -> np.ndarray:
@@ -188,7 +216,7 @@ class Commutator(_Pair):
     def unitary(self, x: float) -> np.ndarray:
         u1 = self.left.unitary(np.sqrt(x))
         u2 = self.right.unitary(np.sqrt(x))
-        return u1 @ u2 @ u1.conj().T @ u2.conj().T
+        return u1 @ u2 @ _adjoint(u1) @ _adjoint(u2)
 
     def hamiltonian(self) -> np.ndarray:
         h1, h2 = self.left.hamiltonian(), self.right.hamiltonian()
@@ -267,11 +295,26 @@ def limit_hamiltonian_cycle(n: int) -> np.ndarray:
     return orbit_hamiltonian(cycle_walk(n))
 
 
-def protocol_unitary(p, x: float) -> np.ndarray:
-    """Evaluate the protocol's product at perturbation x."""
+def _adjoint(u):
+    """The adjoint of a matrix, or of each block of a stack."""
+    return u.conj().swapaxes(-1, -2)
+
+
+def _dense(w: CoinedWalk, u) -> np.ndarray:
+    """The dense matrix of an operator in w's form."""
+    return u if w.group is None else from_momentum_blocks(w, u)
+
+
+def _unitary(p, x: float) -> np.ndarray:
+    """T(x) in the form of p's walk, for x in [0, X_MAX)."""
     if not 0 <= x < X_MAX:
         raise DomainExceeded(f"perturbation x={x} outside [0, {X_MAX})")
     return p.unitary(x)
+
+
+def protocol_unitary(p, x: float) -> np.ndarray:
+    """Evaluate the protocol's product at perturbation x, as a dense matrix."""
+    return _dense(p.walk, _unitary(p, x))
 
 
 def effective_hamiltonian(p) -> np.ndarray:
@@ -281,25 +324,30 @@ def effective_hamiltonian(p) -> np.ndarray:
 
 def single_step_error(p, x: float) -> float:
     """|| phi^-1 T(x) - exp(-i*H*x) ||_F for one evaluation of the protocol."""
-    u = protocol_unitary(p, x) / p.phase
+    u = _unitary(p, x) / p.phase
     return frob(u - expm_eig(p.eigenpairs, x))
 
 
-def repeated_limit(p, gamma: float, t: float, m: int):
-    """Apply the de-phased protocol m times at x = gamma*t/m.
-
-    Returns (the m-fold product, its Frobenius distance to
-    exp(-i*gamma*H*t)).  The error decays like 1/m.
-    """
+def _repeated(p, gamma: float, t: float, m: int):
+    """The de-phased m-fold product at x = gamma*t/m in the walk's form, and its error."""
     if m < 1:
         raise TooSmall(f"repetition count must be >= 1, got {m}")
     x = gamma * t / m
     if x >= X_MAX:
         raise DomainExceeded(
             f"gamma*t/m = {x} >= {X_MAX}; raise m to shrink the perturbation")
-    u = protocol_unitary(p, x) / p.phase
-    result = np.linalg.matrix_power(u, m)
+    result = np.linalg.matrix_power(_unitary(p, x) / p.phase, m)
     return result, frob(result - expm_eig(p.eigenpairs, gamma * t))
+
+
+def repeated_limit(p, gamma: float, t: float, m: int):
+    """Apply the de-phased protocol m times at x = gamma*t/m.
+
+    Returns (the dense m-fold product, its Frobenius distance to
+    exp(-i*gamma*H*t)).  The error decays like 1/m.
+    """
+    result, err = _repeated(p, gamma, t, m)
+    return _dense(p.walk, result), err
 
 
 @dataclass(frozen=True)
@@ -333,7 +381,7 @@ def convergence_study(p, gamma: float, t: float, m_list) -> ConvergenceReport:
         raise DomainExceeded("m_list must be nonempty and strictly ascending")
     samples = []
     for m in m_list:
-        _, err = repeated_limit(p, gamma, t, m)
+        _, err = _repeated(p, gamma, t, m)
         samples.append((gamma * t / m, err))
     return ConvergenceReport(tuple(samples), _fit_exponent(samples))
 

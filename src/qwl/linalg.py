@@ -119,11 +119,16 @@ def expm_hermitian(h, s: float) -> np.ndarray:
 
 
 def expm_eig(eig, s: float) -> np.ndarray:
-    """exp(-i*s*H) from the eigenpairs (w, v) of H, so one decomposition serves every s."""
+    """exp(-i*s*H) from the eigenpairs (w, v) of H, so one decomposition serves every s.
+
+    Eigenpairs of a (k, n, n) stack of blocks, values (k, n) and vectors
+    (k, n, n), give the stack of the blocks' exponentials; at s = 0 the
+    result is exactly the identity, of v's shape.
+    """
     w, v = eig
     if s == 0:
-        return np.eye(len(w), dtype=complex)
-    return (v * np.exp(-1j * s * w)) @ v.conj().T
+        return np.broadcast_to(np.eye(v.shape[-1], dtype=complex), v.shape).copy()
+    return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def expm_skew(k, s: float = 1.0) -> np.ndarray:

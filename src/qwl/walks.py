@@ -14,7 +14,8 @@ translation walk on the abelian group they generate, and the constructor
 builds that group's N characters from the move table alone, for a built-in
 walk and a file walk alike.  In the basis of characters (momenta) the
 shift is diagonal, so ``momentum_blocks`` splits an operator into N coin
-blocks of c x c, and conjugation by S multiplies each block by
+blocks of c x c, block p of a step S (C x 1) is diag(D_p) C with D_p from
+``shift_phases``, and conjugation by S multiplies each block by
 ``conjugation_phases``.  The continuous-time operators are diagonal there
 too: when every vertex's coins reach distinct neighbours, the adjacency is
 sum_k P_k, with eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p.
@@ -57,6 +58,7 @@ __all__ = [
     "shift_order",
     "checked_shift_order",
     "momentum_angles",
+    "shift_phases",
     "conjugation_phases",
     "momentum_blocks",
     "from_momentum_blocks",
@@ -310,10 +312,24 @@ def momentum_angles(w: CoinedWalk) -> np.ndarray:
     return chars @ exps[w.moves[:, 0]].T % w.walker_dim
 
 
+def _phases(angles, n: int) -> np.ndarray:
+    """exp(-2 pi i (angles mod N) / N) for integer angles, the one place the sign of D_p is set."""
+    return np.exp(-2j * np.pi * (angles % n) / n)
+
+
+def shift_phases(w: CoinedWalk) -> np.ndarray:
+    """(N, c) phases D_p[k] = exp(-2 pi i angles[p, k] / N): block p of S (C x 1) is diag(D_p) C."""
+    return _phases(momentum_angles(w), w.walker_dim)
+
+
 def conjugation_phases(w: CoinedWalk) -> np.ndarray:
-    """(N, c, c) phases D_p[a] conj(D_p[b]): block p of S X S^-1 is X_p times phases[p]."""
-    angles, n = momentum_angles(w), w.walker_dim
-    return np.exp(-2j * np.pi * ((angles[:, :, None] - angles[:, None, :]) % n) / n)
+    """(N, c, c) phases D_p[a] conj(D_p[b]): block p of S X S^-1 is X_p times phases[p].
+
+    They are the phases of ``shift_phases`` at the angle differences, each
+    one exact root of unity, not a product of two rounded ones.
+    """
+    angles = momentum_angles(w)
+    return _phases(angles[:, :, None] - angles[:, None, :], w.walker_dim)
 
 
 def momentum_blocks(w: CoinedWalk, x):

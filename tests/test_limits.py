@@ -13,7 +13,8 @@ from qwl.liealg import u_basis
 from qwl.linalg import (commutator, expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig,
                          is_hermitian, is_unitary, kron)
 from qwl.rng import LcgStream, seeded_state
-from walk_cases import cayley_walks, relabelled, relabelled_cycle, translation_walks
+from walk_cases import (cayley_walks, relabelled, relabelled_cycle, translation_walks,
+                        two_triangles)
 
 R = limits.R_COIN
 D = limits.D_COIN
@@ -104,23 +105,48 @@ def test_structured_atoms_match_dense_oracle():
 def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
     stream = LcgStream(7)
     a, b, c = (random_u2_atom(8, stream, perturbed) for perturbed in ({0, 3}, {2, 5}, {1, 6}))
+    triangles = two_triangles()
     protocols = [limits.strauch_protocol(8), limits.evencyc_protocol(8),
-                 limits.Commutator(limits.Concat(a, b), c)]
+                 limits.Commutator(limits.Concat(a, b), c),
+                 limits.two_step_protocol(triangles), limits.orbit_protocol(triangles)]
     eigh = np.linalg.eigh
-    sizes = []
+    shapes = []
 
     def counting_eigh(h, *args, **kwargs):
-        sizes.append(len(h))
+        shapes.append(np.shape(h))
         return eigh(h, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for p in protocols:
-        sizes.clear()
+        w = p.walk
+        shapes.clear()
         # what `qwl converge` computes: the study, then one single-step error per m
         study = limits.convergence_study(p, 1.0, 1.0, m_list)
         for x, _ in study.samples:
             limits.single_step_error(p, x)
-        assert sizes.count(p.walk.dim) == 1
+        # H's momentum blocks on a translation walk, the dense H on a walk without a group;
+        # every other eigh is a step's c x c coin exponential
+        h_shape = (w.dim,) * 2 if w.group is None else (w.walker_dim, w.coin_dim, w.coin_dim)
+        assert shapes.count(h_shape) == 1
+        assert set(shapes) <= {h_shape, (w.coin_dim,) * 2}
+
+
+def test_converge_on_a_translation_walk_stays_in_momentum_blocks(monkeypatch):
+    stream = LcgStream(9)
+    a, b = (random_u2_atom(6, stream, perturbed) for perturbed in ({0, 3}, {2, 5}))
+    p = limits.Commutator(limits.Concat(a, limits.evencyc_protocol(6)), b)
+    expected = limits.convergence_study(p, 1.0, 1.0, [8, 16, 32])
+
+    def dense(*args):
+        raise AssertionError("a dense walk operator was formed")
+
+    # after construction, nothing of size dim x dim: no dense step, no block-to-dense map
+    monkeypatch.setattr(limits, "apply_step", dense)
+    monkeypatch.setattr(limits, "from_momentum_blocks", dense)
+    assert limits.convergence_study(p, 1.0, 1.0, [8, 16, 32]) == expected
+    assert p.unitary(0.1).shape == (6, 2, 2)
+    for x, _ in expected.samples:
+        limits.single_step_error(p, x)
 
 
 def test_atom_hamiltonian_is_stored_read_only():
@@ -165,11 +191,21 @@ def protocols(draw):
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(protocols(), st.floats(0, 0.5))
 def test_stored_hamiltonian_and_eigenpairs_match_dense_oracles(p, x):
-    h = limits.effective_hamiltonian(p)
-    assert frob(h - dense_hamiltonian(p)) <= 1e-12
-    assert frob(limits.protocol_unitary(p, x) - dense_unitary(p, x)) <= 1e-12
-    expected = frob(limits.protocol_unitary(p, x) / p.phase - expm_hermitian(h, x))
-    assert abs(limits.single_step_error(p, x) - expected) <= 1e-12
+    """H, and from the momentum blocks T(x), its m-th power, the single-step and the repeated
+    error, are the dense products' within 1e-12, at x and at 0, 0.01 and 0.3."""
+    h = dense_hamiltonian(p)
+    assert frob(limits.effective_hamiltonian(p) - h) <= 1e-12
+    m = 5
+    for x in (x, 0.0, 0.01, 0.3):
+        u = dense_unitary(p, x)
+        assert frob(limits.protocol_unitary(p, x) - u) <= 1e-12
+        expected = frob(u / p.phase - expm_hermitian(h, x))
+        assert abs(limits.single_step_error(p, x) - expected) <= 1e-12
+        t = m * x
+        power = np.linalg.matrix_power(dense_unitary(p, t / m) / p.phase, m)
+        result, err = limits.repeated_limit(p, 1.0, t, m)
+        assert frob(result - power) <= 1e-12
+        assert abs(err - frob(power - expm_hermitian(h, t))) <= 1e-12
 
 
 def test_strauch_coin():

@@ -7,6 +7,7 @@ from qwl import graphs
 from qwl.errors import DimMismatch, NonHermitian
 from qwl.linalg import (
     commutator,
+    expm_eig,
     expm_hermitian,
     frob,
     hermitian_eig,
@@ -81,6 +82,21 @@ def test_expm_zero_time_is_identity():
     h = random_matrix(rng, 5)
     h = h + h.conj().T
     assert frob(expm_hermitian(h, 0.0) - np.eye(5)) <= 1e-12
+
+
+def test_expm_eig_of_a_stack_is_each_blocks_exponential():
+    rng = np.random.default_rng(3)
+    h = np.stack([random_matrix(rng, 3) for _ in range(4)])
+    h = h + h.conj().swapaxes(-1, -2)
+    eig = np.linalg.eigh(h)
+    for s in (0.7, -1.3):
+        out = expm_eig(eig, s)
+        assert out.shape == (4, 3, 3)
+        for block, hk in zip(out, h):
+            assert frob(block - expm_hermitian(hk, s)) <= 1e-12
+    out = expm_eig(eig, 0.0)
+    assert out.dtype == complex and np.array_equal(out, np.broadcast_to(np.eye(3), (4, 3, 3)))
+    out[0, 0, 0] = 2  # a writable array of its own
 
 
 def test_expm_diagonal_phases():

@@ -204,6 +204,22 @@ def _assert_momentum_transform(w, rng):
     assert np.abs(walks.from_momentum_blocks(w, blocks[None])[0] - x).max() <= 1e-12 * frob(x)
 
 
+@pytest.mark.parametrize("make", [lambda: walks.cycle_walk(5), lambda: walks.lattice_walk(3, 2),
+                                  walks.example_walk, relabelled_cycle],
+                         ids=["cycle:5", "lattice:3,2", "example", "relabelled cycle:7"])
+def test_shift_phases_are_the_blocks_of_the_shift(make):
+    w = make()
+    c, n = w.coin_dim, w.walker_dim
+    d = walks.shift_phases(w)
+    assert d.shape == (n, c)
+    s = walks.from_momentum_blocks(w, d[:, :, None] * np.eye(c))
+    assert np.abs(s - walks.shift_matrix(w)).max() <= 1e-12
+    # conjugation by S puts D_p[a] conj(D_p[b]) on block p, each phase an exact root of unity
+    phases = walks.conjugation_phases(w)
+    assert np.abs(phases - d[:, :, None] * d[:, None, :].conj()).max() <= 1e-15
+    assert np.all(phases[:, np.arange(c), np.arange(c)] == 1)
+
+
 @pytest.mark.parametrize("make", [lambda: walks.cycle_walk(7), lambda: walks.lattice_walk(4, 2),
                                   walks.example_walk, relabelled_cycle],
                          ids=["cycle:7", "lattice:4,2", "example", "relabelled cycle:7"])

@@ -50,6 +50,14 @@ def turn_or_flip_cycle(n=6):
     return walks.walk_from_json(turn_or_flip_cycle_json(n))
 
 
+def two_triangles():
+    """A two-coin walk on two disjoint triangles; the moves do not act transitively, so it
+    has no group, and coin 1's moves undo coin 0's."""
+    return walks.walk_from_json({
+        "graph": {"n": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]},
+        "coin_dim": 2, "moves": [[1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4]]})
+
+
 CYCLE8_CHORDS = ((0, 2), (1, 5), (3, 7), (4, 6))
 
 
