@@ -212,11 +212,14 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     contiguous run of j at a time, until a pass admits nothing.  The basis
     array doubles as it fills, within ``MAX_CLOSURE_BYTES``.
 
-    Admission is scale-free and keeps candidate order: a chunk's candidates
-    of norm above tol are normalized and projected off the span with one
-    matrix product; each remainder still above tol is then projected off
-    the elements admitted from the same chunk, and admitted, normalized,
-    if it stays above tol.
+    Admission is scale-free and keeps candidate order.  A generator counts
+    as zero if its norm is at most tol times the largest norm of the
+    generators read up to it, itself included, so a common scale of the
+    generators changes nothing; a bracket of unit elements, if its norm is
+    at most tol.  A chunk's other candidates are normalized and projected
+    off the span with one matrix product; each remainder still above tol is
+    then projected off the elements admitted from the same chunk, and
+    admitted, normalized, if it stays above tol.
     """
     _check_tol(tol)
     gens = iter(gens)
@@ -230,12 +233,17 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     m = _chunk_len(entries)
     basis = np.empty((0, *shape), dtype=complex)  # basis[:k] is the span, the rest spare capacity
     k = 0
+    largest = 0.0  # the largest generator norm read so far
 
-    def admit(stack):
+    def admit(stack, generators=False):
         """Admit the components of a C-contiguous (m, ...) stack outside the span; overwrites it."""
-        nonlocal basis, k
+        nonlocal basis, k, largest
         norms = _norms(stack)
-        nonzero = norms > tol
+        floor = tol
+        if generators:
+            running = np.maximum.accumulate(np.maximum(norms, largest))
+            largest, floor = running[-1], tol * running
+        nonzero = norms > floor
         if not nonzero.all():
             stack, norms = stack[nonzero], norms[nonzero]
         stack /= norms[:, None, None]
@@ -261,10 +269,10 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
         chunk[fill] = g
         fill += 1
         if fill == m:
-            admit(_check_skew(chunk))
+            admit(_check_skew(chunk), generators=True)
             fill = 0
     if fill:
-        admit(_check_skew(chunk[:fill]))
+        admit(_check_skew(chunk[:fill]), generators=True)
     cap = entries + 10
     start = 0  # elements before this index have been bracketed pairwise already
     for passes in range(1, cap + 1):

@@ -15,10 +15,11 @@ H depends only on the protocol: an atom's one dense fold of its steps yields
 T(0) and H, and every node keeps the eigenpairs of its H from first use.
 Every node evaluates T(x) in its walk's form: on a walk with a translation
 group, the C-contiguous (N, c, c) stack of its momentum blocks, in which
-block p of a step S (C x 1) is diag(D_p) C; on any other walk, the dense
-matrix.  The eigenpairs, the m-fold powers and the errors of a convergence
-study stay in that form, and the character transform is unitary, so every
-Frobenius error is the dense one.  ``protocol_unitary`` and
+block p of a step S (C x 1) is diag(D_p) C, and an atom folds each run of
+unperturbed steps into one such product on first use; on any other walk,
+the dense matrix.  The eigenpairs, the m-fold powers and the errors of a
+convergence study stay in that form, and the character transform is
+unitary, so every Frobenius error is the dense one.  ``protocol_unitary`` and
 ``repeated_limit`` return dense matrices on every walk.
 """
 
@@ -163,18 +164,39 @@ class Atom(_Node):
         self._hamiltonian = 1j * h
         self._hamiltonian.setflags(write=False)
 
+    @cached_property
+    def _block_factors(self):
+        """T(x)'s factors in momentum blocks, the first to act first, computed on first use.
+
+        A perturbed step stays a ``ProtocolStep``; each maximal run of steps
+        with a zero generator is folded into the read-only (N, c, c) product
+        of its blocks diag(D_p) C.
+        """
+        d = shift_phases(self.walk)[:, :, None]
+        factors = []
+        for st in reversed(self.steps):
+            if st.generator.any():
+                factors.append(st)
+                continue
+            block = d * st.coin
+            if factors and isinstance(factors[-1], np.ndarray):
+                block = block @ factors.pop()
+            block.setflags(write=False)
+            factors.append(block)
+        return d, tuple(factors)
+
     def unitary(self, x: float) -> np.ndarray:
-        """T(x) in the walk's form: one batched product by diag(D_p) C per step, or dense."""
+        """T(x) in the walk's form: one batched product per perturbed step or idle run, or dense."""
         w = self.walk
         if w.group is None:
             u = np.eye(w.dim, dtype=complex)
             for st in reversed(self.steps):
                 u = apply_step(w, st.coin_at(x), u)
             return u
-        d = shift_phases(w)[:, :, None]
+        d, factors = self._block_factors
         u = np.eye(w.coin_dim, dtype=complex)
-        for st in reversed(self.steps):
-            u = (d * st.coin_at(x)) @ u
+        for f in factors:
+            u = (d * f.coin_at(x) if isinstance(f, ProtocolStep) else f) @ u
         return u
 
     def hamiltonian(self) -> np.ndarray:

@@ -16,7 +16,14 @@ walk and a file walk alike.  In the basis of characters (momenta) the
 shift is diagonal, so ``momentum_blocks`` splits an operator into N coin
 blocks of c x c, block p of a step S (C x 1) is diag(D_p) C with D_p from
 ``shift_phases``, and conjugation by S multiplies each block by
-``conjugation_phases``.  The continuous-time operators are diagonal there
+``conjugation_phases``.  The change of basis forms no N x N matrix: it is
+a mixed-radix transform (Cooley and Tukey 1965) with one stage per coin
+that grew the orbit, a twiddle and an m_k x m_k DFT each, applied by
+``_to_momenta`` and ``_from_momenta``; a one-stage group (every cycle)
+has one N x N DFT.  An operator's blocks come from its mean along the
+translations, so only c^2 vectors of size N are transformed, and its
+mass off the blocks is its distance from that mean.  The continuous-time
+operators are diagonal there
 too: when every vertex's coins reach distinct neighbours, the adjacency is
 sum_k P_k, with eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p.
 ``adjacency_spectrum`` and ``adjacency_eig`` pick that form or the dense A,
@@ -154,18 +161,72 @@ class CoinedWalk:
         return self.moves.size
 
     @cached_property
-    def characters(self) -> np.ndarray:
-        """The read-only unitary N x N matrix whose column p is the momentum state |p>.
+    def _momentum_stages(self):
+        """The character transform's factors: (grid, stages), built once per walk from group.
 
-        Needs group.  Entry (v, p) is read from a table of the N roots
-        exp(2 pi i k / N) / sqrt(N) at k = chars[p] . exps[v] mod N, once per walk.
+        Vertex v sits at grid[v], the mixed-radix index of exps[v] with e_1
+        most significant.  Stage k, for the k-th coin that grew the orbit of
+        vertex 0 m_k-fold, is (twiddles, dft): the (A_k, m_k) phases
+        exp(-2 pi i t_k e_k / N), A_k = m_1 ... m_(k-1), or None where all are 1,
+        and the symmetric m_k x m_k DFT exp(-2 pi i j e / m_k) / sqrt(m_k).
+        Row p of chars is t_k + j_k N / m_k in column k, with the digits j of p
+        in mixed radix, j_1 most significant, and t_k a function of
+        j_1 ... j_(k-1) alone.  Both factors are read from one table of the
+        N roots exp(-2 pi i l / N) at integer angles l mod N.
         """
         chars, exps = self.group
         n = self.walker_dim
-        roots = np.exp(2j * np.pi * np.arange(n) / n) / math.sqrt(n)
-        f = roots[exps @ chars.T % n]
-        f.setflags(write=False)
-        return f
+        roots = _phases(np.arange(n), n)
+        sizes = exps.max(axis=0) + 1
+        grid = np.ravel_multi_index(tuple(exps.T), sizes)
+        grid.setflags(write=False)
+        stages, prefixes = [], 1
+        for k, m in enumerate(sizes.tolist()):
+            e = np.arange(m, dtype=np.int32)  # j e N / m_k < N^2 <= MAX_DIM^2 < 2^31
+            t = chars[::n // prefixes, k] % (n // m)  # t_k of each prefix j_1 ... j_(k-1)
+            twiddles = roots[np.outer(t, e) % n] if t.any() else None
+            angles = np.outer(e, e * (n // m))
+            angles %= n
+            dft = (roots / math.sqrt(m))[angles]
+            for a in (twiddles, dft):
+                if a is not None:
+                    a.setflags(write=False)
+            stages.append((twiddles, dft))
+            prefixes *= m
+        return grid, tuple(stages)
+
+    @cached_property
+    def _along(self) -> np.ndarray:
+        """Read-only int32 flat indices into a (dim, dim) operator, along the translations.
+
+        Needs group.  Entry [u, g, a, b] indexes <a, g + u| x |b, u>, so x
+        commutes with every translation iff it is constant along u.  Vertex
+        g + u is T_u g for the translation T_u = P_1^e_1 ... P_r^e_r, e =
+        exps[u], built one coin that grew the orbit at a time: the coin of
+        stage k moves vertex 0 to the vertex with exponents e_k.  The group
+        is abelian, so the table of g + u is symmetric.
+        """
+        grid, stages = self._momentum_stages
+        n = self.walker_dim
+        at = np.argsort(grid)  # the vertex at each grid point
+        translations = np.arange(n, dtype=np.int32)[None, :]
+        stride = n
+        for _, dft in stages:
+            stride //= len(dft)
+            step = self.moves[np.flatnonzero(self.moves[:, 0] == at[stride])[0]].astype(np.int32)
+            cosets = [translations]
+            for _ in range(len(dft) - 1):
+                cosets.append(step[cosets[-1]])
+            translations = np.concatenate(cosets)
+        sums = np.empty_like(translations)
+        sums[translations[:, 0]] = translations  # sums[u, g] = g + u
+        # row a N + g + u, column b N + u; the flat index stays below dim^2 <= MAX_DIM^2 < 2^31
+        coin = np.arange(self.coin_dim, dtype=np.int32) * n
+        rows = sums[:, :, None, None] + coin[:, None]
+        cols = sums[:, :1, None, None] + coin  # sums[u, 0] = u
+        along = rows * np.int32(self.dim) + cols
+        along.setflags(write=False)
+        return along
 
 
 def _translation_group(moves: np.ndarray):
@@ -332,32 +393,79 @@ def conjugation_phases(w: CoinedWalk) -> np.ndarray:
     return _phases(angles[:, :, None] - angles[:, None, :], w.walker_dim)
 
 
+def _to_momenta(w: CoinedWalk, x) -> np.ndarray:
+    """The character transform F^dag along axis 0 of x (N, ...).
+
+    Row p of F^dag x is <p| x = N^(-1/2) sum_v conj(chi_p(v)) x[v].  x is
+    scattered to the grid of exponents, and stage k multiplies by its
+    twiddles, then applies its DFT along axis e_k with one matmul, so the
+    cost per column is N (m_1 + ... + m_r).  A one-stage group's DFT is the
+    N x N matrix F^dag itself, in grid order.
+    """
+    grid, stages = w._momentum_stages
+    y = np.empty(np.shape(x), dtype=complex)
+    y[grid] = x
+    prefixes = 1
+    for twiddles, dft in stages:
+        y = y.reshape(prefixes, len(dft), -1)
+        if twiddles is not None:
+            y *= twiddles[:, :, None]
+        y = np.matmul(dft, y)
+        prefixes *= len(dft)
+    return y.reshape(np.shape(x))
+
+
+def _from_momenta(w: CoinedWalk, y) -> np.ndarray:
+    """The inverse transform F along axis 0 of y (N, ...): row v is N^(-1/2) sum_p chi_p(v) y[p].
+
+    F y = conj(conj(F) conj(y)), and conj(F) is the transpose of F^dag: the
+    stages of ``_to_momenta`` transposed, last first (each DFT is symmetric
+    and each twiddle diagonal), then a gather from the grid.
+    """
+    grid, stages = w._momentum_stages
+    x = np.conj(y)
+    prefixes = w.walker_dim
+    for twiddles, dft in reversed(stages):
+        prefixes //= len(dft)
+        x = np.matmul(dft, x.reshape(prefixes, len(dft), -1))
+        if twiddles is not None:
+            x *= twiddles[:, :, None]
+    x = x.reshape(np.shape(y))[grid]
+    return np.conj(x, out=x)
+
+
 def momentum_blocks(w: CoinedWalk, x):
     """Momentum blocks of operators x, of shape (..., dim, dim), and the Frobenius mass off them.
 
     Returns the C-contiguous (..., N, c, c) blocks <a,p| x |b,p> and, for
     each operator, the norm of its entries <a,p| x |b,q> with p != q, so
-    that ||x||^2 = ||blocks||^2 + off^2.  Needs w.group.
+    that ||x||^2 = ||blocks||^2 + off^2.  Needs w.group.  The blocks are
+    the translation-invariant part of x, whose entry at (g + u, u) is the
+    mean d[g] of x over u, so block p is sqrt(N) <p| d; off is the norm of
+    x minus that part.  Only d goes to the characters.
     """
-    f = w.characters
-    c, n = w.coin_dim, w.walker_dim
+    n = w.walker_dim
     lead = np.shape(x)[:-2]
-    # xt[..., a, b, p, q] = <a,p| x |b,q>
-    xt = f.conj().T @ np.reshape(x, lead + (c, n, c, n)).swapaxes(-3, -2) @ f
-    blocks = np.moveaxis(np.diagonal(xt, axis1=-2, axis2=-1), -1, -3).copy()
-    p = np.arange(n)
-    xt[..., p, p] = 0
-    return blocks, np.linalg.norm(xt.reshape(lead + (-1,)), axis=-1)
+    along = np.take(np.reshape(x, lead + (-1,)), w._along, axis=-1).astype(complex, copy=False)
+    d = along.mean(axis=-4)
+    along -= d[..., None, :, :, :]
+    off = np.sqrt(np.square(along.view(float)).reshape(lead + (-1,)).sum(axis=-1))
+    blocks = math.sqrt(n) * _to_momenta(w, np.moveaxis(d, -3, 0))
+    return np.moveaxis(blocks, 0, -3).copy(), off
 
 
 def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
-    """The dense (..., dim, dim) operators whose momentum blocks are blocks (..., N, c, c)."""
-    f = w.characters
-    c, n = w.coin_dim, w.walker_dim
+    """The dense (..., dim, dim) operators whose momentum blocks are blocks (..., N, c, c).
+
+    Such an operator commutes with the translations: its entry <a, g + u| x |b, u>
+    is <a,g| F blocks |b> / sqrt(N) for every u.
+    """
+    dim = w.dim
     lead = np.shape(blocks)[:-3]
-    # x[..., a, b] = F diag(blocks[..., :, a, b]) F^dag on the walker axes
-    x = (f * np.moveaxis(blocks, -3, -1)[..., None, :]) @ f.conj().T
-    return x.swapaxes(-3, -2).reshape(lead + (c * n, c * n))
+    b = _from_momenta(w, np.moveaxis(blocks, -3, 0)) / math.sqrt(w.walker_dim)
+    x = np.empty(lead + (dim * dim,), dtype=complex)
+    x[..., w._along] = np.moveaxis(b, 0, -3)[..., None, :, :, :]
+    return x.reshape(lead + (dim, dim))
 
 
 def _adjacency_sums(w: CoinedWalk):
@@ -396,18 +504,17 @@ def expm_state(w: CoinedWalk, eig, s: float, psi) -> np.ndarray:
     With 1-D vals they are the dense K's, and the result is V (exp(-i*s*vals) * (V^dag psi)).
     Otherwise they are np.linalg.eigh of K's (N, k, k) blocks, k = 1 on the
     walker space and c on the walk space; psi (size k*N, coin-major) goes to
-    the characters and back with two products by the N x N character matrix.
+    the characters and back by ``_to_momenta`` and ``_from_momenta``.
     """
     if s == 0:
         return np.array(psi, dtype=complex)
     vals, vecs = eig
     if np.ndim(vals) == 1:
         return vecs @ (np.exp(-1j * s * vals) * (vecs.conj().T @ psi))
-    f = w.characters
     n, k = vals.shape
-    x = (np.reshape(psi, (k, n)).conj() @ f).conj()  # x[a, p] = <a,p| psi>
-    x = np.einsum("pba,bp->pa", vecs.conj(), x) * np.exp(-1j * s * vals)
-    return (f @ np.einsum("pab,pb->pa", vecs, x)).T.ravel()
+    x = _to_momenta(w, np.reshape(psi, (k, n)).T)  # x[p, a] = <a,p| psi>
+    x = np.einsum("pba,pb->pa", vecs.conj(), x) * np.exp(-1j * s * vals)
+    return _from_momenta(w, np.einsum("pab,pb->pa", vecs, x)).T.ravel()
 
 
 def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:

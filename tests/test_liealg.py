@@ -305,14 +305,20 @@ def test_spectrum_and_closure_gates_are_relative_to_each_largest_entry():
     rng = np.random.default_rng(11)
     g = _roundoff_skew(rng, 4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = _roundoff_skew(rng, 4)
     for scale in (1e-12, 1e9):
         vals = [v for v, _ in liealg.spectrum_multiset(scale * g, 30)]
         expected = scale * np.linalg.eigvalsh((1j * g + (1j * g).conj().T) / 2)[::-1]
         assert np.allclose(vals, expected, rtol=1e-12, atol=0)
         with pytest.raises(NonNormalInput):
             liealg.spectrum_multiset(scale * m)
-        # below tol in norm, the small generator is not admitted, but it is not refused either
-        assert liealg.lie_closure([scale * g]).dimension == (scale > 1)
+        # a generator's norm is judged against the largest generator norm, so scale is no gate
+        assert liealg.lie_closure([scale * g]).dimension == 1
+        assert liealg.lie_closure([scale * g, scale * h]).dimension > 1
+        assert liealg.lie_closure([scale * g, 1e-12 * scale * h]).dimension == 1
+    # an exact zero generator is no direction, at any scale of the others
+    assert liealg.lie_closure([np.zeros((4, 4), dtype=complex)]).dimension == 0
+    assert liealg.lie_closure([np.zeros((4, 4), dtype=complex), 1e-12 * g]).dimension == 1
     # each generator is judged against its own largest entry, not the chunk's
     with pytest.raises(NotSkewHermitian):
         liealg.lie_closure([kron(1e9 * _roundoff_skew(rng, 2), np.eye(2)), 1e-12 * m])

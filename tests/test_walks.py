@@ -163,8 +163,16 @@ def _translation(row) -> np.ndarray:
     return p
 
 
-def _assert_characters(w):
-    """w.group's character matrix F is unitary and diagonalizes every move.
+def _characters(w) -> np.ndarray:
+    """The unitary N x N character matrix F of w.group, from its formula: column p is |p>."""
+    chars, exps = w.group
+    n = w.walker_dim
+    return np.exp(2j * np.pi * (exps @ chars.T % n) / n) / np.sqrt(n)
+
+
+def _assert_characters(w, rng):
+    """w.group's character matrix F is unitary and diagonalizes every move, and the staged
+    transforms apply F^dag and F within 1e-12.
 
     F^dag P_k F = diag(exp(-2 pi i angles[:, k] / N)) for every coin k.
     """
@@ -174,24 +182,42 @@ def _assert_characters(w):
     assert chars.shape == exps.shape == (n, r) and 2 ** r <= n
     assert chars.dtype.kind == exps.dtype.kind == "i"
     assert not chars.flags.writeable and not exps.flags.writeable
-    f = w.characters
+    f = _characters(w)
     assert np.abs(f.conj().T @ f - np.eye(n)).max() <= 1e-12
     angles = walks.momentum_angles(w)
     assert angles.shape == (n, w.coin_dim) and angles.dtype.kind == "i"
     for k, row in enumerate(w.moves):
         expected = np.diag(np.exp(-2j * np.pi * angles[:, k] / n))
         assert np.abs(f.conj().T @ _translation(row) @ f - expected).max() <= 1e-12
+    x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    assert np.abs(walks._to_momenta(w, x) - f.conj().T @ x).max() <= 1e-12
+    assert np.abs(walks._from_momenta(w, x) - f @ x).max() <= 1e-12
+    assert np.abs(walks._from_momenta(w, walks._to_momenta(w, x)) - x).max() <= 1e-12
+    # a vector transforms as a single column
+    assert np.abs(walks._to_momenta(w, x[:, 0]) - f.conj().T @ x[:, 0]).max() <= 1e-12
 
 
 def _assert_momentum_transform(w, rng):
-    """momentum_blocks keeps the Frobenius norm and inverts from_momentum_blocks."""
+    """momentum_blocks and from_momentum_blocks match the character matrix F, keep the
+    Frobenius norm and invert each other."""
     c, n, dim = w.coin_dim, w.walker_dim, w.dim
+    f = _characters(w)
+    p = np.arange(n)
     x = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
     blocks, off = walks.momentum_blocks(w, x)
     assert blocks.shape == (2, n, c, c) and blocks.flags.c_contiguous and off.shape == (2,)
+    # xt[k, a, b, p, q] = <a,p| x_k |b,q>
+    xt = f.conj().T @ x.reshape(2, c, n, c, n).swapaxes(-3, -2) @ f
+    assert np.abs(blocks - np.moveaxis(xt[..., p, p], -1, -3)).max() <= 1e-12 * frob(x)
+    xt[..., p, p] = 0
+    assert np.abs(off - np.linalg.norm(xt.reshape(2, -1), axis=1)).max() <= 1e-12 * frob(x)
     total = np.linalg.norm(x.reshape(2, -1), axis=1) ** 2
     assert np.allclose(np.linalg.norm(blocks.reshape(2, -1), axis=1) ** 2 + off ** 2, total,
                        rtol=1e-12, atol=0)
+    # F diag(blocks) F^dag on the walker axes
+    dense = (f * np.moveaxis(blocks, -3, -1)[..., None, :]) @ f.conj().T
+    dense = dense.swapaxes(-3, -2).reshape(2, dim, dim)
+    assert np.abs(walks.from_momentum_blocks(w, blocks) - dense).max() <= 1e-12 * frob(x)
     # sum_k A_k x P_k commutes with every translation, so it is block diagonal
     coins = rng.normal(size=(c, c, c)) + 1j * rng.normal(size=(c, c, c))
     x = sum(kron(a, _translation(row)) for a, row in zip(coins, w.moves))
@@ -224,13 +250,46 @@ def test_shift_phases_are_the_blocks_of_the_shift(make):
                                   walks.example_walk, relabelled_cycle],
                          ids=["cycle:7", "lattice:4,2", "example", "relabelled cycle:7"])
 def test_characters_are_the_exponential_formula_bitwise(make):
+    """Every factor of the staged character transform is exp(-2 pi i l / N) at its angle l."""
     w = make()
     chars, exps = w.group
     n = w.walker_dim
-    expected = np.exp(2j * np.pi * (exps @ chars.T % n) / n) / np.sqrt(n)
-    assert np.array_equal(w.characters, expected)
-    # built once per walk, and read-only so that no caller can change it
-    assert w.characters is w.characters and not w.characters.flags.writeable
+    grid, stages = w._momentum_stages
+    assert np.array_equal(np.sort(grid), np.arange(n))
+    prefixes = 1
+    for k, (twiddles, dft) in enumerate(stages):
+        m = len(dft)
+        e = np.arange(m)
+        assert np.array_equal(dft, np.exp(-2j * np.pi * (np.outer(e, e) * (n // m) % n) / n)
+                              / np.sqrt(m))
+        t = chars[::n // prefixes, k] % (n // m)
+        if twiddles is None:
+            assert not t.any()
+        else:
+            assert np.array_equal(twiddles, np.exp(-2j * np.pi * (np.outer(t, e) % n) / n))
+        prefixes *= m
+    assert prefixes == n
+    if len(stages) == 1:
+        # the one stage is the formula's F^dag itself, in grid order
+        assert np.array_equal(stages[0][1][:, grid], _characters(w).conj().T)
+    # built once per walk, and read-only so that no caller can change them
+    assert w._momentum_stages is w._momentum_stages
+    factors = [grid] + [a for stage in stages for a in stage if a is not None]
+    assert not any(a.flags.writeable for a in factors)
+
+
+@pytest.mark.parametrize("n, offsets", [(8, [2, -2, 1, -1]), (16, [4, -4, 2, -2, 1, -1])],
+                         ids=["Z_8 +2 -2 +1 -1", "Z_16 +-4 +-2 +-1"])
+def test_non_split_towers_transform_through_their_twiddles(n, offsets):
+    """Coin +2 (or +4) grows the orbit first, so the later stages need twiddles."""
+    rng = np.random.default_rng(n)
+    w = walks._translation_walk((n,), [(o,) for o in offsets])
+    _, stages = w._momentum_stages
+    assert [len(dft) for _, dft in stages] == [4] + [2] * (len(stages) - 1)
+    assert stages[0][0] is None and all(t is not None for t, _ in stages[1:])
+    for walk in (w, relabelled(w, rng.permutation(n))):
+        _assert_characters(walk, rng)
+        _assert_momentum_transform(walk, rng)
 
 
 def test_adjacency_blocks_need_a_group_and_distinct_targets():
@@ -279,7 +338,7 @@ def test_translation_walks_record_their_group():
     for w in cases:
         # and the same walk with its vertices renamed, read from JSON
         for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
-            _assert_characters(walk)
+            _assert_characters(walk, rng)
             _assert_momentum_transform(walk, rng)
     # moves that do not commute, and moves that do not reach every vertex
     assert turn_or_flip_cycle().group is None
@@ -291,7 +350,7 @@ def test_translation_walks_record_their_group():
 def test_translation_walk_characters_diagonalize_the_moves(w, seed):
     rng = np.random.default_rng(seed)
     for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
-        _assert_characters(walk)
+        _assert_characters(walk, rng)
         _assert_momentum_transform(walk, rng)
 
 
