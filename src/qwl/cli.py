@@ -27,6 +27,7 @@ from . import graphs, liealg, limits, walks
 from .errors import (
     BadSpec,
     DimMismatch,
+    DomainExceeded,
     NonHermitian,
     NumericalError,
     QwlError,
@@ -41,6 +42,9 @@ EXAMPLE_CLOSURE_DIM = 33
 EXAMPLE_MEMBER_TOL = 1e-8
 # protocol trees are parsed and evaluated recursively; keep clear of the recursion limit
 MAX_PROTOCOL_DEPTH = 256
+# bytes of the dense complex basis that ``closure --dump-basis`` may write; its JSON lists and
+# text take about 30 times that in memory (lattice:4,2, 7.9 MB dense, grows the peak by 214 MB)
+MAX_DUMP_BYTES = 2 ** 23
 
 
 def _fmt(x: float) -> str:
@@ -299,6 +303,10 @@ def cmd_closure(args):
     }
     rows = [["key", "value"], *report.items()]
     if args.dump_basis:
+        size = basis.dimension * basis.dim_ambient ** 2 * 16
+        if size > MAX_DUMP_BYTES:
+            raise DomainExceeded(f"the dense basis dump would take {size} bytes, over "
+                                 f"MAX_DUMP_BYTES = {MAX_DUMP_BYTES}")
         report["basis"] = [_matrix_to_json(b) for b in basis.dense_elements()]
     return report, rows, 0
 

@@ -11,16 +11,19 @@ such protocol (``orbit_protocol``), with a closed-form limit Hamiltonian
 (``orbit_hamiltonian``) whose dynamics contain the continuous-time walk on
 the walk's graph.
 
-H depends only on the protocol: an atom's one dense fold of its steps yields
-T(0) and H, and every node keeps the eigenpairs of its H from first use.
-Every node evaluates T(x) in its walk's form: on a walk with a translation
-group, the C-contiguous (N, c, c) stack of its momentum blocks, in which
-block p of a step S (C x 1) is diag(D_p) C, and an atom folds each run of
-unperturbed steps into one such product on first use; on any other walk,
-the dense matrix.  The eigenpairs, the m-fold powers and the errors of a
-convergence study stay in that form, and the character transform is
-unitary, so every Frobenius error is the dense one.  ``protocol_unitary`` and
-``repeated_limit`` return dense matrices on every walk.
+H depends only on the protocol: an atom folds its steps once, at
+construction, into T(0) and H, and every node keeps the eigenpairs of its H
+from first use.  Every node works in its walk's form: on a walk with a
+translation group, the C-contiguous (N, c, c) stack of momentum blocks, in
+which block p of a step S (C x 1) is diag(D_p) C; on any other walk, the
+dense matrix.  An atom on a walk with a group folds each run of unperturbed
+steps into one such product, and both its construction fold and T(x)
+multiply that one factor list, so no dim x dim step product is formed.
+The eigenpairs, the m-fold powers and the errors of a convergence study
+stay in that form, and the character transform is unitary, so every
+Frobenius error is the dense one.  ``effective_hamiltonian``,
+``protocol_unitary`` and ``repeated_limit`` return dense matrices on every
+walk.
 """
 
 from dataclasses import dataclass
@@ -117,6 +120,9 @@ class _Node:
         h = effective_hamiltonian(self)
         if self.walk.group is None:
             return hermitian_eig(h)
+        # An atom holds H's blocks already; reading them back from the dense H is an O(dim^2)
+        # round trip, with no dim^3 work, kept only because perfbench/tests/test_perfbench.py
+        # pins the limits.effective_hamiltonian span this call makes.
         blocks, _ = momentum_blocks(self.walk, h)
         return np.linalg.eigh((blocks + _adjoint(blocks)) / 2)
 
@@ -127,63 +133,62 @@ class Atom(_Node):
     The unperturbed product of the steps must be phi * identity for a
     unit-modulus phi, validated at construction.  Step 1 of the sequence
     is the leftmost factor of the product, so the last step acts first on
-    state vectors.  Construction folds the steps once; that fold yields
-    T(0) and the effective Hamiltonian, which is stored read-only.
+    state vectors.  Construction folds the steps once, in the walk's form;
+    that fold yields T(0) and the effective Hamiltonian, which is stored
+    read-only.  On a walk with a translation group the fold runs on the
+    (N, c, c) momentum blocks of the factors that T(x) multiplies, and the
+    dense H is made from H's blocks on first use; on any other walk it runs
+    on dense dim x dim matrices.
     """
 
     def __init__(self, walk: CoinedWalk, steps):
         steps = tuple(steps)
         if not steps:
             raise TooSmall("an atom needs at least one step")
+        c = walk.coin_dim
         for st in steps:
-            if st.coin.shape != (walk.coin_dim, walk.coin_dim):
-                raise DimMismatch(
-                    f"step coin is {st.coin.shape}, walk coin space is {walk.coin_dim}")
+            if st.coin.shape != (c, c):
+                raise DimMismatch(f"step coin is {st.coin.shape}, walk coin space is {c}")
         # Cannot fail, since every CoinedWalk's shift is a permutation.  It stays only because
         # perfbench/tests/test_perfbench.py pins the walks.shift_matrix span it makes.
         if not is_permutation(shift_matrix(walk)):
             raise NotUnitary("walk shift is not a permutation")
         self.walk = walk
         self.steps = steps
+        if walk.group is None:
+            factors, r = reversed(steps), np.eye(walk.dim, dtype=complex)
+            h = np.zeros_like(r)
+
+            def step(coin, m):
+                return apply_step(walk, coin, m)
+        else:
+            d, factors = self._block_factors = _momentum_factors(walk, steps)
+            r, h = np.eye(c, dtype=complex), np.zeros((walk.walker_dim, c, c), dtype=complex)
+
+            def step(coin, m):
+                return (d * coin) @ m
         # F_j = S (C_j x 1); R_j = F_(j+1)...F_m acts before step j (the chain ends at T(0)),
         # P_j = F_1...F_(j-1) after it.  T'(0) = sum_j P_j F_j (a_j E_j x 1) R_j, and T(0) =
         # P_j F_j R_j = phi 1 (checked below) gives P_j = phi (F_j R_j)^dag, so H = i T'(0) / phi
-        # = i sum_j R_j^dag (a_j E_j x 1) R_j = i sum_j (F_j R_j)^dag S (a_j C_j E_j x 1) R_j.
-        r = np.eye(walk.dim, dtype=complex)
-        h = np.zeros_like(r)
-        for st in reversed(steps):
-            fr = apply_step(walk, st.coin, r)
-            if st.generator.any():
-                h += fr.conj().T @ apply_step(walk, st.slope * (st.coin @ st.generator), r)
+        # = i sum_j R_j^dag (a_j E_j x 1) R_j = i sum_j (F_j R_j)^dag S (a_j C_j E_j x 1) R_j,
+        # block by block when the walk has a group.  A folded idle run adds nothing to H.
+        for f in factors:
+            if not isinstance(f, ProtocolStep):
+                r = f @ r
+                continue
+            fr = step(f.coin, r)
+            if f.generator.any():
+                h += _adjoint(fr) @ step(f.slope * (f.coin @ f.generator), r)
             r = fr
-        phi = r[0, 0]
-        if abs(abs(phi) - 1) > 1e-10 or frob(r - phi * np.eye(walk.dim)) > 1e-10:
+        # The diagonal of T(0) is the mean of its blocks' diagonals, and the Frobenius norm
+        # over all blocks is the dense one, so one phi is checked against every block.
+        phi = r[..., 0, 0].mean()
+        if abs(abs(phi) - 1) > 1e-10 or frob(r - phi * np.eye(r.shape[-1])) > 1e-10:
             raise NotScalarAtZero(
                 "reference trajectory is not a scalar multiple of the identity")
         self.phase = complex(phi)
-        self._hamiltonian = 1j * h
-        self._hamiltonian.setflags(write=False)
-
-    @cached_property
-    def _block_factors(self):
-        """T(x)'s factors in momentum blocks, the first to act first, computed on first use.
-
-        A perturbed step stays a ``ProtocolStep``; each maximal run of steps
-        with a zero generator is folded into the read-only (N, c, c) product
-        of its blocks diag(D_p) C.
-        """
-        d = shift_phases(self.walk)[:, :, None]
-        factors = []
-        for st in reversed(self.steps):
-            if st.generator.any():
-                factors.append(st)
-                continue
-            block = d * st.coin
-            if factors and isinstance(factors[-1], np.ndarray):
-                block = block @ factors.pop()
-            block.setflags(write=False)
-            factors.append(block)
-        return d, tuple(factors)
+        self._h = 1j * h
+        self._h.setflags(write=False)
 
     def unitary(self, x: float) -> np.ndarray:
         """T(x) in the walk's form: one batched product per perturbed step or idle run, or dense."""
@@ -199,8 +204,36 @@ class Atom(_Node):
             u = (d * f.coin_at(x) if isinstance(f, ProtocolStep) else f) @ u
         return u
 
+    @cached_property
+    def _dense_hamiltonian(self):
+        h = _dense(self.walk, self._h)
+        h.setflags(write=False)
+        return h
+
     def hamiltonian(self) -> np.ndarray:
-        return self._hamiltonian
+        """The dense H, made once from its momentum blocks on a walk with a group."""
+        return self._dense_hamiltonian
+
+
+def _momentum_factors(w: CoinedWalk, steps):
+    """(D_p as (N, c, 1), T(x)'s factors in momentum blocks, the first to act first).
+
+    A perturbed step stays a ``ProtocolStep``; each maximal run of steps
+    with a zero generator is folded into the read-only (N, c, c) product
+    of its blocks diag(D_p) C.
+    """
+    d = shift_phases(w)[:, :, None]
+    factors = []
+    for st in reversed(steps):
+        if st.generator.any():
+            factors.append(st)
+            continue
+        block = d * st.coin
+        if factors and isinstance(factors[-1], np.ndarray):
+            block = block @ factors.pop()
+        block.setflags(write=False)
+        factors.append(block)
+    return d, tuple(factors)
 
 
 class _Pair(_Node):

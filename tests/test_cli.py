@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,39 @@ def test_dumped_basis_matches_the_dense_closure(tmp_path, spec):
     rows = dumped.reshape(len(dumped), -1).view(float)
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-12
     assert max(cli.liealg.member_residual(dense, x) for x in dumped) <= 1e-10
+
+
+def test_dump_basis_over_the_byte_cap_is_refused_before_the_dense_basis(tmp_path, capsys,
+                                                                        monkeypatch):
+    def no_dense(self):
+        raise AssertionError("the dense basis was formed")
+
+    # lattice:3,3: 946 elements of 162 x 162, 397 MB dense, 4.3 GB as JSON lists
+    monkeypatch.setattr(cli.liealg.LieBasis, "dense_elements", no_dense)
+    out = tmp_path / "basis.json"
+    start = time.process_time()
+    assert run(["closure", "--walk", "lattice:3,3", "--format", "json", "--dump-basis"],
+               out) == 2
+    assert time.process_time() - start < 1.0
+    assert not out.exists()
+    assert run(["closure", "--walk", "lattice:3,3", "--format", "json", "--dump-basis"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MAX_DUMP_BYTES" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["example", "cycle:6"])
+def test_dump_under_the_byte_cap_keeps_its_bytes(tmp_path, spec):
+    """The dump is the closure report plus every dense element, rendered as before the cap."""
+    out = tmp_path / "basis.json"
+    assert run(["closure", "--walk", spec, "--format", "json", "--dump-basis"], out) == 0
+    w = cli.resolve_walk(spec)
+    basis = cli.liealg.walk_closure(w, cli.liealg.DEFAULT_TOL)
+    elements = basis.dense_elements()
+    assert elements.nbytes <= cli.MAX_DUMP_BYTES
+    report = {"ambient_dim": w.dim, "dimension": len(elements), "tolerance": basis.tol,
+              "generator_count": w.coin_dim ** 2 * walks.shift_order(w), "passes": basis.passes,
+              "basis": [matrix_json(b) for b in elements]}
+    assert out.read_text() == cli._json_dumps(report) + "\n"
 
 
 def test_simulable_command(tmp_path):

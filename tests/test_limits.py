@@ -13,8 +13,8 @@ from qwl.liealg import u_basis
 from qwl.linalg import (commutator, expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig,
                          is_hermitian, is_unitary, kron)
 from qwl.rng import LcgStream, seeded_state
-from walk_cases import (cayley_walks, relabelled, relabelled_cycle, translation_walks,
-                        two_triangles)
+from walk_cases import (cayley_walks, relabelled, relabelled_cycle, repeated_target_json,
+                        translation_walks, two_triangles)
 
 R = limits.R_COIN
 D = limits.D_COIN
@@ -78,21 +78,23 @@ def dense_hamiltonian(p):
     return 1j / p.phase * deriv
 
 
-def random_u2_atom(n, stream, perturbed):
-    """Identity-coin atom on the n-cycle (reference S^n = 1) with random
-    u(2) generators on the steps listed in ``perturbed``."""
-    basis = u_basis(2)
+def random_orbit_atom(w, stream, perturbed):
+    """shift_order(w) identity-coin steps (reference S^r = 1) with random u(c) generators on
+    the steps listed in ``perturbed``."""
+    c, r = w.coin_dim, walks.shift_order(w)
+    basis = u_basis(c)
     steps = []
-    for j in range(n):
+    for j in range(r):
         gen = sum(stream.gauss_pair()[0] * b for b in basis) if j in perturbed \
-            else np.zeros((2, 2), dtype=complex)
-        steps.append(limits.ProtocolStep(np.eye(2, dtype=complex), gen, 0.5 + j / n))
-    return limits.Atom(walks.cycle_walk(n), steps)
+            else np.zeros((c, c), dtype=complex)
+        steps.append(limits.ProtocolStep(np.eye(c, dtype=complex), gen, 0.5 + j / r))
+    return limits.Atom(w, steps)
 
 
 def test_structured_atoms_match_dense_oracle():
     stream = LcgStream(5)
-    a, b, c = (random_u2_atom(8, stream, perturbed) for perturbed in ({0, 3}, {2, 5, 7}, {1, 6}))
+    a, b, c = (random_orbit_atom(walks.cycle_walk(8), stream, perturbed)
+               for perturbed in ({0, 3}, {2, 5, 7}, {1, 6}))
     composite = limits.Commutator(limits.Concat(a, b), c)
     for p in (limits.strauch_protocol(8), limits.evencyc_protocol(8), a, composite):
         h = limits.effective_hamiltonian(p)
@@ -108,7 +110,8 @@ def test_idle_runs_are_folded_once_and_match_the_dense_product():
     eye, zero = np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)
     idle = limits.Atom(w, [limits.ProtocolStep(eye, zero)] * walks.shift_order(w))
     stream = LcgStream(7)
-    a, b = (random_u2_atom(8, stream, perturbed) for perturbed in ({0, 3}, {2, 7}))
+    a, b = (random_orbit_atom(walks.cycle_walk(8), stream, perturbed)
+            for perturbed in ({0, 3}, {2, 7}))
     composite = limits.Commutator(limits.Concat(a, limits.evencyc_protocol(8)), b)
     for p, count in ((limits.orbit_protocol(w), 3), (idle, 1), (a, 4), (b, 4)):
         factors = p._block_factors[1]
@@ -123,7 +126,8 @@ def test_idle_runs_are_folded_once_and_match_the_dense_product():
 @pytest.mark.parametrize("m_list", [[8], [8, 16], [8, 16, 32, 64]])
 def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
     stream = LcgStream(7)
-    a, b, c = (random_u2_atom(8, stream, perturbed) for perturbed in ({0, 3}, {2, 5}, {1, 6}))
+    a, b, c = (random_orbit_atom(walks.cycle_walk(8), stream, perturbed)
+               for perturbed in ({0, 3}, {2, 5}, {1, 6}))
     triangles = two_triangles()
     protocols = [limits.strauch_protocol(8), limits.evencyc_protocol(8),
                  limits.Commutator(limits.Concat(a, b), c),
@@ -152,7 +156,8 @@ def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
 
 def test_converge_on_a_translation_walk_stays_in_momentum_blocks(monkeypatch):
     stream = LcgStream(9)
-    a, b = (random_u2_atom(6, stream, perturbed) for perturbed in ({0, 3}, {2, 5}))
+    a, b = (random_orbit_atom(walks.cycle_walk(6), stream, perturbed)
+            for perturbed in ({0, 3}, {2, 5}))
     p = limits.Commutator(limits.Concat(a, limits.evencyc_protocol(6)), b)
     expected = limits.convergence_study(p, 1.0, 1.0, [8, 16, 32])
 
@@ -166,6 +171,37 @@ def test_converge_on_a_translation_walk_stays_in_momentum_blocks(monkeypatch):
     assert p.unitary(0.1).shape == (6, 2, 2)
     for x, _ in expected.samples:
         limits.single_step_error(p, x)
+
+
+@pytest.mark.parametrize("w", [walks.cycle_walk(8), walks.lattice_walk(3, 2)],
+                         ids=["cycle:8", "lattice:3,2"])
+def test_construction_on_a_translation_walk_stays_in_momentum_blocks(monkeypatch, w):
+    """With a group an atom folds T(0) and H in momentum blocks, and no dense step is formed;
+    a walk without a group keeps the dense fold."""
+    def dense(*args):
+        raise AssertionError("a dense walk step was formed")
+
+    monkeypatch.setattr(limits, "apply_step", dense)
+    stream = LcgStream(11)
+    r = walks.shift_order(w)
+    a, b, c = (random_orbit_atom(w, stream, perturbed) for perturbed in ({0}, {1, r - 1}, {0, 2}))
+    built = [limits.orbit_protocol(w), limits.Commutator(limits.Concat(a, b), c)]
+    if w.coin_dim == 2:
+        built.append(limits.two_step_protocol(w))
+    for p in built:
+        assert frob(limits.effective_hamiltonian(p) - dense_hamiltonian(p)) <= 1e-12
+    with pytest.raises(AssertionError, match="dense walk step"):
+        limits.two_step_protocol(two_triangles())
+
+
+def test_reference_check_takes_one_phase_over_all_momentum_blocks():
+    """Both coins step +1, so the idle step's T(0) = S is D_p 1 in block p: scalar in every
+    block, with a phase that varies with p, so it is not a scalar times the identity."""
+    w = walks.walk_from_json(repeated_target_json(2))
+    assert w.group is not None
+    idle = limits.ProtocolStep(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
+    with pytest.raises(NotScalarAtZero):
+        limits.Atom(w, [idle])
 
 
 def test_atom_hamiltonian_is_stored_read_only():
@@ -198,7 +234,7 @@ def shift_orbit_atoms(draw, w):
 
 @st.composite
 def protocols(draw):
-    w = draw(cayley_walks())
+    w = draw(st.one_of(translation_walks(), cayley_walks()))
     a = draw(shift_orbit_atoms(w))
     kind = draw(st.sampled_from(["atom", "concat", "commutator"]))
     if kind == "atom":
