@@ -163,7 +163,8 @@ def _protocol_steps_from_json(items):
     return steps
 
 
-def _protocol_from_json(obj, fallback_walk=None, depth=0):
+def _protocol_from_json(obj, walk, depth=0):
+    """A protocol on walk; an atom that names its walk must name one with walk's moves."""
     if not isinstance(obj, dict):
         raise BadSpec(f"a protocol must be a JSON object, got {type(obj).__name__}")
     if depth > MAX_PROTOCOL_DEPTH:
@@ -172,19 +173,21 @@ def _protocol_from_json(obj, fallback_walk=None, depth=0):
     if kind == "atom":
         wspec = obj.get("walk")
         if isinstance(wspec, str):
-            walk = resolve_walk(wspec)
+            named = resolve_walk(wspec)
         elif isinstance(wspec, dict):
-            walk = walks.walk_from_json(wspec)
-        elif wspec is None and fallback_walk is not None:
-            walk = fallback_walk
+            named = walks.walk_from_json(wspec)
+        elif wspec is None:
+            named = walk
         else:
             raise BadSpec("atom protocol needs a 'walk' entry")
+        if not np.array_equal(named.moves, walk.moves):
+            raise DimMismatch("an atom's walk must have the moves of --walk's walk")
         return limits.Atom(walk, _protocol_steps_from_json(obj.get("steps", [])))
     if kind in ("concat", "commutator"):
         children = obj.get("children")
         if not isinstance(children, list) or len(children) != 2:
             raise BadSpec(f"{kind} protocol needs a list of exactly two children")
-        left, right = (_protocol_from_json(c, fallback_walk, depth + 1) for c in children)
+        left, right = (_protocol_from_json(c, walk, depth + 1) for c in children)
         return limits.Concat(left, right) if kind == "concat" else limits.Commutator(left, right)
     raise BadSpec(f"protocol kind must be atom/concat/commutator, got {kind!r}")
 
@@ -200,7 +203,7 @@ def resolve_protocol(spec: str, walk: walks.CoinedWalk):
     if spec == "evencyc":
         return limits.orbit_protocol(walk)
     if spec.startswith("file:"):
-        return _protocol_from_json(_load_json(spec[5:]), fallback_walk=walk)
+        return _protocol_from_json(_load_json(spec[5:]), walk)
     raise BadSpec(f"unrecognized protocol spec {spec!r}")
 
 
@@ -423,6 +426,8 @@ def _validate(args):
             raise BadSpec("converge needs --m-list")
         if any(b <= a for a, b in zip(args.m_list, args.m_list[1:])):
             raise BadSpec("--m-list must be strictly ascending")
+        if args.m_list[0] < 1:
+            raise BadSpec(f"--m-list entries must be at least 1, got {args.m_list[0]}")
     if args.command == "closure" and args.dump_basis and args.format != "json":
         raise BadSpec("--dump-basis needs --format json")
 

@@ -16,9 +16,9 @@ construction, into T(0) and H, and every node keeps the eigenpairs of its H
 from first use.  Every node works in its walk's form: on a walk with a
 translation group, the C-contiguous (N, c, c) stack of momentum blocks, in
 which block p of a step S (C x 1) is diag(D_p) C; on any other walk, the
-dense matrix.  An atom on a walk with a group folds each run of unperturbed
-steps into one such product, and both its construction fold and T(x)
-multiply that one factor list, so no dim x dim step product is formed.
+dense matrix.  An atom's construction fold and its T(x) multiply one factor
+list in that form; on a walk with a group it folds each run of unperturbed
+steps into one block product, so no dim x dim step product is formed.
 The eigenpairs, the m-fold powers and the errors of a convergence study
 stay in that form, and the character transform is unitary, so every
 Frobenius error is the dense one.  ``effective_hamiltonian``,
@@ -27,7 +27,7 @@ walk.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -133,12 +133,13 @@ class Atom(_Node):
     The unperturbed product of the steps must be phi * identity for a
     unit-modulus phi, validated at construction.  Step 1 of the sequence
     is the leftmost factor of the product, so the last step acts first on
-    state vectors.  Construction folds the steps once, in the walk's form;
-    that fold yields T(0) and the effective Hamiltonian, which is stored
-    read-only.  On a walk with a translation group the fold runs on the
-    (N, c, c) momentum blocks of the factors that T(x) multiplies, and the
-    dense H is made from H's blocks on first use; on any other walk it runs
-    on dense dim x dim matrices.
+    state vectors.  One factor list from ``_factors`` serves both forms:
+    construction folds it once, in the walk's form, into T(0) and the
+    effective Hamiltonian, which is stored read-only, and T(x) multiplies
+    it.  On a walk with a translation group the factors are (N, c, c)
+    momentum blocks, and the dense H is made from H's blocks on first use;
+    on any other walk they are the steps, applied to dense dim x dim
+    matrices.
     """
 
     def __init__(self, walk: CoinedWalk, steps):
@@ -155,30 +156,21 @@ class Atom(_Node):
             raise NotUnitary("walk shift is not a permutation")
         self.walk = walk
         self.steps = steps
-        if walk.group is None:
-            factors, r = reversed(steps), np.eye(walk.dim, dtype=complex)
-            h = np.zeros_like(r)
-
-            def step(coin, m):
-                return apply_step(walk, coin, m)
-        else:
-            d, factors = self._block_factors = _momentum_factors(walk, steps)
-            r, h = np.eye(c, dtype=complex), np.zeros((walk.walker_dim, c, c), dtype=complex)
-
-            def step(coin, m):
-                return (d * coin) @ m
+        self._step, self._one, self._factors = _factors(walk, steps)
+        r = self._one()
+        h = np.zeros(r.shape, dtype=complex)
         # F_j = S (C_j x 1); R_j = F_(j+1)...F_m acts before step j (the chain ends at T(0)),
         # P_j = F_1...F_(j-1) after it.  T'(0) = sum_j P_j F_j (a_j E_j x 1) R_j, and T(0) =
         # P_j F_j R_j = phi 1 (checked below) gives P_j = phi (F_j R_j)^dag, so H = i T'(0) / phi
         # = i sum_j R_j^dag (a_j E_j x 1) R_j = i sum_j (F_j R_j)^dag S (a_j C_j E_j x 1) R_j,
         # block by block when the walk has a group.  A folded idle run adds nothing to H.
-        for f in factors:
+        for f in self._factors:
             if not isinstance(f, ProtocolStep):
                 r = f @ r
                 continue
-            fr = step(f.coin, r)
+            fr = self._step(f.coin, r)
             if f.generator.any():
-                h += _adjoint(fr) @ step(f.slope * (f.coin @ f.generator), r)
+                h += _adjoint(fr) @ self._step(f.slope * (f.coin @ f.generator), r)
             r = fr
         # The diagonal of T(0) is the mean of its blocks' diagonals, and the Frobenius norm
         # over all blocks is the dense one, so one phi is checked against every block.
@@ -191,17 +183,10 @@ class Atom(_Node):
         self._h.setflags(write=False)
 
     def unitary(self, x: float) -> np.ndarray:
-        """T(x) in the walk's form: one batched product per perturbed step or idle run, or dense."""
-        w = self.walk
-        if w.group is None:
-            u = np.eye(w.dim, dtype=complex)
-            for st in reversed(self.steps):
-                u = apply_step(w, st.coin_at(x), u)
-            return u
-        d, factors = self._block_factors
-        u = np.eye(w.coin_dim, dtype=complex)
-        for f in factors:
-            u = (d * f.coin_at(x) if isinstance(f, ProtocolStep) else f) @ u
+        """T(x) in the walk's form: one step or block product per factor."""
+        u = self._one()
+        for f in self._factors:
+            u = self._step(f.coin_at(x), u) if isinstance(f, ProtocolStep) else f @ u
         return u
 
     @cached_property
@@ -215,13 +200,18 @@ class Atom(_Node):
         return self._dense_hamiltonian
 
 
-def _momentum_factors(w: CoinedWalk, steps):
-    """(D_p as (N, c, 1), T(x)'s factors in momentum blocks, the first to act first).
+def _factors(w: CoinedWalk, steps):
+    """(step, one, factors): how a step S (C x 1) acts in w's form, a maker of that form's
+    identity, and T(x)'s factors, the first to act first.
 
-    A perturbed step stays a ``ProtocolStep``; each maximal run of steps
-    with a zero generator is folded into the read-only (N, c, c) product
-    of its blocks diag(D_p) C.
+    On a walk without a group the form is dense: a step is ``apply_step`` and
+    the factors are the steps.  On a walk with one it is the (N, c, c) stack,
+    where block p of a step is diag(D_p) C: a perturbed step stays a
+    ``ProtocolStep``, and each maximal run of steps with a zero generator is
+    folded into the read-only product of its blocks.
     """
+    if w.group is None:
+        return partial(apply_step, w), partial(np.eye, w.dim, dtype=complex), tuple(reversed(steps))
     d = shift_phases(w)[:, :, None]
     factors = []
     for st in reversed(steps):
@@ -233,7 +223,9 @@ def _momentum_factors(w: CoinedWalk, steps):
             block = block @ factors.pop()
         block.setflags(write=False)
         factors.append(block)
-    return d, tuple(factors)
+    c = w.coin_dim
+    one = partial(np.broadcast_to, np.eye(c, dtype=complex), (w.walker_dim, c, c))
+    return (lambda coin, m: (d * coin) @ m), one, tuple(factors)
 
 
 class _Pair(_Node):

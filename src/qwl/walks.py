@@ -21,11 +21,12 @@ a mixed-radix transform (Cooley and Tukey 1965) with one stage per coin
 that grew the orbit, a twiddle and an m_k x m_k DFT each, applied by
 ``_to_momenta`` and ``_from_momenta``; a one-stage group (every cycle)
 has one N x N DFT.  An operator's blocks come from its mean along the
-translations, so only c^2 vectors of size N are transformed, and its
-mass off the blocks is its distance from that mean.  The continuous-time
-operators are diagonal there
-too: when every vertex's coins reach distinct neighbours, the adjacency is
-sum_k P_k, with eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p.
+translations, read through a cached table of the group law that a search
+from vertex 0 along the moves grows, so only c^2 vectors of size N are
+transformed, and its mass off the blocks is its distance from that mean.
+The continuous-time operators are diagonal there too: when every vertex's
+coins reach distinct neighbours, the adjacency is sum_k P_k, with
+eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p.
 ``adjacency_spectrum`` and ``adjacency_eig`` pick that form or the dense A,
 and ``expm_state`` applies exp(-i s K) to a state from either kind of
 eigenpairs, so no caller chooses.  The dense path is also the test oracle.
@@ -200,26 +201,21 @@ class CoinedWalk:
         """Read-only int32 flat indices into a (dim, dim) operator, along the translations.
 
         Needs group.  Entry [u, g, a, b] indexes <a, g + u| x |b, u>, so x
-        commutes with every translation iff it is constant along u.  Vertex
-        g + u is T_u g for the translation T_u = P_1^e_1 ... P_r^e_r, e =
-        exps[u], built one coin that grew the orbit at a time: the coin of
-        stage k moves vertex 0 to the vertex with exponents e_k.  The group
-        is abelian, so the table of g + u is symmetric.
+        commutes with every translation iff it is constant along u.  The
+        table of g + u grows by a search from vertex 0 along the moves: the
+        moves commute and act regularly, so if u = P_k v then the
+        translation T_u taking 0 to u is P_k T_v.  The group is abelian, so
+        the table is symmetric.
         """
-        grid, stages = self._momentum_stages
         n = self.walker_dim
-        at = np.argsort(grid)  # the vertex at each grid point
-        translations = np.arange(n, dtype=np.int32)[None, :]
-        stride = n
-        for _, dft in stages:
-            stride //= len(dft)
-            step = self.moves[np.flatnonzero(self.moves[:, 0] == at[stride])[0]].astype(np.int32)
-            cosets = [translations]
-            for _ in range(len(dft) - 1):
-                cosets.append(step[cosets[-1]])
-            translations = np.concatenate(cosets)
-        sums = np.empty_like(translations)
-        sums[translations[:, 0]] = translations  # sums[u, g] = g + u
+        sums = np.full((n, n), -1, dtype=np.int32)  # sums[u, g] = g + u, -1 until u is reached
+        sums[0] = np.arange(n)
+        queue = [0]
+        for v in queue:
+            for row, u in zip(self.moves, self.moves[:, v].tolist()):
+                if sums[u, 0] < 0:
+                    sums[u] = row[sums[v]]
+                    queue.append(u)
         # row a N + g + u, column b N + u; the flat index stays below dim^2 <= MAX_DIM^2 < 2^31
         coin = np.arange(self.coin_dim, dtype=np.int32) * n
         rows = sums[:, :, None, None] + coin[:, None]
@@ -449,7 +445,8 @@ def momentum_blocks(w: CoinedWalk, x):
     along = np.take(np.reshape(x, lead + (-1,)), w._along, axis=-1).astype(complex, copy=False)
     d = along.mean(axis=-4)
     along -= d[..., None, :, :, :]
-    off = np.sqrt(np.square(along.view(float)).reshape(lead + (-1,)).sum(axis=-1))
+    square = along.view(float)
+    off = np.sqrt(np.square(square, out=square).reshape(lead + (-1,)).sum(axis=-1))
     blocks = math.sqrt(n) * _to_momenta(w, np.moveaxis(d, -3, 0))
     return np.moveaxis(blocks, 0, -3).copy(), off
 

@@ -22,6 +22,7 @@ from walk_cases import (
     relabelled_json,
     repeated_target_json,
     turn_or_flip_cycle_json,
+    two_triangles,
 )
 
 
@@ -864,3 +865,121 @@ def test_dump_basis_needs_json_before_the_closure(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == "" and "--dump-basis needs --format json" in captured.err
     assert not out.exists()
+
+
+def _strauch_atom_on(walk):
+    steps = [{"coin": matrix_json(limits.R_COIN), "generator": matrix_json(1j * limits.D_COIN)}
+             for _ in range(2)]
+    return {"kind": "atom", "walk": walk, "steps": steps}
+
+
+@pytest.mark.parametrize("walk", ["cycle:3", walks.walk_to_json(walks.cycle_walk(3))],
+                         ids=["spec", "object"])
+def test_an_atom_on_another_walk_than_walk_is_refused(tmp_path, capsys, walk):
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(_strauch_atom_on(walk)))
+    out = tmp_path / "never.csv"
+    assert run(["converge", "--walk", "cycle:8", "--protocol", f"file:{path}",
+                "--m-list", "32,64"], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "moves of --walk" in captured.err
+    assert not out.exists()
+
+
+def test_an_atom_naming_walk_itself_gives_the_same_report(tmp_path):
+    texts = []
+    for walk in (None, "cycle:8", walks.walk_to_json(walks.cycle_walk(8))):
+        atom = _strauch_atom_on(walk)
+        if walk is None:
+            del atom["walk"]
+        path = tmp_path / "proto.json"
+        path.write_text(json.dumps(atom))
+        out = tmp_path / "conv.json"
+        assert run(["converge", "--walk", "cycle:8", "--protocol", f"file:{path}",
+                    "--m-list", "32,64", "--format", "json"], out) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("m_list", ["--m-list=0,8", "--m-list=-4,8"])
+def test_m_list_below_one_is_refused_before_the_walk(tmp_path, capsys, monkeypatch, m_list):
+    def no_walk(spec):
+        raise AssertionError("the walk was built before --m-list was checked")
+
+    monkeypatch.setattr(cli, "resolve_walk", no_walk)
+    out = tmp_path / "never.csv"
+    assert run(["converge", "--walk", "lattice:8,3", "--protocol", "evencyc", m_list], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least 1" in captured.err
+    assert not out.exists()
+
+
+def _write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _walk_json_without_moves():
+    spec = walks.walk_to_json(walks.cycle_walk(4))
+    del spec["moves"]
+    return spec
+
+
+def _walk_json_with_one_move_row():
+    spec = walks.walk_to_json(walks.cycle_walk(4))
+    spec["moves"] = spec["moves"][:1]
+    return spec
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["converge", "--walk", "cycle:4", "--protocol", "strauch", "--m-list", "8,x"],
+    lambda d: ["converge", "--walk", "cycle:4", "--protocol", "foo", "--m-list", "8,16"],
+    lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+               "file:" + _write_json(d, "p.json", {"kind": "loop"})],
+    lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+               "file:" + _write_json(d, "p.json", _strauch_atom_on(5))],
+    lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+               "file:" + _write_json(d, "p.json", {"kind": "atom", "steps": [
+                   {"coin": [], "generator": matrix_json(1j * limits.D_COIN)}]})],
+    lambda d: ["simulable", "--walk", "cycle:4"],
+    lambda d: ["info", "--walk", "file:" + _write_json(d, "w.json", _walk_json_without_moves())],
+    lambda d: ["info", "--walk",
+               "file:" + _write_json(d, "w.json", _walk_json_with_one_move_row())],
+], ids=["m-list-not-int", "protocol-unknown", "protocol-kind-loop", "atom-walk-int",
+        "step-coin-empty", "simulable-without-hamiltonian", "walk-without-moves",
+        "walk-with-too-few-move-rows"])
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "never.csv"
+    assert run(argv(tmp_path), out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("qwl: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", [
+    ["info", "--walk", "example"],
+    ["converge", "--walk", "cycle:6", "--protocol", "strauch", "--m-list", "32,64"],
+], ids=["info", "converge"])
+def test_stdout_holds_the_bytes_out_writes(tmp_path, capsys, args, fmt):
+    out = tmp_path / "report"
+    assert run(args + ["--format", fmt], out) == 0
+    assert capsys.readouterr().out == ""
+    assert run(args + ["--format", fmt]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_closure_dump_on_a_walk_without_a_group(tmp_path):
+    w = two_triangles()
+    assert w.group is None
+    path = _write_json(tmp_path, "walk.json", walks.walk_to_json(w))
+    out = tmp_path / "basis.json"
+    assert run(["closure", "--walk", f"file:{path}", "--format", "json", "--dump-basis"],
+               out) == 0
+    rep = json.loads(out.read_text())
+    basis = np.array([[[complex(re, im) for re, im in row] for row in b] for b in rep["basis"]])
+    assert basis.shape == (rep["dimension"], 12, 12) and rep["dimension"] == 10
+    assert np.abs(basis + basis.conj().swapaxes(1, 2)).max() <= 1e-12
+    rows = basis.reshape(len(basis), -1).view(float)
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-12

@@ -105,7 +105,7 @@ def test_structured_atoms_match_dense_oracle():
 
 def test_idle_runs_are_folded_once_and_match_the_dense_product():
     """On a walk with a group, an atom's T(x) multiplies one block product per perturbed step
-    and one per maximal run of unperturbed steps, folded on first use."""
+    and one per maximal run of unperturbed steps, folded at construction."""
     w = walks.lattice_walk(4, 2)
     eye, zero = np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)
     idle = limits.Atom(w, [limits.ProtocolStep(eye, zero)] * walks.shift_order(w))
@@ -114,9 +114,8 @@ def test_idle_runs_are_folded_once_and_match_the_dense_product():
             for perturbed in ({0, 3}, {2, 7}))
     composite = limits.Commutator(limits.Concat(a, limits.evencyc_protocol(8)), b)
     for p, count in ((limits.orbit_protocol(w), 3), (idle, 1), (a, 4), (b, 4)):
-        factors = p._block_factors[1]
-        assert len(factors) == count and p._block_factors[1] is factors
-        assert not any(f.flags.writeable for f in factors if isinstance(f, np.ndarray))
+        assert len(p._factors) == count
+        assert not any(f.flags.writeable for f in p._factors if isinstance(f, np.ndarray))
     for p in (limits.orbit_protocol(w), composite, idle):
         for x in (0.0, 0.01, 0.3):
             assert frob(limits.protocol_unitary(p, x) - dense_unitary(p, x)) <= 1e-12

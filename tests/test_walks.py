@@ -292,6 +292,34 @@ def test_non_split_towers_transform_through_their_twiddles(n, offsets):
         _assert_momentum_transform(walk, rng)
 
 
+def _non_split(n, offsets):
+    return lambda: walks._translation_walk((n,), [(o,) for o in offsets])
+
+
+@pytest.mark.parametrize("make", [lambda: walks.cycle_walk(7), lambda: walks.cycle_walk(64),
+                                  lambda: walks.lattice_walk(4, 2), walks.example_walk,
+                                  relabelled_cycle, _non_split(8, [2, -2, 1, -1]),
+                                  _non_split(16, [4, -4, 2, -2, 1, -1])],
+                         ids=["cycle:7", "cycle:64", "lattice:4,2", "example",
+                              "relabelled cycle:7", "Z_8 +2 -2 +1 -1", "Z_16 +-4 +-2 +-1"])
+def test_the_group_law_is_grown_along_the_moves(make):
+    """_along's table of g + u comes from the moves, not from the transform's stages, and it
+    is the group law: chi_p(g + u) = chi_p(g) chi_p(u) for every character p."""
+    w = make()
+    along = w._along
+    assert "_momentum_stages" not in w.__dict__
+    assert along.dtype == np.int32 and not along.flags.writeable
+    n, c, dim = w.walker_dim, w.coin_dim, w.dim
+    sums = along[:, :, 0, 0] // dim
+    u = np.arange(n)[:, None, None, None]
+    coin = np.arange(c) * n
+    assert np.array_equal(along, (sums[:, :, None, None] + coin[:, None]) * dim + coin + u)
+    assert np.array_equal(sums[:, 0], np.arange(n)) and np.array_equal(sums, sums.T)
+    chars, exps = w.group
+    angle = exps @ chars.T  # angle[v, p]: chi_p(v) = exp(2 pi i angle[v, p] / N)
+    assert not np.any((angle[sums] - angle[None, :] - angle[:, None]) % n)
+
+
 def test_adjacency_blocks_need_a_group_and_distinct_targets():
     repeated = walks.walk_from_json(repeated_target_json(3, CYCLE8_CHORDS))
     assert repeated.group is not None
