@@ -179,7 +179,8 @@ def _protocol_from_json(obj, walk, depth=0):
         elif wspec is None:
             named = walk
         else:
-            raise BadSpec("atom protocol needs a 'walk' entry")
+            raise BadSpec("atom 'walk' must be a walk spec or a walk object, "
+                          f"got {type(wspec).__name__}")
         if not np.array_equal(named.moves, walk.moves):
             raise DimMismatch("an atom's walk must have the moves of --walk's walk")
         return limits.Atom(walk, _protocol_steps_from_json(obj.get("steps", [])))

@@ -5,9 +5,9 @@ state (c_k, j) sits at index k*N + j.  Every dense matrix in the package
 relies on this convention.  ``apply_step`` applies a walk step S (C x 1) as
 a coin contraction and a row permutation; ``shift_matrix`` is the dense
 float64 reference for S.  ``CoinedWalk(graph, moves)`` is the one constructor,
-and it checks the size cap ``MAX_DIM`` and the move table, so every walk's
-shift is a permutation.  The built-in walks are translation walks on Z_n,
-Z_n^d and Z_2^2, all built from their move tables by ``_translation_walk``;
+and it checks the size cap ``MAX_DIM`` and the move table, all rows at once,
+so every walk's shift is a permutation.  The built-in walks are translation
+walks on Z_n, Z_n^d and Z_2^2, built from their move tables by ``_translation_walk``;
 ``cycle_walk`` and ``lattice_walk`` check the cap before they build a table.
 Any walk whose moves commute and act transitively on the vertices is a
 translation walk on the abelian group they generate, and the constructor
@@ -109,8 +109,10 @@ class CoinedWalk:
     permutation of {0..cN-1} sending index k*N+j to k*N+moves[k, j].
     Construction checks, in order: coin_dim * walker_dim <= MAX_DIM, before
     anything sized by the graph is allocated; that the graph is regular of
-    degree m and the table is m x N; and row by row, that each row is a
-    bijection on vertices whose every move follows an edge.
+    degree m and the table is m x N; and, all rows at once, that each row is a
+    bijection on vertices whose every move follows an edge, refusing the first
+    row that fails: a sort finds repeats, and searchsorted on the sorted edge
+    keys u N + v finds each move j -> t whose key min N + max is not among them.
 
     group is found from the moves table.  If the moves commute and act
     transitively, they generate an abelian group acting regularly on the
@@ -135,13 +137,17 @@ class CoinedWalk:
             raise NotRegular("coined walks need a regular graph")
         if moves.shape != (m, g.n):
             raise BadSpec(f"moves table must be {m}x{g.n} for this graph, got {moves.shape}")
-        edge_set = g.edges
-        for k, row in enumerate(moves.tolist()):
-            if len(set(row)) != g.n:
-                raise NotBijective(k)
-            for j, t in enumerate(row):
-                if (min(j, t), max(j, t)) not in edge_set or j == t:
-                    raise NotAnEdge(j, k)
+        # a move out of range is taken as j -> j, which no edge key matches
+        repeats = (np.diff(np.sort(moves, axis=1), axis=1) == 0).any(axis=1)
+        j = np.arange(g.n)
+        t = np.where((moves >= 0) & (moves < g.n), moves, j)
+        query = np.minimum(j, t) * g.n + np.maximum(j, t)
+        keys = g.edge_array[:, 0] * g.n + g.edge_array[:, 1]
+        off = keys[np.searchsorted(keys, query).clip(max=len(keys) - 1)] != query
+        bad = repeats | off.any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            raise NotBijective(k) if repeats[k] else NotAnEdge(int(off[k].argmax()), k)
         shift = (np.arange(m)[:, None] * g.n + moves).ravel()
         moves.setflags(write=False)
         shift.setflags(write=False)
@@ -276,7 +282,8 @@ def _translation_walk(shape, offsets) -> CoinedWalk:
     coords = np.indices(shape).reshape(len(shape), -1)
     moves = np.stack([np.ravel_multi_index(coords + np.reshape(off, (-1, 1)), shape, mode="wrap")
                       for off in offsets])
-    g = graphs.graph(moves.shape[1], [(j, t) for row in moves.tolist() for j, t in enumerate(row)])
+    j = np.broadcast_to(np.arange(moves.shape[1]), moves.shape)
+    g = graphs.graph(moves.shape[1], np.stack([j, moves], axis=-1).reshape(-1, 2))
     return CoinedWalk(g, moves)
 
 
@@ -328,21 +335,13 @@ def shift_matrix(w: CoinedWalk) -> np.ndarray:
 
 
 def shift_order(w: CoinedWalk) -> int:
-    """Least r >= 1 with S^r = 1, via lcm of permutation cycle lengths."""
-    perm = w.shift
-    seen = np.zeros(len(perm), dtype=bool)
-    order = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = perm[p]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    """Least r >= 1 with S^r = 1: the lcm of the cycle lengths, each the count of its least
+    index, found by pointer doubling (low[i] is the least of i, ..., S^(2^k - 1) i at step k)."""
+    jump, low = w.shift, np.arange(len(w.shift))
+    for _ in range((len(jump) - 1).bit_length()):
+        low, jump = np.minimum(low, low[jump]), jump[jump]
+    counts = np.bincount(low)
+    return math.lcm(*set(counts[counts > 0].tolist()))
 
 
 def checked_shift_order(w: CoinedWalk) -> int:
@@ -638,8 +637,7 @@ def walk_from_json(obj) -> CoinedWalk:
     try:
         g = graphs.graph_from_json(obj["graph"])
         c = graphs.json_int(obj["coin_dim"], "coin_dim")
-        moves = np.array([[graphs.json_int(m, "move") for m in row] for row in obj["moves"]],
-                         dtype=int)
+        moves = np.array(graphs.json_int_rows(obj["moves"], "move"), dtype=int)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, BadSpec):
             raise

@@ -932,28 +932,62 @@ def _walk_json_with_one_move_row():
     return spec
 
 
-@pytest.mark.parametrize("argv", [
-    lambda d: ["converge", "--walk", "cycle:4", "--protocol", "strauch", "--m-list", "8,x"],
-    lambda d: ["converge", "--walk", "cycle:4", "--protocol", "foo", "--m-list", "8,16"],
-    lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
-               "file:" + _write_json(d, "p.json", {"kind": "loop"})],
-    lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
-               "file:" + _write_json(d, "p.json", _strauch_atom_on(5))],
-    lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
-               "file:" + _write_json(d, "p.json", {"kind": "atom", "steps": [
-                   {"coin": [], "generator": matrix_json(1j * limits.D_COIN)}]})],
-    lambda d: ["simulable", "--walk", "cycle:4"],
-    lambda d: ["info", "--walk", "file:" + _write_json(d, "w.json", _walk_json_without_moves())],
-    lambda d: ["info", "--walk",
-               "file:" + _write_json(d, "w.json", _walk_json_with_one_move_row())],
+@pytest.mark.parametrize("argv, message", [
+    (lambda d: ["converge", "--walk", "cycle:4", "--protocol", "strauch", "--m-list", "8,x"],
+     None),
+    (lambda d: ["converge", "--walk", "cycle:4", "--protocol", "foo", "--m-list", "8,16"], None),
+    (lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+                "file:" + _write_json(d, "p.json", {"kind": "loop"})], None),
+    (lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+                "file:" + _write_json(d, "p.json", _strauch_atom_on(5))],
+     "qwl: atom 'walk' must be a walk spec or a walk object, got int\n"),
+    (lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+                "file:" + _write_json(d, "p.json", {"kind": "atom", "steps": [
+                    {"coin": [], "generator": matrix_json(1j * limits.D_COIN)}]})], None),
+    (lambda d: ["simulable", "--walk", "cycle:4"], None),
+    (lambda d: ["info", "--walk", "file:" + _write_json(d, "w.json", _walk_json_without_moves())],
+     None),
+    (lambda d: ["info", "--walk",
+                "file:" + _write_json(d, "w.json", _walk_json_with_one_move_row())], None),
 ], ids=["m-list-not-int", "protocol-unknown", "protocol-kind-loop", "atom-walk-int",
         "step-coin-empty", "simulable-without-hamiltonian", "walk-without-moves",
         "walk-with-too-few-move-rows"])
-def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "never.csv"
     assert run(argv(tmp_path), out) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("qwl: ")
+    assert message is None or captured.err == message
+    assert not out.exists()
+
+
+def _cycle_json_with_move(n, k, j, t):
+    spec = walks.walk_to_json(walks.cycle_walk(n))
+    spec["moves"][k][j] = t
+    return spec
+
+
+def _cycle_json_with_ragged_moves():
+    spec = walks.walk_to_json(walks.cycle_walk(5))
+    spec["moves"][1].pop()
+    return spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_cycle_json_with_move(5, 0, 0, 7), "move at vertex 0, coin result 0 does not follow an edge"),
+    (_cycle_json_with_move(5, 1, 3, -1), "move at vertex 3, coin result 1 does not follow an edge"),
+    (_cycle_json_with_move(5, 1, 2, 2), "moves for coin result 1 are not a bijection on vertices"),
+    (dict(walks.walk_to_json(walks.cycle_walk(5)), moves=[[2, 3, 4, 0, 1], [4, 0, 1, 2, 3]]),
+     "move at vertex 0, coin result 0 does not follow an edge"),
+    (_cycle_json_with_ragged_moves(), "walk JSON needs 'graph', 'coin_dim', 'moves': "),
+    (_cycle_json_with_move(1000, 1, 999, True), "move must be an integer, got True"),
+], ids=["past-n-aliasing-an-edge-key", "negative", "repeated", "non-neighbour", "ragged",
+        "true-last-of-1000"])
+def test_bad_move_tables_exit_2_and_write_nothing(tmp_path, capsys, spec, message):
+    out = tmp_path / "never.csv"
+    assert run(["info", "--walk", "file:" + _write_json(tmp_path, "w.json", spec)], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("qwl: " + message)
     assert not out.exists()
 
 

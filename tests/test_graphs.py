@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwl import graphs
 from qwl.errors import BadSpec, TooSmall
@@ -141,3 +143,118 @@ def test_graph_json_integers():
     for bad in (2.5, True, float("nan"), float("inf"), None, "3"):
         with pytest.raises(BadSpec):
             graphs.json_int(bad, "x")
+
+
+def oracle_checked(n, edges):
+    """Graph's check as a loop over the given pairs, before a graph held an edge array."""
+    if n < 1:
+        raise TooSmall(f"graph needs at least one vertex, got n={n}")
+    for u, v in edges:
+        if not (0 <= u < v < n):
+            raise BadSpec(f"edge ({u},{v}) out of range for n={n} (self-loops forbidden)")
+    return n, frozenset(edges)
+
+
+def oracle_graph(n, edges):
+    """graph(n, edges) as a frozenset of (min, max) pairs, built pair by pair."""
+    normalized = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise BadSpec(f"self-loop at vertex {u}")
+        normalized.add((min(u, v), max(u, v)))
+    return oracle_checked(int(n), frozenset(normalized))
+
+
+def oracle_degrees(n, edges):
+    deg = np.zeros(n, dtype=int)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def oracle_adjacency(n, edges):
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[u, v] = 1
+        a[v, u] = 1
+    return a
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, pairs): repeats, reversed pairs, and on request self-loops and ids out of range."""
+    n = draw(st.integers(0, 6))
+    reach = draw(st.sampled_from([0, 0, 0, 2]))  # how far ids may stray outside 0..n-1
+    ids = st.integers(-reach, max(n - 1 + reach, 0))
+    pair = st.tuples(ids, ids)
+    if not draw(st.booleans()):
+        pair = pair.filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
+    edges += [e[::-1] if draw(st.booleans()) else e for e in repeats]
+    return n, draw(st.permutations(edges))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(edge_lists())
+def test_graph_matches_the_frozenset_oracle(case):
+    n, edges = case
+    try:
+        expected = oracle_graph(n, edges)
+    except (BadSpec, TooSmall) as exc:
+        with pytest.raises(type(exc)) as err:
+            graphs.graph(n, edges)
+        # the oracle names the first bad pair in its set's order, graph the first in the input's
+        normalized = [(min(e), max(e)) for e in edges]
+        bad = [e for e in dict.fromkeys(normalized) if not (0 <= e[0] < e[1] < n)]
+        if str(exc).startswith("edge") and len(bad) > 1:
+            u, v = bad[0]
+            assert str(err.value) == f"edge ({u},{v}) out of range for n={n} (self-loops forbidden)"
+        else:
+            assert str(err.value) == str(exc)
+        return
+    g = graphs.graph(n, edges)
+    assert (g.n, g.edges) == expected
+    pairs = [list(e) for e in sorted(expected[1])]
+    assert g.edge_array.tolist() == pairs == graphs.graph_to_json(g)["edges"]
+    assert not g.edge_array.flags.writeable
+    assert np.array_equal(graphs.degrees(g), oracle_degrees(*expected))
+    assert np.array_equal(graphs.adjacency(g), oracle_adjacency(*expected))
+    assert graphs.Graph(n, expected[1]) == g and hash(graphs.Graph(n, expected[1])) == hash(g)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(edge_lists())
+def test_graph_constructor_matches_the_oracle_check(case):
+    n, edges = case
+    for given_edges in (edges, frozenset(edges)):
+        try:
+            expected = oracle_checked(n, given_edges)
+        except (BadSpec, TooSmall) as exc:
+            with pytest.raises(type(exc)) as err:
+                graphs.Graph(n, given_edges)
+            assert str(err.value) == str(exc)
+            continue
+        g = graphs.Graph(n, given_edges)
+        assert (g.n, g.edges) == expected
+        assert np.array_equal(graphs.degrees(g), oracle_degrees(*expected))
+        assert np.array_equal(graphs.adjacency(g), oracle_adjacency(*expected))
+
+
+def test_graphs_compare_by_vertex_count_and_edges():
+    g = graphs.graph(4, [(0, 1), (2, 1)])
+    assert g == graphs.graph(4, [(1, 2), (1, 0), (0, 1)]) == graphs.Graph(4, {(1, 2), (0, 1)})
+    assert g != graphs.graph(5, [(0, 1), (1, 2)]) and g != graphs.graph(4, [(0, 1)])
+    assert g != (4, g.edges) and len({g, graphs.graph(4, [(1, 2), (0, 1)])}) == 1
+
+
+def test_vertex_ids_beyond_int64_are_out_of_range():
+    huge = 10 ** 30
+    with pytest.raises(BadSpec, match=f"edge \\(0,{huge}\\) out of range for n=3"):
+        graphs.graph(3, [(0, 1), (huge, 0)])
+    with pytest.raises(BadSpec, match=f"self-loop at vertex {huge}"):
+        graphs.graph(3, [(huge, huge), (0, huge)])
+    with pytest.raises(BadSpec, match=f"edge \\(0,{huge}\\) out of range for n=3"):
+        graphs.graph_from_json({"n": 3, "edges": [[0, 1], [huge, 0]]})

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from walk_cases import (
     repeated_target_json,
     translation_walks,
     turn_or_flip_cycle,
+    two_triangles,
 )
 
 R = np.array([[0, -1j], [-1j, 0]])
@@ -700,3 +703,102 @@ def test_walk_size_cap(monkeypatch):
     huge = {"graph": {"n": 10 ** 9, "edges": [[0, 1]]}, "coin_dim": 1, "moves": [[1, 0, 2]]}
     with pytest.raises(DomainExceeded):
         walks.walk_from_json(huge)
+
+
+def oracle_shift_order(w) -> int:
+    """The lcm of the shift's cycle lengths, each cycle walked index by index."""
+    perm = w.shift
+    seen = np.zeros(len(perm), dtype=bool)
+    order = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = perm[p]
+            length += 1
+        order = math.lcm(order, length)
+    return order
+
+
+def disjoint_cycles_walk():
+    """A two-coin walk on a 3-cycle beside a 4-cycle: forward on coin 0, back on coin 1."""
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+    forward = [1, 2, 0, 4, 5, 6, 3]
+    back = [forward.index(j) for j in range(7)]
+    return walks.CoinedWalk(graphs.graph(7, edges), [forward, back])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: walks.cycle_walk(5), lambda: walks.lattice_walk(3, 2), walks.example_walk,
+    relabelled_cycle, turn_or_flip_cycle, two_triangles, disjoint_cycles_walk,
+], ids=["cycle5", "lattice3x2", "example", "relabelled-cycle", "turn-or-flip", "two-triangles",
+        "disjoint-3-and-4-cycles"])
+def test_shift_order_matches_the_cycle_walking_oracle(make):
+    w = make()
+    assert walks.shift_order(w) == oracle_shift_order(w)
+
+
+def test_disjoint_cycles_of_coprime_lengths_multiply_the_order():
+    assert walks.shift_order(disjoint_cycles_walk()) == 12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.permutations(range(n))))
+def test_shift_order_of_any_permutation_matches_the_oracle(perm):
+    w = SimpleNamespace(shift=np.array(perm))
+    assert walks.shift_order(w) == oracle_shift_order(w)
+
+
+def oracle_move_check(g, moves):
+    """The coin rows checked one move at a time against the edge set."""
+    edge_set = g.edges
+    for k, row in enumerate(np.asarray(moves).tolist()):
+        if len(set(row)) != g.n:
+            raise NotBijective(k)
+        for j, t in enumerate(row):
+            if (min(j, t), max(j, t)) not in edge_set or j == t:
+                raise NotAnEdge(j, k)
+
+
+def _refusal(build):
+    try:
+        build()
+    except (NotBijective, NotAnEdge) as exc:
+        return type(exc), str(exc), getattr(exc, "vertex", None), exc.coin
+    return None
+
+
+def _edited_cycle5(k, j, t):
+    spec = walks.walk_to_json(walks.cycle_walk(5))
+    spec["moves"][k][j] = t
+    return spec
+
+
+@pytest.mark.parametrize("spec, refusal", [
+    # 7 = 0 * 5 + 7 is the key 1 * 5 + 2 of the edge (1, 2): the range is checked first
+    (_edited_cycle5(0, 0, 7), (NotAnEdge, 0, 0)),
+    (_edited_cycle5(1, 3, -1), (NotAnEdge, 3, 1)),
+    (_edited_cycle5(1, 2, 2), (NotBijective, None, 1)),  # moves[1][3] is 2 too
+    (dict(walks.walk_to_json(walks.cycle_walk(5)), moves=[[2, 3, 4, 0, 1], [4, 0, 1, 2, 3]]),
+     (NotAnEdge, 0, 0)),
+], ids=["past-n-aliasing-an-edge-key", "negative", "repeated", "non-neighbour"])
+def test_bad_move_tables_are_refused_at_the_oracles_first_offender(spec, refusal):
+    g = graphs.graph_from_json(spec["graph"])
+    expected = _refusal(lambda: oracle_move_check(g, spec["moves"]))
+    assert (expected[0], expected[2], expected[3]) == refusal
+    assert _refusal(lambda: walks.walk_from_json(spec)) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(cayley_walks(), st.data())
+def test_every_edited_table_is_refused_where_the_oracle_refuses_it(w, data):
+    c, n = w.moves.shape
+    bad = np.array(w.moves)
+    for _ in range(data.draw(st.integers(1, 4))):
+        k, j = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, n - 1))
+        bad[k, j] = data.draw(st.integers(-n - 2, 2 * n + 2))
+    assert (_refusal(lambda: walks.CoinedWalk(w.graph, bad))
+            == _refusal(lambda: oracle_move_check(w.graph, bad)))
