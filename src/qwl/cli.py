@@ -7,19 +7,24 @@ reports.  All numeric output uses scientific notation with 17 significant
 digits and seeded states come from the fixed stream in ``qwl.rng``, so
 identical flags give byte-identical files.
 
-``main`` validates the flags once (``_validate``, before any work); each
+``main`` reads the flags from one table (``_FLAGS``: flag, attribute, type,
+default) with ``parse_args`` and validates them once (``_validate``, before
+any work); a flag error is ``BadSpec`` like any other bad input.  Each
 ``cmd_*`` returns its report dict, its CSV rows and its exit code, and
 ``main`` renders the format asked for.  JSON numbers, matrix entries
-included, must be finite numbers: bools and strings are rejected.
+included, must be finite numbers: bools and strings are rejected.  A matrix
+of plain [re, im] number pairs is read as one array, anything else entry by
+entry.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
-import argparse
 import csv
 import io
 import json
 import sys
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -118,7 +123,29 @@ def _matrix_entry(z) -> complex:
     return complex(_json_float(z[0], "matrix entry"), _json_float(z[1], "matrix entry"))
 
 
+def _flat_matrix(obj):
+    """obj as a complex array when it is equal rows of [re, im] pairs of finite ints and floats
+    only; None for anything else, which the per-entry path then reads or refuses."""
+    if not obj or type(obj) is not list or set(map(type, obj)) != {list} \
+            or len(set(map(len, obj))) != 1:
+        return None
+    entries = list(chain.from_iterable(obj))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        a = np.array(flat, dtype=float)
+    except OverflowError:  # an int past the largest float
+        return None
+    return a.view(complex).reshape(len(obj), -1) if np.isfinite(a).all() else None
+
+
 def _matrix_from_json(obj) -> np.ndarray:
+    m = _flat_matrix(obj)
+    if m is not None:
+        return m
     try:
         m = np.array([[_matrix_entry(z) for z in row] for row in obj], dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -384,29 +411,74 @@ _DISPATCH = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qwl",
-        description="Quantum walk limits: walks, protocols, closures, reports.")
-    parser.add_argument("command", choices=_DISPATCH)
-    parser.add_argument("--walk", default="", metavar="SPEC",
-                        help="cycle:N | lattice:N,D | example | file:PATH")
-    parser.add_argument("--protocol", default="", metavar="SPEC",
-                        help="strauch | evencyc | file:PATH")
-    parser.add_argument("--gamma", type=float, default=1.0)
-    parser.add_argument("--t", type=float, default=1.0)
-    parser.add_argument("--m-list", default="", metavar="A,B,C")
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="", metavar="PATH")
-    parser.add_argument("--format", default="csv", choices=("csv", "json"))
-    parser.add_argument("--hamiltonian", default="", metavar="PATH")
-    parser.add_argument("--dump-basis", action="store_true")
-    return parser
+# flag: (attribute, type, default, help); a bool flag is a bare switch
+_FLAGS = {
+    "--walk": ("walk", str, "", "SPEC: cycle:N | lattice:N,D | example | file:PATH"),
+    "--protocol": ("protocol", str, "", "SPEC: strauch | evencyc | file:PATH"),
+    "--gamma": ("gamma", float, 1.0, "rate gamma > 0"),
+    "--t": ("t", float, 1.0, "time t >= 0"),
+    "--m-list": ("m_list", str, "", "A,B,C: ascending step counts (converge)"),
+    "--tol": ("tol", float, 1e-9, "closure and membership tolerance"),
+    "--seed": ("seed", int, 0, "seed of the random initial state (evolve, project)"),
+    "--out": ("out", str, "", "PATH: write the report there, not to stdout"),
+    "--format": ("format", str, "csv", "csv | json"),
+    "--hamiltonian": ("hamiltonian", str, "", "PATH: JSON matrix of [re, im] pairs (simulable)"),
+    "--dump-basis": ("dump_basis", bool, False, "add the closure basis (closure, json only)"),
+}
+
+
+def usage() -> str:
+    """The help text: the commands, then each flag with its default."""
+    lines = ["usage: qwl COMMAND [--flag VALUE | --flag=VALUE ...]", "",
+             "commands: " + ", ".join(_DISPATCH), "", "flags [default]:"]
+    for flag, (_, kind, default, text) in _FLAGS.items():
+        shown = "off" if kind is bool else "none" if default == "" else default
+        lines.append(f"  {flag:<14} {text} [{shown}]")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv):
+    """The command and flags of argv as a namespace, or None when argv asks for help.
+
+    A value is the next token verbatim or follows "="; flags are never abbreviated."""
+    args = SimpleNamespace(command=None, **{a: d for a, _, d, _ in _FLAGS.values()})
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("-"):
+            if args.command is not None:
+                raise BadSpec(f"unexpected argument {token!r} after the command")
+            if token not in _DISPATCH:
+                raise BadSpec(f"unknown command {token!r}; commands: {', '.join(_DISPATCH)}")
+            args.command = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in _FLAGS:
+            raise BadSpec(f"unknown flag {flag} (see qwl --help)")
+        attr, kind, _, _ = _FLAGS[flag]
+        if kind is bool:
+            if eq:
+                raise BadSpec(f"{flag} takes no value")
+            setattr(args, attr, True)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise BadSpec(f"{flag} needs a value")
+        try:
+            setattr(args, attr, kind(value))
+        except ValueError:
+            raise BadSpec(f"{flag} must be {kind.__name__}, got {value!r}") from None
+    if args.command is None:
+        raise BadSpec(f"a command is needed: {', '.join(_DISPATCH)}")
+    return args
 
 
 def _validate(args):
-    """Checks argparse does not make; also parses --m-list into a list."""
+    """Checks of the flags' values, before any work; also parses --m-list into a list."""
+    if args.format not in ("csv", "json"):
+        raise BadSpec(f"--format must be csv or json, got {args.format!r}")
     try:
         args.m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError as exc:
@@ -434,8 +506,11 @@ def _validate(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(usage())
+            return 0
         _validate(args)
         report, rows, code = _DISPATCH[args.command](args)
         text = _json_dumps(report) + "\n" if args.format == "json" else _csv_text(rows)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwl import cli, graphs, limits, walks
 from qwl.errors import BadSpec, DimMismatch, NotScalarAtZero
@@ -563,6 +565,15 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "qwl", "info", "--walk", "nope"],
         capture_output=True, text=True, env=env)
     assert proc2.returncode == 2
+    # flags read from sys.argv: help exits 0, a flag error exits 2 with one qwl: line
+    proc3 = subprocess.run([sys.executable, "-m", "qwl", "--help"],
+                           capture_output=True, text=True, env=env)
+    assert proc3.returncode == 0 and "closure" in proc3.stdout and proc3.stderr == ""
+    proc4 = subprocess.run(
+        [sys.executable, "-m", "qwl", "converge", "--walk", "cycle:4", "--gamma"],
+        capture_output=True, text=True, env=env)
+    assert proc4.returncode == 2 and proc4.stdout == ""
+    assert proc4.stderr == "qwl: --gamma needs a value\n"
 
 
 def test_simulable_hermiticity_is_relative_to_the_largest_entry(tmp_path, capsys):
@@ -949,12 +960,35 @@ def _walk_json_with_one_move_row():
      None),
     (lambda d: ["info", "--walk",
                 "file:" + _write_json(d, "w.json", _walk_json_with_one_move_row())], None),
+    (lambda d: ["info", "--walk", "cycle:4", "--bogus", "1"],
+     "qwl: unknown flag --bogus (see qwl --help)\n"),
+    (lambda d: ["closure", "--wlk", "cycle:4"], "qwl: unknown flag --wlk (see qwl --help)\n"),
+    (lambda d: ["closure", "--wal=cycle:4"], "qwl: unknown flag --wal (see qwl --help)\n"),
+    (lambda d: ["converge", "--walk", "cycle:4", "--gamma"], "qwl: --gamma needs a value\n"),
+    (lambda d: ["evolve", "--walk", "cycle:4", "--seed", "1.5"],
+     "qwl: --seed must be int, got '1.5'\n"),
+    (lambda d: ["evolve", "--walk", "cycle:4", "--gamma", "x"],
+     "qwl: --gamma must be float, got 'x'\n"),
+    (lambda d: ["info", "--walk", "cycle:4", "--format", "xml"],
+     "qwl: --format must be csv or json, got 'xml'\n"),
+    (lambda d: ["--walk", "cycle:4"],
+     "qwl: a command is needed: info, converge, evolve, project, closure, simulable, example\n"),
+    (lambda d: ["walk", "--walk", "cycle:4"],
+     "qwl: unknown command 'walk'; commands: info, converge, evolve, project, closure, "
+     "simulable, example\n"),
+    (lambda d: ["info", "example", "--walk", "cycle:4"],
+     "qwl: unexpected argument 'example' after the command\n"),
+    (lambda d: ["closure", "--walk", "example", "--format", "json", "--dump-basis=1"],
+     "qwl: --dump-basis takes no value\n"),
 ], ids=["m-list-not-int", "protocol-unknown", "protocol-kind-loop", "atom-walk-int",
         "step-coin-empty", "simulable-without-hamiltonian", "walk-without-moves",
-        "walk-with-too-few-move-rows"])
+        "walk-with-too-few-move-rows", "unknown-flag", "misspelt-flag", "abbreviated-flag",
+        "missing-value", "seed-not-int", "gamma-not-float", "format-xml", "no-command",
+        "unknown-command", "second-command", "switch-with-value"])
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "never.csv"
-    assert run(argv(tmp_path), out) == 2
+    # --out goes first, so that a flag missing its value is the last token
+    assert cli.main(["--out", str(out), *argv(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("qwl: ")
     assert message is None or captured.err == message
@@ -1017,3 +1051,111 @@ def test_closure_dump_on_a_walk_without_a_group(tmp_path):
     assert np.abs(basis + basis.conj().swapaxes(1, 2)).max() <= 1e-12
     rows = basis.reshape(len(basis), -1).view(float)
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-12
+
+
+# a value of every flag that takes one, each unlike its default
+FLAG_VALUES = {"--walk": "cycle:5", "--protocol": "evencyc", "--gamma": "0.5", "--t": "-1",
+               "--m-list": "8,16", "--tol": "1e-7", "--seed": "7", "--out": "r=1.csv",
+               "--format": "json", "--hamiltonian": "h.json"}
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+def test_each_flag_reads_the_same_in_both_spellings(flag):
+    value = FLAG_VALUES[flag]
+    spaced = cli.parse_args(["converge", flag, value])
+    assert spaced == cli.parse_args(["converge", f"{flag}={value}"])
+    assert spaced == cli.parse_args([flag, value, "converge"])  # the command goes anywhere
+    attr, kind = cli._FLAGS[flag][:2]
+    assert getattr(spaced, attr) == kind(value) != getattr(cli.parse_args(["converge"]), attr)
+
+
+def test_every_flag_is_covered_and_values_are_taken_verbatim():
+    assert set(FLAG_VALUES) | {"--dump-basis"} == set(cli._FLAGS)
+    assert cli.parse_args(["closure", "--dump-basis"]).dump_basis is True
+    # a value is the next token verbatim, even one that looks like a flag
+    assert cli.parse_args(["info", "--walk", "--t", "--t", "-2"]).walk == "--t"
+    assert cli.parse_args(["info", "--t", "1", "--t=3"]).t == 3.0  # the last one counts
+
+
+def test_flag_defaults_are_pinned():
+    assert vars(cli.parse_args(["info"])) == {
+        "command": "info", "walk": "", "protocol": "", "gamma": 1.0, "t": 1.0, "m_list": "",
+        "tol": 1e-9, "seed": 0, "out": "", "format": "csv", "hamiltonian": "",
+        "dump_basis": False}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["closure", "--walk", "cycle:4", "-h"]])
+def test_help_names_every_command_and_flag(tmp_path, capsys, argv):
+    out = tmp_path / "never.csv"
+    assert cli.main(["--out", str(out), *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and not out.exists()
+    for name in [*cli._DISPATCH, *cli._FLAGS]:
+        assert name in captured.out
+
+
+def per_entry_matrix(obj):
+    """A JSON matrix read one entry at a time: cli._matrix_from_json without its fast path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_flat_matrix", lambda obj: None)
+        return cli._matrix_from_json(obj)
+
+
+_json_numbers = st.one_of(
+    st.integers(min_value=-2 ** 1023, max_value=2 ** 1023),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -0.0, 2 ** 53 + 1, -(2 ** 63) - 1, 2 ** 64 + 3, 1e308, -1e308,
+                     5e-324]))
+
+
+@st.composite
+def json_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pair = st.lists(_json_numbers, min_size=2, max_size=2)
+    return draw(st.lists(st.lists(pair, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(json_matrices())
+def test_matrix_from_json_is_the_per_entry_reading_bitwise(obj):
+    m, oracle = cli._matrix_from_json(obj), per_entry_matrix(obj)
+    assert m.dtype == oracle.dtype and m.shape == oracle.shape
+    assert m.tobytes() == oracle.tobytes()
+
+
+def _big_matrix_with(i, j, entry):
+    obj = matrix_json(np.arange(36.0).reshape(6, 6) * (1 + 0.5j))
+    obj[i][j] = entry
+    return obj
+
+
+def _ragged():
+    obj = _big_matrix_with(0, 0, [0.0, 0.0])
+    obj[3].pop()
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    _big_matrix_with(5, 5, [True, 0.0]), _big_matrix_with(5, 5, [1.0, "0"]),
+    _big_matrix_with(5, 5, [float("nan"), 0.0]), _big_matrix_with(2, 3, [0.0, float("inf")]),
+    _big_matrix_with(0, 0, [-float("inf"), 1]), _big_matrix_with(4, 1, [10 ** 400, 0]),
+    _big_matrix_with(5, 5, [1.0, 0.0, 2.0]), _ragged(),
+    _big_matrix_with(0, 0, [0.0, 0.0])[:5] + [5], [[[1, 0]], {"re": 1}], [], [[1.0, 0.0]],
+], ids=["bool", "string", "nan", "inf", "minus-inf", "int-past-float-max", "three-numbers",
+        "ragged-row", "non-list-row", "object-row", "empty", "row-of-numbers"])
+def test_bad_matrix_json_gets_the_per_entry_message(obj):
+    with pytest.raises(BadSpec) as oracle:
+        per_entry_matrix(obj)
+    with pytest.raises(BadSpec) as got:
+        cli._matrix_from_json(obj)
+    assert str(got.value) == str(oracle.value)
+
+
+def test_a_well_formed_matrix_is_read_as_one_array(monkeypatch):
+    def no_entry(z):
+        raise AssertionError("a well-formed matrix was read one entry at a time")
+
+    monkeypatch.setattr(cli, "_matrix_entry", no_entry)
+    m = np.arange(12.0).reshape(3, 4) - 2j
+    assert np.array_equal(cli._matrix_from_json(matrix_json(m)), m)
