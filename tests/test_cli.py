@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -415,7 +416,7 @@ def test_dump_basis_over_the_byte_cap_is_refused_before_the_dense_basis(tmp_path
     def no_dense(self):
         raise AssertionError("the dense basis was formed")
 
-    # lattice:3,3: 946 elements of 162 x 162, 397 MB dense, 4.3 GB as JSON lists
+    # lattice:3,3: 946 elements of 162 x 162, 397 MB dense
     monkeypatch.setattr(cli.liealg.LieBasis, "dense_elements", no_dense)
     out = tmp_path / "basis.json"
     start = time.process_time()
@@ -441,6 +442,45 @@ def test_dump_under_the_byte_cap_keeps_its_bytes(tmp_path, spec):
               "generator_count": w.coin_dim ** 2 * walks.shift_order(w), "passes": basis.passes,
               "basis": [matrix_json(b) for b in elements]}
     assert out.read_text() == cli._json_dumps(report) + "\n"
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@st.composite
+def float_arrays(draw):
+    """Float arrays of 1 to 4 dimensions with axes of length 0 to 3, edge values, now and then
+    one NaN or infinity, and as a C-ordered, transposed, reversed or strided view."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    view = draw(st.sampled_from(["c", "transposed", "reversed", "strided"]))
+    if view == "strided":
+        shape[-1] *= 2
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_EDGE_FLOATS))
+    a = np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape))),
+                 dtype=float).reshape(shape)
+    if a.size and draw(st.booleans()):
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from(_NON_FINITE))
+    return {"c": a, "transposed": a.T, "reversed": a[::-1], "strided": a[..., ::2]}[view]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(float_arrays(), st.integers(0, 3))
+def test_an_array_renders_as_its_nested_lists(a, indent):
+    assert cli._json_dumps(a, indent) == cli._json_dumps(a.tolist(), indent)
+    in_dict = {"n": 1, "array": a, "after": [a[..., :1], 2.5]}
+    as_lists = {"n": 1, "array": a.tolist(), "after": [a[..., :1].tolist(), 2.5]}
+    assert cli._json_dumps(in_dict, indent + 1) == cli._json_dumps(as_lists, indent + 1)
+
+
+def test_a_finite_float_array_is_rendered_without_the_per_float_path(monkeypatch):
+    def no_fmt(x):
+        raise AssertionError("a finite float array was rendered one float at a time")
+
+    monkeypatch.setattr(cli, "_fmt", no_fmt)
+    a = np.arange(24.0).reshape(2, 3, 2, 2) - 7.5
+    assert json.loads(cli._json_dumps({"a": a})) == {"a": a.tolist()}
 
 
 def test_simulable_command(tmp_path):
@@ -537,6 +577,28 @@ def test_evolve_matches_the_dense_propagator(tmp_path, spec):
     assert np.abs(state - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("walk", ["cycle:5", "lattice:4,2", "relabelled lattice:3,2",
+                                  "two triangles"])
+def test_evolve_json_keeps_the_bytes_of_its_per_element_state(tmp_path, walk):
+    if walk == "relabelled lattice:3,2":
+        perm = np.random.default_rng(4).permutation(9)
+        spec = "file:" + _write_json(tmp_path, "walk.json",
+                                     relabelled_json(walks.lattice_walk(3, 2), perm))
+    elif walk == "two triangles":
+        spec = "file:" + _write_json(tmp_path, "walk.json", walks.walk_to_json(two_triangles()))
+    else:
+        spec = walk
+    out = tmp_path / "ev.json"
+    assert run(["evolve", "--walk", spec, "--gamma", "0.7", "--t", "1.3", "--seed", "5",
+                "--format", "json"], out) == 0
+    w = cli.resolve_walk(spec)
+    psit = walks.expm_state(w, walks.adjacency_eig(w), 0.7 * 1.3, seeded_state(w.graph.n, 5))
+    report = {"walk": spec, "gamma": 0.7, "t": 1.3, "seed": 5,
+              "state": [[float(z.real), float(z.imag)] for z in psit],
+              "norm_residual": abs(np.linalg.norm(psit) - 1.0)}
+    assert out.read_text() == cli._json_dumps(report) + "\n"
+
+
 def test_determinism(tmp_path):
     cases = [
         ["info", "--walk", "lattice:3,2"],
@@ -546,6 +608,9 @@ def test_determinism(tmp_path):
         ["closure", "--walk", "example", "--format", "json"],
         ["example", "--format", "json"],
         ["evolve", "--walk", "cycle:5", "--seed", "9", "--format", "json"],
+        ["closure", "--walk", "example", "--dump-basis", "--format", "json"],
+        ["evolve", "--walk", "file:" + _write_json(tmp_path, "walk.json", relabelled_cycle_json()),
+         "--seed", "2", "--format", "json"],
     ]
     for i, args in enumerate(cases):
         a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
