@@ -18,7 +18,11 @@ translation group, the C-contiguous (N, c, c) stack of momentum blocks, in
 which block p of a step S (C x 1) is diag(D_p) C; on any other walk, the
 dense matrix.  An atom's construction fold and its T(x) multiply one factor
 list in that form; on a walk with a group it folds each run of unperturbed
-steps into one block product, so no dim x dim step product is formed.
+steps into one block product, k repeats of one step object by the k-th
+matrix power, so no dim x dim step product is formed.  An atom works on its
+distinct step objects as (k, c, c) stacks: T(x) exponentiates all of its
+perturbed steps in one ``expm_hermitian`` call, each block bitwise that
+step's own ``expm_skew(E, a*x)``, and every repeat of a step reuses it.
 The eigenpairs, the m-fold powers and the errors of a convergence study
 stay in that form, and the character transform is unitary, so every
 Frobenius error is the dense one.  ``effective_hamiltonian``,
@@ -28,6 +32,7 @@ walk.
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .errors import (
     NotUnitary,
     TooSmall,
 )
-from .linalg import (expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig, is_permutation,
+from .linalg import (expm_eig, expm_hermitian, frob, hermitian_eig, is_permutation,
                      is_skew_hermitian, is_unitary)
 from .walks import (CoinedWalk, apply_step, checked_shift_order, conjugation_phases, cycle_walk,
                     from_momentum_blocks, momentum_blocks, shift_matrix, shift_phases)
@@ -99,12 +104,6 @@ class ProtocolStep:
         object.__setattr__(self, "coin", coin)
         object.__setattr__(self, "generator", gen)
 
-    def coin_at(self, x: float) -> np.ndarray:
-        """The step's coin C exp(E*a*x) at perturbation x."""
-        if not self.generator.any():
-            return self.coin
-        return self.coin @ expm_skew(self.generator, self.slope * x)
-
 
 class _Node:
     """A protocol node: it has ``walk`` and ``phase``, and keeps the eigenpairs of its H."""
@@ -156,7 +155,13 @@ class Atom(_Node):
             raise NotUnitary("walk shift is not a permutation")
         self.walk = walk
         self.steps = steps
-        self._step, self._one, self._factors = _factors(walk, steps)
+        self._step, self._one, distinct, self._factors = _factors(walk, steps)
+        # T(x)'s coins: one stack of the distinct steps' coins, the k perturbed ones first, whose
+        # exponentials exp(a_j E_j x) are one stacked call per x.
+        k = sum(1 for st in distinct if st.generator.any())
+        self._coins = np.array([st.coin for st in distinct])
+        self._gens = 1j * np.array([st.generator for st in distinct[:k]]).reshape(-1, c, c)
+        self._slopes = np.array([st.slope for st in distinct[:k]], dtype=float)
         r = self._one()
         h = np.zeros(r.shape, dtype=complex)
         # F_j = S (C_j x 1); R_j = F_(j+1)...F_m acts before step j (the chain ends at T(0)),
@@ -165,12 +170,13 @@ class Atom(_Node):
         # = i sum_j R_j^dag (a_j E_j x 1) R_j = i sum_j (F_j R_j)^dag S (a_j C_j E_j x 1) R_j,
         # block by block when the walk has a group.  A folded idle run adds nothing to H.
         for f in self._factors:
-            if not isinstance(f, ProtocolStep):
+            if isinstance(f, np.ndarray):
                 r = f @ r
                 continue
-            fr = self._step(f.coin, r)
-            if f.generator.any():
-                h += _adjoint(fr) @ self._step(f.slope * (f.coin @ f.generator), r)
+            st = distinct[f]
+            fr = self._step(st.coin, r)
+            if f < k:
+                h += _adjoint(fr) @ self._step(st.slope * (st.coin @ st.generator), r)
             r = fr
         # The diagonal of T(0) is the mean of its blocks' diagonals, and the Frobenius norm
         # over all blocks is the dense one, so one phi is checked against every block.
@@ -183,10 +189,20 @@ class Atom(_Node):
         self._h.setflags(write=False)
 
     def unitary(self, x: float) -> np.ndarray:
-        """T(x) in the walk's form: one step or block product per factor."""
+        """T(x) in the walk's form: one step or block product per factor.
+
+        Step j's coin is C_j exp(E_j a_j x), with every perturbed step's
+        exponential taken in one ``expm_hermitian`` call on the stack of the
+        i E_j at the a_j x.
+        """
+        coins = self._coins
+        k = len(self._slopes)
+        if k:
+            coins = coins.copy()
+            coins[:k] = coins[:k] @ expm_hermitian(self._gens, self._slopes * x)
         u = self._one()
         for f in self._factors:
-            u = self._step(f.coin_at(x), u) if isinstance(f, ProtocolStep) else f @ u
+            u = f @ u if isinstance(f, np.ndarray) else self._step(coins[f], u)
         return u
 
     @cached_property
@@ -201,31 +217,39 @@ class Atom(_Node):
 
 
 def _factors(w: CoinedWalk, steps):
-    """(step, one, factors): how a step S (C x 1) acts in w's form, a maker of that form's
-    identity, and T(x)'s factors, the first to act first.
+    """(step, one, distinct, factors): how a step S (C x 1) acts in w's form, a maker of that
+    form's identity, the distinct step objects, the perturbed ones first, and T(x)'s factors,
+    the first to act first.
 
-    On a walk without a group the form is dense: a step is ``apply_step`` and
-    the factors are the steps.  On a walk with one it is the (N, c, c) stack,
-    where block p of a step is diag(D_p) C: a perturbed step stays a
-    ``ProtocolStep``, and each maximal run of steps with a zero generator is
-    folded into the read-only product of its blocks.
+    A factor is the index of its step in ``distinct``, or a folded block
+    product.  On a walk without a group the form is dense: a step is
+    ``apply_step`` and every step is a factor.  On a walk with one it is the
+    (N, c, c) stack, where block p of a step is diag(D_p) C: each maximal run
+    of steps with a zero generator is folded into the read-only product of its
+    blocks, k repeats of one step object as the k-th power of its blocks.
     """
+    # stable, so in order of first appearance among the perturbed steps, then the idle ones
+    distinct = {id(st): st for st in sorted(steps, key=lambda st: not st.generator.any())}
+    index = {key: j for j, key in enumerate(distinct)}
+    distinct = tuple(distinct.values())
     if w.group is None:
-        return partial(apply_step, w), partial(np.eye, w.dim, dtype=complex), tuple(reversed(steps))
+        return (partial(apply_step, w), partial(np.eye, w.dim, dtype=complex), distinct,
+                tuple(index[id(st)] for st in reversed(steps)))
     d = shift_phases(w)[:, :, None]
     factors = []
-    for st in reversed(steps):
-        if st.generator.any():
-            factors.append(st)
+    for key, run in groupby(reversed(steps), key=id):
+        run = tuple(run)
+        if run[0].generator.any():
+            factors += [index[key]] * len(run)
             continue
-        block = d * st.coin
+        block = np.linalg.matrix_power(d * run[0].coin, len(run))
         if factors and isinstance(factors[-1], np.ndarray):
             block = block @ factors.pop()
         block.setflags(write=False)
         factors.append(block)
     c = w.coin_dim
     one = partial(np.broadcast_to, np.eye(c, dtype=complex), (w.walker_dim, c, c))
-    return (lambda coin, m: (d * coin) @ m), one, tuple(factors)
+    return (lambda coin, m: (d * coin) @ m), one, distinct, tuple(factors)
 
 
 class _Pair(_Node):

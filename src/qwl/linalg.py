@@ -1,7 +1,10 @@
 """Dense linear algebra for operators on coin/walker spaces.
 
 Operators are plain ``numpy`` arrays, and ``as_matrix`` alone decides
-their dtype: float64 for real input, complex128 otherwise.  Real operators
+their dtype: float64 for real input, complex128 otherwise.  ``scaled``,
+``is_hermitian``, ``hermitian_eig``, ``expm_hermitian`` and ``expm_eig``
+also take a (k, n, n) stack of blocks, work on each block as on a matrix
+of its own, and give each block bitwise the result it would get alone.  Real operators
 (shifts, adjacency, Laplacian, the cycle limit Hamiltonian) therefore stay
 real, and real symmetric ones are eigendecomposed as real matrices.  Matrix
 exponentials are computed through the Hermitian eigendecomposition only;
@@ -47,21 +50,42 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _as_operator(a) -> np.ndarray:
+    """``as_matrix``, or for a 3-D input the (k, n, n) stack of the same dtype."""
+    if np.ndim(a) != 3:
+        return as_matrix(a)
+    m = np.asarray(a)
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
+def _adjoint(a) -> np.ndarray:
+    """The adjoint of a matrix, or of each block of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def scaled(a) -> np.ndarray:
     """a times the power of two that takes its largest entry into [1/2, 1), as complex.
 
-    A (k, n, n) stack is scaled element by element.  Exact, so no norm of it
+    A (k, n, n) stack is scaled block by block.  Exact, so no norm of it
     under- or overflows and a tolerance on it is relative to max|a|.
     """
-    a = np.asarray(a) if np.ndim(a) == 3 else as_matrix(a)
+    a = _as_operator(a)
     _, e = np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0, keepdims=True))
     return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff ||A - A^dag||_F <= tol * max|A|, within a factor of two (see ``scaled``)."""
-    a = scaled(as_matrix(a))
-    return a.shape[0] == a.shape[1] and frob(a - a.conj().T) <= tol
+def is_hermitian(a, tol: float = HERMITIAN_TOL):
+    """True iff ||A - A^dag||_F <= tol * max|A|, within a factor of two (see ``scaled``).
+
+    A (k, n, n) stack gets a boolean array of k verdicts, each block judged
+    against its own largest entry.
+    """
+    a = scaled(a)
+    if a.shape[-1] != a.shape[-2]:
+        return np.zeros(a.shape[:-2], dtype=bool) if a.ndim == 3 else False
+    if a.ndim == 3:
+        return np.linalg.norm(a - _adjoint(a), axis=(-2, -1)) <= tol
+    return frob(a - a.conj().T) <= tol
 
 
 def is_skew_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
@@ -96,7 +120,7 @@ def kron(a, b) -> np.ndarray:
 
 
 def hermitian_eig(h):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each block of a (k, n, n) stack.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary).
     A real symmetric input is decomposed as a real matrix, with real
@@ -104,31 +128,39 @@ def hermitian_eig(h):
     compare invariant subspaces or eigenvalue multisets, never individual
     columns.
     """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NonHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
-    if not is_hermitian(h):
+    h = _as_operator(h)
+    if h.shape[-1] != h.shape[-2]:
+        raise NonHermitian(f"matrix is {h.shape[-2]}x{h.shape[-1]}, not square")
+    if not np.all(is_hermitian(h)):
         raise NonHermitian(f"not Hermitian within {HERMITIAN_TOL:.1e} of its largest entry")
     # symmetrize to suppress roundoff drift before eigensolving
-    return np.linalg.eigh((h + h.conj().T) / 2)
+    return np.linalg.eigh((h + _adjoint(h)) / 2)
 
 
-def expm_hermitian(h, s: float) -> np.ndarray:
-    """exp(-i*s*H) for Hermitian H, via eigendecomposition."""
+def expm_hermitian(h, s) -> np.ndarray:
+    """exp(-i*s*H) for Hermitian H, via eigendecomposition.
+
+    On a (k, n, n) stack, s is one float for every block or k floats, one
+    per block.
+    """
     return expm_eig(hermitian_eig(h), s)
 
 
-def expm_eig(eig, s: float) -> np.ndarray:
+def expm_eig(eig, s) -> np.ndarray:
     """exp(-i*s*H) from the eigenpairs (w, v) of H, so one decomposition serves every s.
 
     Eigenpairs of a (k, n, n) stack of blocks, values (k, n) and vectors
-    (k, n, n), give the stack of the blocks' exponentials; at s = 0 the
-    result is exactly the identity, of v's shape.
+    (k, n, n), give the stack of the blocks' exponentials, at one s or at k
+    values of s, one per block.  A block at s = 0 is exactly the identity.
     """
     w, v = eig
-    if s == 0:
+    s = np.asarray(s, dtype=float)
+    if not s.any():
         return np.broadcast_to(np.eye(v.shape[-1], dtype=complex), v.shape).copy()
-    return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    u = (v * np.exp(-1j * s[..., None] * w)[..., None, :]) @ _adjoint(v)
+    if s.ndim:
+        u[s == 0] = np.eye(v.shape[-1])
+    return u
 
 
 def expm_skew(k, s: float = 1.0) -> np.ndarray:

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwl import cli, graphs, limits, walks
-from qwl.errors import BadSpec, DimMismatch, NotScalarAtZero
+from qwl.errors import BadSpec, DimMismatch, NotScalarAtZero, QwlError
 from qwl.rng import seeded_state
 from walk_cases import (
     CYCLE8_CHORDS,
@@ -441,7 +441,11 @@ def test_dump_under_the_byte_cap_keeps_its_bytes(tmp_path, spec):
     report = {"ambient_dim": w.dim, "dimension": len(elements), "tolerance": basis.tol,
               "generator_count": w.coin_dim ** 2 * walks.shift_order(w), "passes": basis.passes,
               "basis": [matrix_json(b) for b in elements]}
-    assert out.read_text() == cli._json_dumps(report) + "\n"
+    got, want = out.read_text(), cli._json_dumps(report) + "\n"
+    # the index of the first difference first: pytest's diff of two texts this long stalls
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert first == len(got) == len(want)
+    assert got == want
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -1224,3 +1228,105 @@ def test_a_well_formed_matrix_is_read_as_one_array(monkeypatch):
     monkeypatch.setattr(cli, "_matrix_entry", no_entry)
     m = np.arange(12.0).reshape(3, 4) - 2j
     assert np.array_equal(cli._matrix_from_json(matrix_json(m)), m)
+
+
+def per_step_steps(items):
+    """Protocol steps read one step at a time: cli._protocol_steps_from_json without its fast
+    path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_stacked_steps", lambda items: None)
+        return cli._protocol_steps_from_json(items)
+
+
+def _signed_zeros(draw, m):
+    """matrix_json(m) with each zero part drawn as 0.0 or -0.0."""
+    zero = st.sampled_from([0.0, -0.0])
+    return [[[z.real or draw(zero), z.imag or draw(zero)] for z in row]
+            for row in np.asarray(m, dtype=complex)]
+
+
+@st.composite
+def protocol_steps_json(draw):
+    """An atom's 'steps' as read from JSON: a pool of one to three valid steps, which may differ
+    only in the signs of their zeros or in their slopes, drawn with repeats in any order."""
+    u2 = [1j * limits.D_COIN, 0.25j * np.array([[1.0, 2 - 1j], [2 + 1j, -0.5]])]
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        step = {"coin": _signed_zeros(draw, draw(st.sampled_from([limits.R_COIN, np.eye(2)]))),
+                "generator": _signed_zeros(draw, draw(st.sampled_from(u2 + [np.zeros((2, 2))])))}
+        slope = draw(st.one_of(st.none(), st.sampled_from([1.0, 0.0, -0.0, 2, -3]),
+                               st.floats(-4, 4)))
+        if slope is not None:
+            step["slope"] = slope
+        pool.append(step)
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    return json.loads(json.dumps([pool[j] for j in order]))
+
+
+def _step_bytes(step):
+    return step.coin.tobytes(), step.generator.tobytes(), np.float64(step.slope).tobytes()
+
+
+_R_JSON = matrix_json(limits.R_COIN)
+_D_JSON = matrix_json(1j * limits.D_COIN)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(protocol_steps_json())
+@example([{"coin": _R_JSON, "generator": _D_JSON},
+          {"coin": _R_JSON, "generator": [[[0.0, 0.0], [-0.0, -1.0]], [[0.0, -1.0], [0.0, 0.0]]]},
+          {"coin": _R_JSON, "generator": _D_JSON, "slope": -0.0},
+          {"coin": _R_JSON, "generator": _D_JSON, "slope": 0.0},
+          {"coin": _R_JSON, "generator": _D_JSON}])
+def test_protocol_steps_are_the_per_step_reading_bitwise(items):
+    steps, oracle = cli._protocol_steps_from_json(items), per_step_steps(items)
+    assert len(steps) == len(oracle) == len(items)
+    for got, want in zip(steps, oracle):
+        assert got.coin.dtype == want.coin.dtype and got.coin.shape == want.coin.shape
+        assert got.generator.shape == want.generator.shape
+        assert _step_bytes(got) == _step_bytes(want)
+    # one step object per distinct (coin, generator, slope) bytes
+    for a in steps:
+        for b in steps:
+            assert (a is b) == (_step_bytes(a) == _step_bytes(b))
+
+
+_BAD_STEP_EDITS = {
+    "coin-not-unitary": lambda step: step.__setitem__("coin", matrix_json(2 * limits.R_COIN)),
+    "generator-not-skew": lambda step: step.__setitem__("generator", matrix_json(limits.D_COIN)),
+    "generator-3x3": lambda step: step.__setitem__("generator", matrix_json(np.zeros((3, 3)))),
+    "both-3x3": lambda step: step.update(coin=matrix_json(np.eye(3)),
+                                         generator=matrix_json(np.zeros((3, 3)))),
+    "coin-2x3": lambda step: step.__setitem__("coin", matrix_json(np.eye(2, 3))),
+    "entry-bool": lambda step: step["coin"][0].__setitem__(0, [False, False]),
+    "entry-string": lambda step: step["generator"][1].__setitem__(1, ["0", "0"]),
+    "slope-string": lambda step: step.__setitem__("slope", "1"),
+    "slope-bool": lambda step: step.__setitem__("slope", True),
+    "slope-huge-int": lambda step: step.__setitem__("slope", 10 ** 400),
+    "no-generator": lambda step: step.pop("generator"),
+    "not-an-object": lambda step: step.clear(),
+}
+
+
+def _reading(read, items):
+    """The steps' bytes that read makes of items, or the type and message of its error."""
+    try:
+        return [_step_bytes(step) for step in read(items)]
+    except QwlError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(protocol_steps_json(), st.lists(st.tuples(st.integers(0, 9),
+                                                  st.sampled_from(sorted(_BAD_STEP_EDITS))),
+                                        min_size=1, max_size=3))
+def test_a_bad_protocol_step_gets_the_per_step_message(items, edits):
+    """A step or two edited, each alone (not its repeats): the per-step error, or steps."""
+    edits = {at % len(items): name for at, name in edits}
+    for j, name in edits.items():
+        items[j] = json.loads(json.dumps(items[j]))
+        _BAD_STEP_EDITS[name](items[j])
+    oracle = _reading(per_step_steps, items)
+    assert _reading(cli._protocol_steps_from_json, items) == oracle
+    # every edit but "both-3x3" (a valid step of another coin space) is an error
+    assert isinstance(oracle, tuple) or set(edits.values()) == {"both-3x3"}

@@ -122,6 +122,19 @@ def test_idle_runs_are_folded_once_and_match_the_dense_product():
     assert frob(limits.protocol_unitary(idle, 0.2) - np.eye(w.dim)) <= 1e-12
 
 
+def atoms_of(p):
+    """The atoms of a protocol tree, left to right."""
+    return [p] if isinstance(p, limits.Atom) else atoms_of(p.left) + atoms_of(p.right)
+
+
+def coin_stack(atom):
+    """What np.linalg.eigh receives to exponentiate an atom's distinct perturbed steps: the
+    symmetrized (k, c, c) stack of their i E_j, in order of first appearance."""
+    moving = {id(st): st for st in atom.steps if st.generator.any()}.values()
+    h = 1j * np.array([st.generator for st in moving])
+    return (h + h.conj().swapaxes(-1, -2)) / 2
+
+
 @pytest.mark.parametrize("m_list", [[8], [8, 16], [8, 16, 32, 64]])
 def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
     stream = LcgStream(7)
@@ -132,25 +145,59 @@ def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
                  limits.Commutator(limits.Concat(a, b), c),
                  limits.two_step_protocol(triangles), limits.orbit_protocol(triangles)]
     eigh = np.linalg.eigh
-    shapes = []
+    args = []
 
-    def counting_eigh(h, *args, **kwargs):
-        shapes.append(np.shape(h))
-        return eigh(h, *args, **kwargs)
+    def recording_eigh(h, *rest, **kwargs):
+        args.append(np.array(h))
+        return eigh(h, *rest, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     for p in protocols:
         w = p.walk
-        shapes.clear()
+        args.clear()
         # what `qwl converge` computes: the study, then one single-step error per m
         study = limits.convergence_study(p, 1.0, 1.0, m_list)
         for x, _ in study.samples:
             limits.single_step_error(p, x)
-        # H's momentum blocks on a translation walk, the dense H on a walk without a group;
-        # every other eigh is a step's c x c coin exponential
-        h_shape = (w.dim,) * 2 if w.group is None else (w.walker_dim, w.coin_dim, w.coin_dim)
-        assert shapes.count(h_shape) == 1
-        assert set(shapes) <= {h_shape, (w.coin_dim,) * 2}
+        # each evaluation of T(x) exponentiates each atom's distinct perturbed steps in one
+        # call, told apart from H's decomposition by its argument
+        rest = args
+        for atom in atoms_of(p):
+            stack = coin_stack(atom)
+            assert stack.shape[1:] == (w.coin_dim,) * 2
+            same = [np.array_equal(h, stack) for h in rest]
+            assert sum(same) == 2 * len(m_list)
+            rest = [h for h, s in zip(rest, same) if not s]
+        # what is left is one decomposition of H: its momentum blocks on a translation walk,
+        # the dense H on a walk without a group
+        assert len(rest) == 1
+        h = limits.effective_hamiltonian(p)
+        expected = h if w.group is None else walks.momentum_blocks(w, h)[0]
+        assert rest[0].shape == expected.shape
+        assert frob(rest[0] - expected) <= 1e-12 * max(1.0, frob(h))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.lists(st.floats(-2, 2), min_size=3, max_size=3), st.integers(0, 2 ** 31),
+       st.floats(0, 0.9))
+def test_unitary_is_bitwise_the_per_step_product(slopes, seed, x):
+    """T(x) on a walk without a group is bitwise the product of the steps
+    S (C_j expm_skew(E_j, a_j x) x 1), however the steps repeat."""
+    w = two_triangles()
+    stream = LcgStream(seed)
+    basis = u_basis(2)
+    gens = [sum(stream.gauss_pair()[0] * g for g in basis) for _ in range(2)]
+    eye = np.eye(2, dtype=complex)
+    moving = [limits.ProtocolStep(eye, g, a) for g, a in zip(gens, slopes)]
+    idle = limits.ProtocolStep(eye, np.zeros((2, 2), dtype=complex), slopes[2])
+    steps = [moving[0], idle, moving[1], moving[0], idle, idle]  # reference S^6 = 1
+    p = limits.Atom(w, steps)
+    u = np.eye(w.dim, dtype=complex)
+    for st_ in reversed(steps):
+        coin = st_.coin @ expm_skew(st_.generator, st_.slope * x) if st_.generator.any() \
+            else st_.coin
+        u = walks.apply_step(w, coin, u)
+    assert np.array_equal(p.unitary(x), u)
 
 
 def test_converge_on_a_translation_walk_stays_in_momentum_blocks(monkeypatch):

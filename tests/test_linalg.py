@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwl import graphs
 from qwl.errors import DimMismatch, NonHermitian
@@ -133,6 +135,47 @@ def test_hermiticity_gates_are_relative_to_the_largest_entry():
             hermitian_eig(scale * m)
     # unitarity stays absolute
     assert is_unitary(q) and not is_unitary(2 * q)
+
+
+def test_a_stack_is_judged_block_by_block_against_each_blocks_largest_entry():
+    rng = np.random.default_rng(5)
+    m = random_matrix(rng, 4)
+    h = m + m.conj().T
+    off = h + 1e-6 * random_matrix(rng, 4)  # 1e-6 of its largest entry away from Hermitian
+    for stack, verdicts in ((np.array([1e-12 * off, 1e9 * h]), [False, True]),
+                            (np.array([1e-12 * h, 1e9 * off]), [True, False])):
+        got = is_hermitian(stack)
+        assert got.shape == (2,) and got.tolist() == verdicts
+        assert [is_hermitian(block) for block in stack] == verdicts
+        with pytest.raises(NonHermitian):
+            hermitian_eig(stack)
+    assert is_hermitian(np.array([1e-12 * h, 1e9 * h])).tolist() == [True, True]
+    assert is_hermitian(np.zeros((3, 2, 4))).tolist() == [False] * 3
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(k, n, n) stacks of Hermitian blocks, real or complex, each of its own scale from 1e-12
+    to 1e9, with one s per block, now and then 0."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.standard_normal((k, n, n))
+    if draw(st.booleans()):
+        m = m + 1j * rng.standard_normal((k, n, n))
+    m = (m + m.conj().swapaxes(-1, -2)) * 10.0 ** rng.uniform(-12, 9, (k, 1, 1))
+    s = draw(st.lists(st.one_of(st.just(0.0), st.floats(-10, 10)), min_size=k, max_size=k))
+    return m, s
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(hermitian_stacks())
+@example((np.array([np.diag([1e-12, -1e-12]), [[0.0, 1e9], [1e9, 0.0]]]), [0.0, 0.3]))
+def test_expm_hermitian_on_a_stack_is_each_blocks_own_result_bitwise(case):
+    h, s = case
+    for sj, out in ((s, expm_hermitian(h, np.array(s))), (s[:1] * len(s), expm_hermitian(h, s[0]))):
+        assert out.shape == h.shape and out.dtype == complex
+        for block, a, got in zip(h, sj, out):
+            assert got.tobytes() == expm_hermitian(block, a).tobytes()
 
 
 def test_expm_group_property_and_unitarity():
