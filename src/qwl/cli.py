@@ -191,45 +191,17 @@ def resolve_walk(spec: str) -> walks.CoinedWalk:
     raise BadSpec(f"unrecognized walk spec {spec!r}")
 
 
-def _stacked_steps(items):
-    """The steps of items when every step is an object with 'coin' and 'generator' matrices of
-    one shape, read as by ``_flat_matrix``, and a finite number or no 'slope'; None for
-    anything else, which the per-step path then reads or refuses.
-
-    Every coin and generator is read with one array call, and one ``ProtocolStep`` is built
-    and checked per distinct (coin, generator, slope), keyed by their bytes, so -0.0 and 0.0
-    stay distinct; a repeat is that same object.
-    """
-    if not items or type(items) is not list or set(map(type, items)) != {dict} \
-            or not all("coin" in item and "generator" in item for item in items):
-        return None
-    slopes = [item.get("slope", 1.0) for item in items]
-    if not set(map(type, slopes)) <= {int, float} \
-            or not all(abs(v) <= sys.float_info.max for v in slopes):
-        return None
-    mats = [m for item in items for m in (item["coin"], item["generator"])]
-    if set(map(type, mats)) != {list} or len(set(map(len, mats))) != 1:
-        return None
-    a = _flat_matrix(list(chain.from_iterable(mats)))
-    if a is None:
-        return None
-    made = {}
-    steps = []
-    for pair, slope in zip(a.reshape(len(items), 2, len(mats[0]), -1),
-                           np.array([float(v) for v in slopes])):
-        key = (pair.tobytes(), slope.tobytes())
-        if key not in made:
-            made[key] = limits.ProtocolStep(coin=pair[0], generator=pair[1], slope=float(slope))
-        steps.append(made[key])
-    return steps
-
-
 def _protocol_steps_from_json(items):
-    steps = _stacked_steps(items)
-    if steps is not None:
-        return steps
+    """An atom's steps, read and checked one at a time in order.
+
+    One ``ProtocolStep`` is built per distinct step, keyed by the shapes of its coin and
+    generator and the bytes of its coin, generator and slope: -0.0 and 0.0 differ, and a
+    reshaped matrix of the same bytes is checked on its own.  A repeat is that same object,
+    which T(x) exponentiates once.
+    """
     if not isinstance(items, list):
         raise BadSpec(f"protocol 'steps' must be a list, got {type(items).__name__}")
+    made = {}
     steps = []
     for item in items:
         if not isinstance(item, dict) or "coin" not in item or "generator" not in item:
@@ -237,7 +209,10 @@ def _protocol_steps_from_json(items):
         coin = _matrix_from_json(item["coin"])
         gen = _matrix_from_json(item["generator"])
         slope = _json_float(item.get("slope", 1.0), "step slope")
-        steps.append(limits.ProtocolStep(coin=coin, generator=gen, slope=slope))
+        key = (coin.shape, gen.shape, coin.tobytes(), gen.tobytes(), np.float64(slope).tobytes())
+        if key not in made:
+            made[key] = limits.ProtocolStep(coin=coin, generator=gen, slope=slope)
+        steps.append(made[key])
     return steps
 
 

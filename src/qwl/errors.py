@@ -64,18 +64,18 @@ class NotRegular(QwlError):
 class NotBijective(QwlError):
     """A per-coin move table fails to be a bijection on vertices."""
 
-    def __init__(self, coin: int, message: str | None = None):
+    def __init__(self, coin: int):
         self.coin = coin
-        super().__init__(message or f"moves for coin result {coin} are not a bijection on vertices")
+        super().__init__(f"moves for coin result {coin} are not a bijection on vertices")
 
 
 class NotAnEdge(QwlError):
     """A move (vertex, coin) targets a vertex that is not adjacent."""
 
-    def __init__(self, vertex: int, coin: int, message: str | None = None):
+    def __init__(self, vertex: int, coin: int):
         self.vertex = vertex
         self.coin = coin
-        super().__init__(message or f"move at vertex {vertex}, coin result {coin} does not follow an edge")
+        super().__init__(f"move at vertex {vertex}, coin result {coin} does not follow an edge")
 
 
 class Unstable(QwlError):

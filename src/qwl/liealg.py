@@ -40,7 +40,8 @@ from .errors import (
     NotSkewHermitian,
     TooSmall,
 )
-from .linalg import HERMITIAN_TOL, as_matrix, frob, is_hermitian, is_skew_hermitian, kron, scaled
+from .linalg import (HERMITIAN_TOL, _adjoint, as_matrix, frob, is_hermitian, is_skew_hermitian,
+                     kron, scaled)
 from .walks import (
     CoinedWalk,
     checked_shift_order,
@@ -183,7 +184,7 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 def _check_skew(stack: np.ndarray) -> np.ndarray:
     """The (m, n, n) stack, once each element is skew-Hermitian relative to its largest entry."""
     s = scaled(stack)
-    if not (_norms(s + s.conj().swapaxes(-1, -2)) <= HERMITIAN_TOL).all():
+    if not (_norms(s + _adjoint(s)) <= HERMITIAN_TOL).all():
         raise NotSkewHermitian("closure generators must be skew-Hermitian")
     return stack
 

@@ -44,7 +44,7 @@ from .errors import (
     NotUnitary,
     TooSmall,
 )
-from .linalg import (expm_eig, expm_hermitian, frob, hermitian_eig, is_permutation,
+from .linalg import (_adjoint, expm_eig, expm_hermitian, frob, hermitian_eig, is_permutation,
                      is_skew_hermitian, is_unitary)
 from .walks import (CoinedWalk, apply_step, checked_shift_order, conjugation_phases, cycle_walk,
                     from_momentum_blocks, momentum_blocks, shift_matrix, shift_phases)
@@ -364,11 +364,6 @@ def evencyc_protocol(n: int) -> Atom:
 def limit_hamiltonian_cycle(n: int) -> np.ndarray:
     """``orbit_hamiltonian`` on the n-cycle: off-diagonal blocks 1+F^2 and 1+F^-2."""
     return orbit_hamiltonian(cycle_walk(n))
-
-
-def _adjoint(u):
-    """The adjoint of a matrix, or of each block of a stack."""
-    return u.conj().swapaxes(-1, -2)
 
 
 def _dense(w: CoinedWalk, u) -> np.ndarray:

@@ -58,7 +58,6 @@ from .linalg import as_matrix, expm_hermitian, frob, hermitian_eig, is_unitary
 __all__ = [
     "CoinedWalk",
     "EdgeWalk",
-    "circulant_shift",
     "cycle_walk",
     "lattice_walk",
     "example_walk",
@@ -90,15 +89,6 @@ MAX_DIM = 8192
 def _check_dim(coin_dim: int, walker_dim: int):
     if coin_dim * walker_dim > MAX_DIM:
         raise DomainExceeded(f"walk dimension coin_dim * walker_dim exceeds MAX_DIM = {MAX_DIM}")
-
-
-def circulant_shift(n: int) -> np.ndarray:
-    """Cyclic forward shift F with F e_k = e_{k+1 mod n}."""
-    if n < 2:
-        raise TooSmall(f"circulant shift needs n >= 2, got {n}")
-    f = np.zeros((n, n))
-    f[(np.arange(n) + 1) % n, np.arange(n)] = 1
-    return f
 
 
 @dataclass(frozen=True, eq=False)

@@ -1231,11 +1231,16 @@ def test_a_well_formed_matrix_is_read_as_one_array(monkeypatch):
 
 
 def per_step_steps(items):
-    """Protocol steps read one step at a time: cli._protocol_steps_from_json without its fast
-    path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_stacked_steps", lambda items: None)
-        return cli._protocol_steps_from_json(items)
+    """Protocol steps read one at a time, each its own ProtocolStep: the oracle for
+    cli._protocol_steps_from_json, which shares one object among equal steps."""
+    steps = []
+    for item in items:
+        if not isinstance(item, dict) or "coin" not in item or "generator" not in item:
+            raise BadSpec("each protocol step must be an object with 'coin' and 'generator'")
+        steps.append(limits.ProtocolStep(per_entry_matrix(item["coin"]),
+                                         per_entry_matrix(item["generator"]),
+                                         cli._json_float(item.get("slope", 1.0), "step slope")))
+    return steps
 
 
 def _signed_zeros(draw, m):
@@ -1291,6 +1296,10 @@ def test_protocol_steps_are_the_per_step_reading_bitwise(items):
             assert (a is b) == (_step_bytes(a) == _step_bytes(b))
 
 
+def _flatten(step, name):
+    step[name] = [[z for row in step[name] for z in row]]
+
+
 _BAD_STEP_EDITS = {
     "coin-not-unitary": lambda step: step.__setitem__("coin", matrix_json(2 * limits.R_COIN)),
     "generator-not-skew": lambda step: step.__setitem__("generator", matrix_json(limits.D_COIN)),
@@ -1305,6 +1314,9 @@ _BAD_STEP_EDITS = {
     "slope-huge-int": lambda step: step.__setitem__("slope", 10 ** 400),
     "no-generator": lambda step: step.pop("generator"),
     "not-an-object": lambda step: step.clear(),
+    # the same bytes as the step unedited, in a 1 x 4 matrix
+    "coin-flattened": lambda step: _flatten(step, "coin"),
+    "generator-flattened": lambda step: _flatten(step, "generator"),
 }
 
 
@@ -1317,6 +1329,8 @@ def _reading(read, items):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@example([{"coin": _R_JSON, "generator": _D_JSON}] * 2, [(1, "coin-flattened")])
+@example([{"coin": _R_JSON, "generator": _D_JSON}] * 2, [(1, "generator-flattened")])
 @given(protocol_steps_json(), st.lists(st.tuples(st.integers(0, 9),
                                                   st.sampled_from(sorted(_BAD_STEP_EDITS))),
                                         min_size=1, max_size=3))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qwl import graphs
 from qwl.errors import BadSpec, TooSmall
 from qwl.linalg import kron
-from qwl.walks import circulant_shift
+from walk_cases import cycle_shift
 
 
 def complete4():
@@ -45,7 +45,7 @@ def test_cycle_graph_structure():
 
 def test_cycle_adjacency_is_circulant_sum():
     for n in (4, 5, 6):
-        f = circulant_shift(n)
+        f = cycle_shift(n)
         assert np.array_equal(graphs.adjacency(graphs.cycle_graph(n)), f + f.T)
 
 

@@ -13,8 +13,8 @@ from qwl.liealg import u_basis
 from qwl.linalg import (commutator, expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig,
                          is_hermitian, is_unitary, kron)
 from qwl.rng import LcgStream, seeded_state
-from walk_cases import (cayley_walks, relabelled, relabelled_cycle, repeated_target_json,
-                        translation_walks, two_triangles)
+from walk_cases import (cayley_walks, cycle_shift, relabelled, relabelled_cycle,
+                        repeated_target_json, translation_walks, two_triangles)
 
 R = limits.R_COIN
 D = limits.D_COIN
@@ -387,7 +387,7 @@ def test_limit_hamiltonian_structure():
 
 def test_limit_hamiltonian_matches_complex_formula():
     for n in (3, 4, 7, 16):
-        f2 = np.linalg.matrix_power(walks.circulant_shift(n).astype(complex), 2)
+        f2 = np.linalg.matrix_power(cycle_shift(n).astype(complex), 2)
         oracle = np.zeros((2 * n, 2 * n), dtype=complex)
         oracle[:n, n:] = np.eye(n) + f2
         oracle[n:, :n] = np.eye(n) + f2.T
@@ -629,7 +629,7 @@ def test_chiral_combinations_substitution():
     psi_r = seeded_state(n, 7)
     zero = np.zeros(n, dtype=complex)
     c1p, c2p, c1m, c2m = limits.chiral_combinations(psi_r, zero, n)
-    f = walks.circulant_shift(n)
+    f = cycle_shift(n)
     assert np.allclose(c1p, psi_r) and np.allclose(c1m, psi_r)
     assert np.allclose(c2p, f.T @ psi_r) and np.allclose(c2m, -(f.T @ psi_r))
     psi_l = seeded_state(n, 8)

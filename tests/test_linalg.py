@@ -20,7 +20,7 @@ from qwl.linalg import (
     is_unitary,
     kron,
 )
-from qwl.walks import circulant_shift
+from walk_cases import cycle_shift
 
 
 def random_matrix(rng, n):
@@ -33,7 +33,7 @@ def random_skew(rng, n):
 
 
 def test_predicates():
-    f = circulant_shift(4)
+    f = cycle_shift(4)
     assert is_permutation(f)
     assert is_unitary(f)
     assert not is_hermitian(f)
@@ -44,7 +44,7 @@ def test_predicates():
 
 def test_kron_identities():
     assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-    f3 = circulant_shift(3)
+    f3 = cycle_shift(3)
     e = np.zeros(9)
     e[1 * 3 + 2] = 1  # e_1 (x) e_2
     out = kron(f3, np.eye(3)) @ e
@@ -63,7 +63,7 @@ def test_kron_matches_product_graph_adjacency():
 
 def test_kron_of_real_matrices_is_real():
     a = graphs.adjacency(graphs.cycle_graph(3))
-    f = circulant_shift(4)
+    f = cycle_shift(4)
     out = kron(a, f)
     assert out.dtype == np.float64
     assert np.array_equal(out, np.kron(a.astype(complex), f.astype(complex)))
@@ -117,7 +117,7 @@ def test_expm_cycle4_eigenphases():
 
 def test_expm_rejects_non_hermitian():
     with pytest.raises(NonHermitian):
-        expm_hermitian(circulant_shift(3), 1.0)
+        expm_hermitian(cycle_shift(3), 1.0)
 
 
 def test_hermiticity_gates_are_relative_to_the_largest_entry():

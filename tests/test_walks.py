@@ -28,6 +28,7 @@ from qwl.rng import seeded_state, seeded_unitary
 from walk_cases import (
     CYCLE8_CHORDS,
     cayley_walks,
+    cycle_shift,
     relabelled,
     relabelled_cycle,
     repeated_target_json,
@@ -49,20 +50,6 @@ def block_diag(*blocks):
     return out
 
 
-def test_circulant_shift():
-    f = walks.circulant_shift(3)
-    e0 = np.zeros(3)
-    e0[0] = 1
-    assert np.array_equal(f @ e0, np.array([0, 1, 0], dtype=complex))
-    assert f[0, 2] == 1
-    f5 = walks.circulant_shift(5)
-    assert np.array_equal(np.linalg.matrix_power(f5, 5), np.eye(5))
-    f6 = walks.circulant_shift(6)
-    assert np.array_equal(f6 + f6.T, graphs.adjacency(graphs.cycle_graph(6)))
-    with pytest.raises(TooSmall):
-        walks.circulant_shift(1)
-
-
 def test_cycle_walk_shift():
     w = walks.cycle_walk(4)
     s = walks.shift_matrix(w)
@@ -70,7 +57,7 @@ def test_cycle_walk_shift():
     src[0 * 4 + 3] = 1  # coin 0, vertex 3
     dst = s @ src
     assert dst[0 * 4 + 0] == 1  # wraps to vertex 0
-    f5 = walks.circulant_shift(5)
+    f5 = cycle_shift(5)
     assert np.array_equal(walks.shift_matrix(walks.cycle_walk(5)), block_diag(f5, f5.T))
     assert walks.shift_order(walks.cycle_walk(8)) == 8
     with pytest.raises(TooSmall):
@@ -84,7 +71,7 @@ def test_lattice_walk_reduces_to_cycle():
 def test_lattice_walk_blocks():
     w = walks.lattice_walk(3, 2)
     assert w.dim == 36
-    f = walks.circulant_shift(3)
+    f = cycle_shift(3)
     f1 = kron(f, np.eye(3))   # coordinate 0
     f2 = kron(np.eye(3), f)   # coordinate 1
     expected = block_diag(f1, f1.conj().T, f2, f2.conj().T)
@@ -549,7 +536,7 @@ def test_real_builders_match_complex_formulas():
         k = np.arange(n)
         f = np.zeros((n, n), dtype=complex)
         f[(k + 1) % n, k] = 1
-        _assert_float64_equal(walks.circulant_shift(n), f)
+        _assert_float64_equal(cycle_shift(n), f)
     for w in (walks.cycle_walk(5), walks.lattice_walk(3, 2), walks.example_walk()):
         s = np.zeros((w.dim, w.dim), dtype=complex)
         s[w.shift, np.arange(w.dim)] = 1

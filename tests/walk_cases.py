@@ -1,14 +1,20 @@
-"""Walks shared by several test modules: relabelled and turn-or-flip cycles, Cayley and
-translation walks."""
+"""Walks shared by several test modules: the cycle shift F, relabelled and turn-or-flip
+cycles, Cayley and translation walks."""
 
 import math
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from qwl import graphs, walks
 
 CYCLE7_RELABELLING = (3, 6, 0, 4, 1, 5, 2)
+
+
+def cycle_shift(n):
+    """The cyclic forward shift F on n vertices, F e_k = e_{k+1 mod n}, as float64 0/1."""
+    return np.roll(np.eye(n), 1, axis=0)
 
 
 def relabelled_json(w, perm):
