@@ -40,8 +40,7 @@ from .errors import (
     NotSkewHermitian,
     TooSmall,
 )
-from .linalg import (HERMITIAN_TOL, _adjoint, as_matrix, frob, is_hermitian, is_skew_hermitian,
-                     kron, scaled)
+from .linalg import as_matrix, frob, is_hermitian, is_skew_hermitian, kron, scaled
 from .walks import (
     CoinedWalk,
     checked_shift_order,
@@ -183,8 +182,7 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 
 def _check_skew(stack: np.ndarray) -> np.ndarray:
     """The (m, n, n) stack, once each element is skew-Hermitian relative to its largest entry."""
-    s = scaled(stack)
-    if not (_norms(s + _adjoint(s)) <= HERMITIAN_TOL).all():
+    if not np.all(is_skew_hermitian(stack)):
         raise NotSkewHermitian("closure generators must be skew-Hermitian")
     return stack
 
@@ -332,7 +330,7 @@ def member_residual(basis: LieBasis, x) -> float:
         r, off = x, 0.0
     else:
         # the part of x off the momentum blocks is orthogonal to every element
-        (r,), (off,) = momentum_blocks(basis.walk, x[None])
+        r, off = momentum_blocks(basis.walk, x)
     _project_out(basis.elements, r)
     return math.hypot(frob(r), off) / norm
 

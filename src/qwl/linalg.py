@@ -2,14 +2,15 @@
 
 Operators are plain ``numpy`` arrays, and ``as_matrix`` alone decides
 their dtype: float64 for real input, complex128 otherwise.  ``scaled``,
-``is_hermitian``, ``hermitian_eig``, ``expm_hermitian`` and ``expm_eig``
-also take a (k, n, n) stack of blocks, work on each block as on a matrix
-of its own, and give each block bitwise the result it would get alone.  Real operators
-(shifts, adjacency, Laplacian, the cycle limit Hamiltonian) therefore stay
-real, and real symmetric ones are eigendecomposed as real matrices.  Matrix
-exponentials are computed through the Hermitian eigendecomposition only;
-every generator in this package is (skew-)Hermitian, so this is exact up
-to eigensolver accuracy and no Pade machinery is needed.
+``is_hermitian``, ``is_skew_hermitian``, ``hermitian_eig``, ``expm_hermitian``
+and ``expm_eig`` also take a (k, n, n) stack of blocks, work on each block as
+on a matrix of its own, and give each block bitwise the result it would get
+alone.  Real operators (shifts, adjacency, Laplacian, the cycle limit
+Hamiltonian) therefore stay real, and real symmetric ones are
+eigendecomposed as real matrices.  Matrix exponentials are computed
+through the Hermitian eigendecomposition only; every generator in this
+package is (skew-)Hermitian, so this is exact up to eigensolver accuracy
+and no Pade machinery is needed.
 """
 
 import numpy as np
@@ -88,10 +89,12 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL):
     return frob(a - a.conj().T) <= tol
 
 
-def is_skew_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff ||A + A^dag||_F <= tol * max|A|, within a factor of two (see ``scaled``)."""
-    a = scaled(as_matrix(a))
-    return a.shape[0] == a.shape[1] and frob(a + a.conj().T) <= tol
+def is_skew_hermitian(a, tol: float = HERMITIAN_TOL):
+    """True iff ||A + A^dag||_F <= tol * max|A|, within a factor of two (see ``scaled``).
+
+    That is ``is_hermitian`` of iA, exactly, so a (k, n, n) stack gets k verdicts.
+    """
+    return is_hermitian(1j * np.asarray(a), tol)
 
 
 def is_unitary(a, tol: float = HERMITIAN_TOL) -> bool:

@@ -21,9 +21,10 @@ a mixed-radix transform (Cooley and Tukey 1965) with one stage per coin
 that grew the orbit, a twiddle and an m_k x m_k DFT each, applied by
 ``_to_momenta`` and ``_from_momenta``; a one-stage group (every cycle)
 has one N x N DFT.  An operator's blocks come from its mean along the
-translations, read through a cached table of the group law that a search
-from vertex 0 along the moves grows, so only c^2 vectors of size N are
-transformed, and its mass off the blocks is its distance from that mean.
+translations, read from a (c, N, c, N) view of it through the cached N x N
+table of the group law that a search from vertex 0 along the moves grows,
+so only c^2 vectors of size N are transformed, and its mass off the blocks
+is its distance from that mean.
 The continuous-time operators are diagonal there too: when every vertex's
 coins reach distinct neighbours, the adjacency is sum_k P_k, with
 eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p.
@@ -193,18 +194,15 @@ class CoinedWalk:
         return grid, tuple(stages)
 
     @cached_property
-    def _along(self) -> np.ndarray:
-        """Read-only int32 flat indices into a (dim, dim) operator, along the translations.
+    def _sums(self) -> np.ndarray:
+        """The read-only (N, N) group law, sums[u, g] = g + u.  Needs group.
 
-        Needs group.  Entry [u, g, a, b] indexes <a, g + u| x |b, u>, so x
-        commutes with every translation iff it is constant along u.  The
-        table of g + u grows by a search from vertex 0 along the moves: the
-        moves commute and act regularly, so if u = P_k v then the
-        translation T_u taking 0 to u is P_k T_v.  The group is abelian, so
-        the table is symmetric.
+        The table grows by a search from vertex 0 along the moves: the moves
+        commute and act regularly, so if u = P_k v then the translation T_u
+        taking 0 to u is P_k T_v.  The group is abelian, so the table is symmetric.
         """
         n = self.walker_dim
-        sums = np.full((n, n), -1, dtype=np.int32)  # sums[u, g] = g + u, -1 until u is reached
+        sums = np.full((n, n), -1, dtype=np.intp)  # -1 until u is reached
         sums[0] = np.arange(n)
         queue = [0]
         for v in queue:
@@ -212,13 +210,8 @@ class CoinedWalk:
                 if sums[u, 0] < 0:
                     sums[u] = row[sums[v]]
                     queue.append(u)
-        # row a N + g + u, column b N + u; the flat index stays below dim^2 <= MAX_DIM^2 < 2^31
-        coin = np.arange(self.coin_dim, dtype=np.int32) * n
-        rows = sums[:, :, None, None] + coin[:, None]
-        cols = sums[:, :1, None, None] + coin  # sums[u, 0] = u
-        along = rows * np.int32(self.dim) + cols
-        along.setflags(write=False)
-        return along
+        sums.setflags(write=False)
+        return sums
 
 
 def _translation_group(moves: np.ndarray):
@@ -427,16 +420,19 @@ def momentum_blocks(w: CoinedWalk, x):
     that ||x||^2 = ||blocks||^2 + off^2.  Needs w.group.  The blocks are
     the translation-invariant part of x, whose entry at (g + u, u) is the
     mean d[g] of x over u, so block p is sqrt(N) <p| d; off is the norm of
-    x minus that part.  Only d goes to the characters.
+    x minus that part.  x is read as a (..., c, N, c, N) view through the
+    N x N group law, and only d goes to the characters.
     """
-    n = w.walker_dim
+    c, n = w.coin_dim, w.walker_dim
     lead = np.shape(x)[:-2]
-    along = np.take(np.reshape(x, lead + (-1,)), w._along, axis=-1).astype(complex, copy=False)
-    d = along.mean(axis=-4)
-    along -= d[..., None, :, :, :]
+    # along[u, g, ..., a, b] = <a, g + u| x |b, u>
+    along = np.reshape(x, lead + (c, n, c, n))[..., :, w._sums, :, np.arange(n)[:, None]]
+    along = along.astype(complex, copy=False)
+    d = along.mean(axis=0)
+    along -= d
     square = along.view(float)
-    off = np.sqrt(np.square(square, out=square).reshape(lead + (-1,)).sum(axis=-1))
-    blocks = math.sqrt(n) * _to_momenta(w, np.moveaxis(d, -3, 0))
+    off = np.sqrt(np.square(square, out=square).sum(axis=(0, 1, -2, -1)))
+    blocks = math.sqrt(n) * _to_momenta(w, d)
     return np.moveaxis(blocks, 0, -3).copy(), off
 
 
@@ -446,12 +442,12 @@ def from_momentum_blocks(w: CoinedWalk, blocks) -> np.ndarray:
     Such an operator commutes with the translations: its entry <a, g + u| x |b, u>
     is <a,g| F blocks |b> / sqrt(N) for every u.
     """
-    dim = w.dim
+    c, n = w.coin_dim, w.walker_dim
     lead = np.shape(blocks)[:-3]
-    b = _from_momenta(w, np.moveaxis(blocks, -3, 0)) / math.sqrt(w.walker_dim)
-    x = np.empty(lead + (dim * dim,), dtype=complex)
-    x[..., w._along] = np.moveaxis(b, 0, -3)[..., None, :, :, :]
-    return x.reshape(lead + (dim, dim))
+    b = _from_momenta(w, np.moveaxis(blocks, -3, 0)) / math.sqrt(n)
+    x = np.empty(lead + (c, n, c, n), dtype=complex)
+    x[..., :, w._sums, :, np.arange(n)[:, None]] = b
+    return x.reshape(lead + (w.dim, w.dim))
 
 
 def _adjacency_sums(w: CoinedWalk):

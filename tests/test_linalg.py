@@ -147,10 +147,15 @@ def test_a_stack_is_judged_block_by_block_against_each_blocks_largest_entry():
         got = is_hermitian(stack)
         assert got.shape == (2,) and got.tolist() == verdicts
         assert [is_hermitian(block) for block in stack] == verdicts
+        skew = is_skew_hermitian(1j * stack)
+        assert skew.shape == (2,) and skew.tolist() == verdicts
+        assert [is_skew_hermitian(1j * block) for block in stack] == verdicts
         with pytest.raises(NonHermitian):
             hermitian_eig(stack)
     assert is_hermitian(np.array([1e-12 * h, 1e9 * h])).tolist() == [True, True]
+    assert is_skew_hermitian(np.array([1e-12 * h, 1j * h])).tolist() == [False, True]
     assert is_hermitian(np.zeros((3, 2, 4))).tolist() == [False] * 3
+    assert is_skew_hermitian(np.zeros((3, 2, 4))).tolist() == [False] * 3
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -293,21 +294,38 @@ def _non_split(n, offsets):
                          ids=["cycle:7", "cycle:64", "lattice:4,2", "example",
                               "relabelled cycle:7", "Z_8 +2 -2 +1 -1", "Z_16 +-4 +-2 +-1"])
 def test_the_group_law_is_grown_along_the_moves(make):
-    """_along's table of g + u comes from the moves, not from the transform's stages, and it
-    is the group law: chi_p(g + u) = chi_p(g) chi_p(u) for every character p."""
+    """_sums, the table of g + u, comes from the moves, not from the transform's stages, and
+    it is the group law: chi_p(g + u) = chi_p(g) chi_p(u) for every character p."""
     w = make()
-    along = w._along
+    sums = w._sums
     assert "_momentum_stages" not in w.__dict__
-    assert along.dtype == np.int32 and not along.flags.writeable
-    n, c, dim = w.walker_dim, w.coin_dim, w.dim
-    sums = along[:, :, 0, 0] // dim
-    u = np.arange(n)[:, None, None, None]
-    coin = np.arange(c) * n
-    assert np.array_equal(along, (sums[:, :, None, None] + coin[:, None]) * dim + coin + u)
+    assert sums.dtype == np.intp and not sums.flags.writeable
+    n = w.walker_dim
     assert np.array_equal(sums[:, 0], np.arange(n)) and np.array_equal(sums, sums.T)
     chars, exps = w.group
     angle = exps @ chars.T  # angle[v, p]: chi_p(v) = exp(2 pi i angle[v, p] / N)
     assert not np.any((angle[sums] - angle[None, :] - angle[:, None]) % n)
+
+
+def test_momentum_blocks_allocate_about_one_operator():
+    """On a fresh lattice:6,3 walk (dim 1296), so that building its tables counts, neither
+    direction of the dense <-> momentum-block conversion allocates more than 1.25 times the
+    dense operator's bytes at its peak."""
+    w = walks.lattice_walk(6, 3)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(w.dim, w.dim)) + 1j * rng.normal(size=(w.dim, w.dim))
+    tracemalloc.start()
+    try:
+        blocks, _ = walks.momentum_blocks(w, x)
+        to_blocks = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = walks.from_momentum_blocks(w, blocks)
+        from_blocks = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.shape == x.shape
+    assert to_blocks <= 1.25 * x.nbytes, to_blocks / x.nbytes
+    assert from_blocks <= 1.25 * x.nbytes, from_blocks / x.nbytes
 
 
 def test_adjacency_blocks_need_a_group_and_distinct_targets():
