@@ -16,18 +16,18 @@ within each class and share one trace, of dimension 1 + q (c^2 - 1)
 (Goursat's lemma; Zeier and Schulte-Herbrueggen, J. Math. Phys. 52,
 113510 (2011)).  ``walk_closure`` builds its basis in momentum blocks.
 
-Any other walk is closed by ``lie_closure``, which brackets pairs until a
-pass admits nothing; it is also the test oracle for M.  Candidates are
-admitted a C-contiguous (m, n, n) chunk of at most ``_CHUNK_BYTES`` at a
-time, so the projection on the span is one matrix product per chunk.
-Generators stream, so the r*c^2 generators are never all held at once,
-and no basis may grow past ``MAX_CLOSURE_BYTES``.
+Any other walk is closed by ``lie_closure``, which brackets the generators
+with the newest elements until a pass admits nothing; it is also the test
+oracle for M.  Candidates are admitted a C-contiguous (m, n, n) stack of at
+most ``_CHUNK_BYTES`` at a time, so the projection on the span is one
+matrix product per stack.  Generators stream, so the r*c^2 generators are
+never all held at once, and no basis may grow past ``MAX_CLOSURE_BYTES``.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -180,13 +180,6 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack.reshape(len(stack), math.prod(stack.shape[1:])), axis=1)
 
 
-def _check_skew(stack: np.ndarray) -> np.ndarray:
-    """The (m, n, n) stack, once each element is skew-Hermitian relative to its largest entry."""
-    if not np.all(is_skew_hermitian(stack)):
-        raise NotSkewHermitian("closure generators must be skew-Hermitian")
-    return stack
-
-
 def _check_tol(tol: float) -> None:
     if not (1e-12 <= tol <= 1e-6):
         raise DomainExceeded(f"closure tolerance {tol} outside [1e-12, 1e-6]")
@@ -204,12 +197,13 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     """Smallest bracket-closed real span containing the generators.
 
     ``gens`` is any iterable of skew-Hermitian (n, n) matrices.  It is read
-    once, a chunk of ``_chunk_len`` at a time, and each chunk's shapes and
-    skew-Hermiticity are checked before it is admitted.  Each pass then
-    brackets every pair of elements admitted before the pass began (pairs
-    bracketed in an earlier pass are skipped), one chunk [b_i, b_j] for a
-    contiguous run of j at a time, until a pass admits nothing.  The basis
-    array doubles as it fills, within ``MAX_CLOSURE_BYTES``.
+    once, a list of ``_chunk_len`` at a time, each checked (shapes and
+    skew-Hermiticity) and admitted as one stack.  Each pass then brackets
+    the elements spanning the generators with those admitted before the
+    pass began and not bracketed yet, one chunk [b_i, b_j] for a contiguous
+    run of j at a time, until a pass admits nothing: these right-normed
+    brackets [g_1, [g_2, ... g_l]] span the same algebra as all pairs.  The
+    basis array doubles as it fills, within ``MAX_CLOSURE_BYTES``.
 
     Admission is scale-free and keeps candidate order.  A generator counts
     as zero if its norm is at most tol times the largest norm of the
@@ -232,16 +226,11 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     m = _chunk_len(entries)
     basis = np.empty((0, *shape), dtype=complex)  # basis[:k] is the span, the rest spare capacity
     k = 0
-    largest = 0.0  # the largest generator norm read so far
 
-    def admit(stack, generators=False):
-        """Admit the components of a C-contiguous (m, ...) stack outside the span; overwrites it."""
-        nonlocal basis, k, largest
+    def admit(stack, floor):
+        """Admit the parts off the span of the elements of norm above floor; overwrites stack."""
+        nonlocal basis, k
         norms = _norms(stack)
-        floor = tol
-        if generators:
-            running = np.maximum.accumulate(np.maximum(norms, largest))
-            largest, floor = running[-1], tol * running
         nonzero = norms > floor
         if not nonzero.all():
             stack, norms = stack[nonzero], norms[nonzero]
@@ -259,27 +248,26 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
                 np.divide(x, rnorm, out=basis[k])
                 k += 1
 
-    chunk = np.empty((m, *shape), dtype=complex)
-    fill = 0
-    for g in chain([first], gens):
-        g = np.asarray(g, dtype=complex)
-        if g.shape != shape:
+    gens = chain([first], gens)
+    largest = 0.0  # the largest generator norm read so far
+    while chunk := list(islice(gens, m)):
+        if any(np.shape(g) != shape for g in chunk):
             raise DimMismatch("generators must share one square shape")
-        chunk[fill] = g
-        fill += 1
-        if fill == m:
-            admit(_check_skew(chunk), generators=True)
-            fill = 0
-    if fill:
-        admit(_check_skew(chunk[:fill]), generators=True)
+        stack = np.array(chunk, dtype=complex)
+        if not np.all(is_skew_hermitian(stack)):
+            raise NotSkewHermitian("closure generators must be skew-Hermitian")
+        running = np.maximum.accumulate(np.maximum(_norms(stack), largest))
+        largest = running[-1]
+        admit(stack, tol * running)
+    ngen = k  # basis[:ngen] spans the generators
     cap = entries + 10
-    start = 0  # elements before this index have been bracketed pairwise already
+    start = 0  # elements before this index have been bracketed with every generator already
     for passes in range(1, cap + 1):
         size = k
-        for i in range(size):
+        for i in range(ngen):
             for lo in range(max(i + 1, start), size, m):
                 blk = basis[lo:min(lo + m, size)]
-                admit(basis[i] @ blk - blk @ basis[i])
+                admit(basis[i] @ blk - blk @ basis[i], tol)
         if k == size:
             return LieBasis(shape[0], basis[:k].copy(), tol, passes)
         start = size
@@ -393,10 +381,14 @@ def spectrum_multiset(h, digits: int = 8):
 def eigenvalue_multiset(vals, digits: int = 8):
     """Real eigenvalues clustered by rounding to digits, as (value, multiplicity) pairs.
 
-    Values are sorted descending, and -0.0 counts as 0.0.
+    Values are sorted descending, and -0.0 counts as 0.0.  Each distinct
+    value is rounded once, by Python's ``round``.
     """
-    counts = Counter(round(float(v), digits) + 0.0 for v in vals)
-    return sorted(counts.items(), key=lambda kv: -kv[0])
+    distinct, counts = np.unique(vals, return_counts=True)
+    multiset = Counter()
+    for v, n in zip(distinct.tolist(), counts.tolist()):
+        multiset[round(v, digits) + 0.0] += n
+    return sorted(multiset.items(), key=lambda kv: -kv[0])
 
 
 def example_subspace_element() -> np.ndarray:

@@ -22,12 +22,12 @@ steps into one block product, k repeats of one step object by the k-th
 matrix power, so no dim x dim step product is formed.  An atom works on its
 distinct step objects as (k, c, c) stacks: T(x) exponentiates all of its
 perturbed steps in one ``expm_hermitian`` call, each block bitwise that
-step's own ``expm_skew(E, a*x)``, and every repeat of a step reuses it.
-The eigenpairs, the m-fold powers and the errors of a convergence study
-stay in that form, and the character transform is unitary, so every
-Frobenius error is the dense one.  ``effective_hamiltonian``,
-``protocol_unitary`` and ``repeated_limit`` return dense matrices on every
-walk.
+step's own ``expm_hermitian(i*E, a*x)``, and every repeat of a step reuses
+it.  The eigenpairs, the m-fold powers and the errors of a convergence
+study stay in that form, a study takes exp(-i*gamma*H*t) once for all its
+m, and the character transform is unitary, so every Frobenius error is the
+dense one.  ``effective_hamiltonian``, ``protocol_unitary`` and
+``repeated_limit`` return dense matrices on every walk.
 """
 
 from dataclasses import dataclass
@@ -395,15 +395,14 @@ def single_step_error(p, x: float) -> float:
 
 
 def _repeated(p, gamma: float, t: float, m: int):
-    """The de-phased m-fold product at x = gamma*t/m in the walk's form, and its error."""
+    """The de-phased m-fold product at x = gamma*t/m in the walk's form."""
     if m < 1:
         raise TooSmall(f"repetition count must be >= 1, got {m}")
     x = gamma * t / m
     if x >= X_MAX:
         raise DomainExceeded(
             f"gamma*t/m = {x} >= {X_MAX}; raise m to shrink the perturbation")
-    result = np.linalg.matrix_power(_unitary(p, x) / p.phase, m)
-    return result, frob(result - expm_eig(p.eigenpairs, gamma * t))
+    return np.linalg.matrix_power(_unitary(p, x) / p.phase, m)
 
 
 def repeated_limit(p, gamma: float, t: float, m: int):
@@ -412,8 +411,8 @@ def repeated_limit(p, gamma: float, t: float, m: int):
     Returns (the dense m-fold product, its Frobenius distance to
     exp(-i*gamma*H*t)).  The error decays like 1/m.
     """
-    result, err = _repeated(p, gamma, t, m)
-    return _dense(p.walk, result), err
+    result = _repeated(p, gamma, t, m)
+    return _dense(p.walk, result), frob(result - expm_eig(p.eigenpairs, gamma * t))
 
 
 @dataclass(frozen=True)
@@ -445,10 +444,12 @@ def convergence_study(p, gamma: float, t: float, m_list) -> ConvergenceReport:
     m_list = [int(m) for m in m_list]
     if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise DomainExceeded("m_list must be nonempty and strictly ascending")
-    samples = []
+    samples, target = [], None
     for m in m_list:
-        _, err = _repeated(p, gamma, t, m)
-        samples.append((gamma * t / m, err))
+        result = _repeated(p, gamma, t, m)
+        if target is None:  # exp(-i*gamma*H*t), once the first m is known to be in the domain
+            target = expm_eig(p.eigenpairs, gamma * t)
+        samples.append((gamma * t / m, frob(result - target)))
     return ConvergenceReport(tuple(samples), _fit_exponent(samples))
 
 

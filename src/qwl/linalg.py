@@ -27,8 +27,6 @@ __all__ = [
     "hermitian_eig",
     "expm_hermitian",
     "expm_eig",
-    "expm_skew",
-    "hs_inner",
     "commutator",
     "frob",
     "scaled",
@@ -83,10 +81,8 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL):
     """
     a = scaled(a)
     if a.shape[-1] != a.shape[-2]:
-        return np.zeros(a.shape[:-2], dtype=bool) if a.ndim == 3 else False
-    if a.ndim == 3:
-        return np.linalg.norm(a - _adjoint(a), axis=(-2, -1)) <= tol
-    return frob(a - a.conj().T) <= tol
+        return np.zeros(a.shape[:-2], dtype=bool)[()]
+    return np.linalg.norm(a - _adjoint(a), axis=(-2, -1)) <= tol
 
 
 def is_skew_hermitian(a, tol: float = HERMITIAN_TOL):
@@ -164,20 +160,6 @@ def expm_eig(eig, s) -> np.ndarray:
     if s.ndim:
         u[s == 0] = np.eye(v.shape[-1])
     return u
-
-
-def expm_skew(k, s: float = 1.0) -> np.ndarray:
-    """exp(s*K) for skew-Hermitian K (iK is Hermitian, so this stays exact)."""
-    return expm_hermitian(1j * as_matrix(k), s)
-
-
-def hs_inner(a, b) -> float:
-    """Real Hilbert-Schmidt inner product Re tr(A^dag B)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.sum(a.conj() * b).real)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Generator sets, numerical closure, membership, and the K4 example."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwl import liealg, limits, walks
+from qwl import graphs, liealg, limits, walks
 from qwl.errors import (
     DimMismatch,
     DomainExceeded,
@@ -16,7 +17,7 @@ from qwl.errors import (
     NotSkewHermitian,
     TooSmall,
 )
-from qwl.linalg import commutator, frob, hs_inner, is_skew_hermitian, kron
+from qwl.linalg import commutator, frob, is_skew_hermitian, kron
 from walk_cases import (
     cayley_walks,
     relabelled,
@@ -45,10 +46,10 @@ def test_u_basis():
     assert len(b2) == 4
     for i in range(4):
         for j in range(i + 1, 4):
-            assert hs_inner(b2[i], b2[j]) == pytest.approx(0.0)
+            assert np.vdot(b2[i], b2[j]).real == pytest.approx(0.0)
     b3 = liealg.u_basis(3)
     assert len(b3) == 9
-    gram = np.array([[hs_inner(a, b) for b in b3] for a in b3])
+    gram = np.array([[np.vdot(a, b).real for b in b3] for a in b3])
     assert np.linalg.matrix_rank(gram) == 9
     for b in b3:
         assert is_skew_hermitian(b)
@@ -132,7 +133,7 @@ def test_closure_orthonormal_and_idempotent(example_closure):
         assert is_skew_hermitian(a)
         for j, b in enumerate(basis.elements):
             expected = 1.0 if i == j else 0.0
-            assert abs(hs_inner(a, b) - expected) <= 1e-9
+            assert abs(np.vdot(a, b).real - expected) <= 1e-9
     again = liealg.lie_closure(list(basis.elements), basis.tol)
     assert again.dimension == basis.dimension
 
@@ -293,6 +294,22 @@ def test_spectrum_multiset(example_closure):
         liealg.spectrum_multiset(np.triu(np.ones((3, 3))), 8)
 
 
+def test_eigenvalue_multiset_matches_the_per_value_counter():
+    def oracle(vals, digits):
+        counts = Counter(round(float(v), digits) + 0.0 for v in vals)
+        return sorted(counts.items(), key=lambda kv: -kv[0])
+
+    # round(v, 8) is -2.89966307 and np.round(v, 8) is -2.89966308 for the first value
+    special = [-2.899663075, 0.0, -0.0, 1e-12, -1e-12, 1.0, 1.0 + 1e-12, 5e-9, -5e-9, 2.5e-8]
+    rng = np.random.default_rng(13)
+    cases = [special] + [rng.choice(np.concatenate([special, rng.normal(size=5)]), size=20)
+                         for _ in range(50)]
+    for vals in cases:
+        for digits in (8, 3):
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(liealg.eigenvalue_multiset(vals, digits)) == repr(oracle(vals, digits))
+
+
 def _roundoff_skew(rng, n):
     """i Q diag Q^dag as computed: skew-Hermitian up to roundoff, not exactly."""
     q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
@@ -343,11 +360,13 @@ def test_example_subspace_element(example_closure):
         assert abs(np.trace(block)) <= 1e-12
 
 
-def _reference_closure(gens, tol):
+def _reference_closure(gens, tol, pairwise=False):
     """Oracle: the one-candidate admission loop, as (elements, passes).
 
     Every candidate, generator or bracket, is normalized, projected twice
-    on the span on its own, and admitted if the remainder exceeds tol.
+    on the span on its own, and admitted if the remainder exceeds tol.  Each
+    pass brackets the elements spanning the generators, or with pairwise
+    every element, with the elements admitted since the last pass.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     n = gens[0].shape[0]
@@ -373,11 +392,12 @@ def _reference_closure(gens, tol):
 
     for g in gens:
         admit(g)
+    ngen = k
     start, passes = 0, 0
     while True:
         passes += 1
         size = k
-        for i in range(size):
+        for i in range(size if pairwise else ngen):
             for j in range(max(i + 1, start), size):
                 admit(basis[i] @ basis[j] - basis[j] @ basis[i])
         if k == size:
@@ -420,6 +440,22 @@ def test_chunked_closure_matches_one_candidate_oracle(name, chunk_len):
 @given(cayley_walks(max_size=2), st.sampled_from([None, 1, 3]))
 def test_chunked_closure_matches_oracle_on_cayley_walks(w, chunk_len):
     _assert_matches_reference(w, chunk_len)
+
+
+def test_right_normed_closure_spans_the_pairwise_closure():
+    # a three-matching walk on 8 vertices, with its graph read from the moves; it has no group
+    moves = [[1, 0, 4, 5, 2, 3, 7, 6], [3, 4, 6, 0, 1, 7, 2, 5], [6, 5, 3, 2, 7, 1, 0, 4]]
+    edges = {tuple(sorted((v, row[v]))) for row in moves for v in range(8)}
+    w = walks.CoinedWalk(graphs.graph(8, sorted(edges)), moves)
+    assert w.group is None
+    basis = liealg.lie_closure(liealg.generators(w), 1e-9)
+    elements, passes = _reference_closure(liealg.generators(w), 1e-9, pairwise=True)
+    assert (basis.dimension, basis.passes, len(elements), passes) == (103, 5, 103, 4)
+    pairwise = liealg.LieBasis(w.dim, elements, 1e-9, passes)
+    # each basis lies in the other's span
+    for one, other in ((basis, pairwise), (pairwise, basis)):
+        for x in one.elements:
+            assert liealg.member_residual(other, x) <= 1e-10
 
 
 def test_streamed_generators_are_checked_in_every_chunk(monkeypatch):

@@ -10,7 +10,7 @@ from qwl import graphs, liealg, limits, walks
 from qwl.errors import (DimMismatch, DomainExceeded, NotBijective, NotScalarAtZero,
                         NotSkewHermitian, TooSmall)
 from qwl.liealg import u_basis
-from qwl.linalg import (commutator, expm_eig, expm_hermitian, expm_skew, frob, hermitian_eig,
+from qwl.linalg import (commutator, expm_eig, expm_hermitian, frob, hermitian_eig,
                          is_hermitian, is_unitary, kron)
 from qwl.rng import LcgStream, seeded_state
 from walk_cases import (cayley_walks, cycle_shift, relabelled, relabelled_cycle,
@@ -35,7 +35,7 @@ def dense_factors(atom, x):
     """The steps S (C exp(a x E) x 1) of an atom as dense matrices, step 1 first."""
     s = walks.shift_matrix(atom.walk)
     eye_n = np.eye(atom.walk.walker_dim)
-    return [s @ kron(st.coin @ expm_skew(st.generator, st.slope * x), eye_n)
+    return [s @ kron(st.coin @ expm_hermitian(1j * st.generator, st.slope * x), eye_n)
             for st in atom.steps]
 
 
@@ -182,7 +182,7 @@ def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
        st.floats(0, 0.9))
 def test_unitary_is_bitwise_the_per_step_product(slopes, seed, x):
     """T(x) on a walk without a group is bitwise the product of the steps
-    S (C_j expm_skew(E_j, a_j x) x 1), however the steps repeat."""
+    S (C_j expm_hermitian(i E_j, a_j x) x 1), however the steps repeat."""
     w = two_triangles()
     stream = LcgStream(seed)
     basis = u_basis(2)
@@ -194,7 +194,7 @@ def test_unitary_is_bitwise_the_per_step_product(slopes, seed, x):
     p = limits.Atom(w, steps)
     u = np.eye(w.dim, dtype=complex)
     for st_ in reversed(steps):
-        coin = st_.coin @ expm_skew(st_.generator, st_.slope * x) if st_.generator.any() \
+        coin = st_.coin @ expm_hermitian(1j * st_.generator, st_.slope * x) if st_.generator.any() \
             else st_.coin
         u = walks.apply_step(w, coin, u)
     assert np.array_equal(p.unitary(x), u)
@@ -598,6 +598,29 @@ def test_convergence_study():
     assert 1.9 <= ss.fitted_exponent <= 2.1
     with pytest.raises(DomainExceeded):
         limits.convergence_study(p, 1.0, 1.0, [64, 32])
+
+
+def test_convergence_study_takes_its_target_once(monkeypatch):
+    calls = []
+
+    def counting_expm_eig(eig, s):
+        calls.append(s)
+        return expm_eig(eig, s)
+
+    monkeypatch.setattr(limits, "expm_eig", counting_expm_eig)
+    for p in (limits.evencyc_protocol(8), limits.orbit_protocol(two_triangles())):
+        calls.clear()
+        study = limits.convergence_study(p, 0.7, 1.5, [8, 16, 32])
+        assert calls == [0.7 * 1.5]
+        # each error is bitwise the one repeated_limit reports for its m
+        assert [e for _, e in study.samples] == \
+            [limits.repeated_limit(p, 0.7, 1.5, m)[1] for m in (8, 16, 32)]
+    # a first x outside [0, X_MAX) is refused before H is decomposed
+    for t in (10.0, -1.0):
+        p = limits.evencyc_protocol(8)
+        with pytest.raises(DomainExceeded):
+            limits.convergence_study(p, 1.0, t, [4, 8])
+        assert "eigenpairs" not in vars(p)
 
 
 def test_exponent_fitted_on_two_value_grid():

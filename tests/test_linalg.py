@@ -13,7 +13,6 @@ from qwl.linalg import (
     expm_hermitian,
     frob,
     hermitian_eig,
-    hs_inner,
     is_hermitian,
     is_permutation,
     is_skew_hermitian,
@@ -228,22 +227,6 @@ def test_real_symmetric_input_stays_real():
         assert frob(expm_hermitian(h, 0.7) - expm_hermitian(h.astype(complex), 0.7)) <= 1e-12
     assert is_hermitian(np.eye(3)) and not is_hermitian(np.triu(np.ones((3, 3))))
     assert is_skew_hermitian(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-def test_hs_inner_values():
-    assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-    assert hs_inner(np.diag([1j, -1j]), np.diag([1j, 1j])) == pytest.approx(0.0)
-    with pytest.raises(DimMismatch):
-        hs_inner(np.eye(2), np.eye(3))
-
-
-def test_hs_inner_positive_on_generators():
-    from qwl.liealg import generators
-    from qwl.walks import example_walk
-
-    for g in generators(example_walk()):
-        assert hs_inner(g, g) == pytest.approx(frob(g) ** 2)
-        assert hs_inner(g, g) > 0
 
 
 def test_commutator_basics():
