@@ -161,6 +161,8 @@ def _matrix_from_json(obj) -> np.ndarray:
     m = _flat_matrix(obj)
     if m is not None:
         return m
+    if not isinstance(obj, list):
+        raise BadSpec(f"a matrix must be a JSON list of rows, got {type(obj).__name__}")
     try:
         m = np.array([[_matrix_entry(z) for z in row] for row in obj], dtype=complex)
     except (TypeError, ValueError) as exc:

@@ -77,32 +77,24 @@ def u_basis(c: int):
     """c^2 skew-Hermitian matrices spanning u(c)."""
     if c < 1:
         raise TooSmall(f"u(c) needs c >= 1, got {c}")
-    out = []
-    for k in range(c):
-        m = np.zeros((c, c), dtype=complex)
-        m[k, k] = 1j
-        out.append(m)
-    for j in range(c):
-        for k in range(j + 1, c):
-            m = np.zeros((c, c), dtype=complex)
-            m[j, k], m[k, j] = 1, -1
-            out.append(m)
-            m = np.zeros((c, c), dtype=complex)
-            m[j, k], m[k, j] = 1j, 1j
-            out.append(m)
-    return out
+    j, k = np.triu_indices(c, 1)
+    pairs = np.arange(c, c * c, 2)
+    out = np.zeros((c * c, c, c), dtype=complex)
+    out[np.arange(c), np.arange(c), np.arange(c)] = 1j
+    out[pairs, j, k], out[pairs, k, j] = 1, -1
+    out[pairs + 1, j, k] = out[pairs + 1, k, j] = 1j
+    return list(out)
 
 
 def su_basis(c: int):
     """c^2 - 1 traceless skew-Hermitian matrices spanning su(c)."""
     if c < 2:
         raise TooSmall(f"su(c) needs c >= 2, got {c}")
-    out = []
-    for k in range(c - 1):
-        m = np.zeros((c, c), dtype=complex)
-        m[k, k], m[k + 1, k + 1] = 1j, -1j
-        out.append(m)
-    return out + u_basis(c)[c:]
+    k = np.arange(c - 1)
+    out = np.zeros((c * c - 1, c, c), dtype=complex)
+    out[k, k, k], out[k, k + 1, k + 1] = 1j, -1j
+    out[c - 1:] = u_basis(c)[c:]
+    return list(out)
 
 
 def generators(w: CoinedWalk):

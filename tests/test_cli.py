@@ -1025,6 +1025,17 @@ def _walk_json_with_one_move_row():
                 "file:" + _write_json(d, "p.json", {"kind": "atom", "steps": [
                     {"coin": [], "generator": matrix_json(1j * limits.D_COIN)}]})], None),
     (lambda d: ["simulable", "--walk", "cycle:4"], None),
+    (lambda d: ["simulable", "--walk", "cycle:4", "--hamiltonian",
+                _write_json(d, "w.json", walks.walk_to_json(walks.cycle_walk(4)))],
+     "qwl: a matrix must be a JSON list of rows, got dict\n"),
+    (lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+                "file:" + _write_json(d, "p.json", {"kind": "atom", "steps": [
+                    {"coin": "ab", "generator": matrix_json(1j * limits.D_COIN)}]})],
+     "qwl: a matrix must be a JSON list of rows, got str\n"),
+    (lambda d: ["converge", "--walk", "cycle:4", "--m-list", "8,16", "--protocol",
+                "file:" + _write_json(d, "p.json", {"kind": "atom", "steps": [
+                    {"coin": matrix_json(limits.R_COIN), "generator": {"a": 1}}]})],
+     "qwl: a matrix must be a JSON list of rows, got dict\n"),
     (lambda d: ["info", "--walk", "file:" + _write_json(d, "w.json", _walk_json_without_moves())],
      None),
     (lambda d: ["info", "--walk",
@@ -1050,7 +1061,8 @@ def _walk_json_with_one_move_row():
     (lambda d: ["closure", "--walk", "example", "--format", "json", "--dump-basis=1"],
      "qwl: --dump-basis takes no value\n"),
 ], ids=["m-list-not-int", "protocol-unknown", "protocol-kind-loop", "atom-walk-int",
-        "step-coin-empty", "simulable-without-hamiltonian", "walk-without-moves",
+        "step-coin-empty", "simulable-without-hamiltonian", "simulable-hamiltonian-object",
+        "step-coin-string", "step-generator-object", "walk-without-moves",
         "walk-with-too-few-move-rows", "unknown-flag", "misspelt-flag", "abbreviated-flag",
         "missing-value", "seed-not-int", "gamma-not-float", "format-xml", "no-command",
         "unknown-command", "second-command", "switch-with-value"])

@@ -66,6 +66,34 @@ def test_su_basis():
         liealg.su_basis(1)
 
 
+def _loop_bases(c):
+    """u(c) and su(c) built one matrix at a time: the diagonal i E_kk, then for each pair
+    j < k in row-major order E_jk - E_kj and i(E_jk + E_kj); su(c) swaps the diagonal for
+    the c - 1 differences i(E_kk - E_(k+1)(k+1))."""
+    def unit(*entries):
+        m = np.zeros((c, c), dtype=complex)
+        for j, k, v in entries:
+            m[j, k] = v
+        return m
+
+    pairs = []
+    for j in range(c):
+        for k in range(j + 1, c):
+            pairs += [unit((j, k, 1), (k, j, -1)), unit((j, k, 1j), (k, j, 1j))]
+    u = [unit((k, k, 1j)) for k in range(c)] + pairs
+    su = [unit((k, k, 1j), (k + 1, k + 1, -1j)) for k in range(c - 1)] + pairs
+    return u, su
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+def test_bases_are_bitwise_the_loop_built_ones(c):
+    u, su = _loop_bases(c)
+    for got, want in ((liealg.u_basis(c), u), (liealg.su_basis(c) if c > 1 else [], su)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_generator_counts():
     assert len(list(liealg.generators(walks.example_walk()))) == 18
     assert len(list(liealg.generators(walks.cycle_walk(4)))) == 16

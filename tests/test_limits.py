@@ -259,6 +259,42 @@ def test_atom_hamiltonian_is_stored_read_only():
         h[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("kind", [limits.Concat, limits.Commutator])
+def test_composite_hamiltonian_is_stored_read_only(kind):
+    p = kind(limits.strauch_protocol(6), limits.evencyc_protocol(6))
+    h = limits.effective_hamiltonian(p)
+    assert h is limits.effective_hamiltonian(p)
+    assert not h.flags.writeable and not p._h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0] = 1.0
+
+
+def test_composites_keep_their_hamiltonian_in_the_walks_form(monkeypatch):
+    """Concat adds and Commutator brackets its children's momentum blocks, so the dense H of a
+    nested composite is made once, from its own blocks; on a walk without a group, _h is the
+    dense H."""
+    made = []
+
+    def counted(w, blocks):
+        made.append(blocks.shape)
+        return walks.from_momentum_blocks(w, blocks)
+
+    monkeypatch.setattr(limits, "from_momentum_blocks", counted)
+    w = walks.cycle_walk(8)
+    p = limits.Commutator(limits.Concat(limits.strauch_protocol(8), limits.evencyc_protocol(8)),
+                          limits.two_step_protocol(w))
+    assert p._h.shape == (8, 2, 2) and p._h.flags.c_contiguous and not p._h.flags.writeable
+    p.eigenpairs
+    assert made == [(8, 2, 2)]
+    w = two_triangles()
+    stream = LcgStream(3)
+    a, b, c = (random_orbit_atom(w, stream, perturbed) for perturbed in ({0}, {1, 2}, {0, 2}))
+    q = limits.Commutator(limits.Concat(a, b), c)
+    assert q._h.shape == (w.dim, w.dim) == (12, 12)
+    assert limits.effective_hamiltonian(q) is q._h
+    assert frob(q._h) > 1 and frob(q._h - dense_hamiltonian(q)) <= 1e-12
+
+
 @st.composite
 def shift_orbit_atoms(draw, w):
     """shift_order(w) identity-coin steps (so S^r = 1), random u(c) generators and
