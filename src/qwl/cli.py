@@ -283,8 +283,8 @@ def cmd_converge(args):
     w = resolve_walk(args.walk)
     p = resolve_protocol(args.protocol, w)
     study = limits.convergence_study(p, args.gamma, args.t, args.m_list)
-    samples = [(m, x, limits.single_step_error(p, x), rep_err)
-               for m, (x, rep_err) in zip(args.m_list, study.samples)]
+    samples = [(m, x, ss, rep_err) for m, (x, rep_err), ss
+               in zip(args.m_list, study.samples, study.single_step_errors)]
     report = {
         "samples": [{"m": m, "x": x, "single_step_error": ss, "repeated_error": re}
                     for m, x, ss, re in samples],

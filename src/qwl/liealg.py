@@ -197,14 +197,14 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     brackets [g_1, [g_2, ... g_l]] span the same algebra as all pairs.  The
     basis array doubles as it fills, within ``MAX_CLOSURE_BYTES``.
 
-    Admission is scale-free and keeps candidate order.  A generator counts
-    as zero if its norm is at most tol times the largest norm of the
-    generators read up to it, itself included, so a common scale of the
-    generators changes nothing; a bracket of unit elements, if its norm is
-    at most tol.  A chunk's other candidates are normalized and projected
-    off the span with one matrix product; each remainder still above tol is
-    then projected off the elements admitted from the same chunk, and
-    admitted, normalized, if it stays above tol.
+    Admission is scale-free and keeps candidate order.  A generator's floor
+    is tol times the largest norm of the generators read up to it, itself
+    included, so a common scale of the generators changes nothing; that of
+    a bracket of unit elements is tol.  A chunk's candidates are normalized
+    and projected off the span with one matrix product; each remainder whose
+    norm times its candidate's is still above the floor is then projected off
+    the elements admitted from the same chunk, and admitted, normalized, if
+    it stays above.  So normalizing cannot lift a small bracket's rounding.
     """
     _check_tol(tol)
     gens = iter(gens)
@@ -220,19 +220,21 @@ def lie_closure(gens, tol: float = DEFAULT_TOL) -> LieBasis:
     k = 0
 
     def admit(stack, floor):
-        """Admit the parts off the span of the elements of norm above floor; overwrites stack."""
+        """Admit the parts off the span of the elements above their floor; overwrites stack."""
         nonlocal basis, k
         norms = _norms(stack)
+        floor = np.broadcast_to(floor, norms.shape)
         nonzero = norms > floor
         if not nonzero.all():
-            stack, norms = stack[nonzero], norms[nonzero]
+            stack, norms, floor = stack[nonzero], norms[nonzero], floor[nonzero]
         stack /= norms[:, None, None]
         _project_out(basis[:k], stack)
         start = k
-        for x in stack[_norms(stack) > tol]:
+        left = _norms(stack) * norms > floor
+        for x, norm, fl in zip(stack[left], norms[left], floor[left]):
             _project_out(basis[start:k], x)
             rnorm = frob(x)
-            if rnorm > tol:
+            if rnorm * norm > fl:
                 if k == len(basis):
                     grown = _basis_array(max(1, 2 * k), shape)
                     grown[:k] = basis

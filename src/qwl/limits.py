@@ -26,9 +26,10 @@ all of its perturbed steps in one ``expm_hermitian`` call, each block
 bitwise that step's own ``expm_hermitian(i*E, a*x)``, and every repeat of a
 step reuses it.  The eigenpairs, the m-fold powers and the errors of a
 convergence study stay in that form, a study takes exp(-i*gamma*H*t) once
-for all its m, and the character transform is unitary, so every Frobenius
-error is the dense one.  ``effective_hamiltonian``, ``protocol_unitary`` and
-``repeated_limit`` return dense matrices on every walk.
+for all its m and both errors of each m from one T(x), and the character
+transform is unitary, so every Frobenius error is the dense one.
+``effective_hamiltonian``, ``protocol_unitary`` and ``repeated_limit``
+return dense matrices on every walk.
 """
 
 from dataclasses import dataclass
@@ -56,7 +57,6 @@ __all__ = [
     "Concat",
     "Commutator",
     "ConvergenceReport",
-    "strauch_coin",
     "two_step_protocol",
     "strauch_protocol",
     "orbit_protocol",
@@ -298,11 +298,6 @@ class Commutator(_Pair):
         return u1 @ u2 @ _adjoint(u1) @ _adjoint(u2)
 
 
-def strauch_coin(x: float) -> np.ndarray:
-    """The 2x2 coin R exp(i*D*x) driving the cycle limit."""
-    return R_COIN @ expm_hermitian(D_COIN, -x)
-
-
 def two_step_protocol(w: CoinedWalk) -> Atom:
     """Two perturbed R-coin steps on w; the reference product is -identity.
 
@@ -392,21 +387,24 @@ def effective_hamiltonian(p) -> np.ndarray:
     return p.hamiltonian()
 
 
-def single_step_error(p, x: float) -> float:
-    """|| phi^-1 T(x) - exp(-i*H*x) ||_F for one evaluation of the protocol."""
-    u = _unitary(p, x) / p.phase
-    return frob(u - expm_eig(p.eigenpairs, x))
+def single_step_error(p, x: float, u=None) -> float:
+    """|| phi^-1 T(x) - exp(-i*H*x) ||_F, from u = phi^-1 T(x) in the walk's form if given."""
+    if u is None:
+        u = _unitary(p, x) / p.phase
+    e = expm_eig(p.eigenpairs, x)
+    e -= u  # -(u - e) exactly, so the norm is that of u - e
+    return frob(e)
 
 
-def _repeated(p, gamma: float, t: float, m: int):
-    """The de-phased m-fold product at x = gamma*t/m in the walk's form."""
+def _dephased(p, gamma: float, t: float, m: int):
+    """(x, phi^-1 T(x)) in the walk's form at x = gamma*t/m."""
     if m < 1:
         raise TooSmall(f"repetition count must be >= 1, got {m}")
     x = gamma * t / m
     if x >= X_MAX:
         raise DomainExceeded(
             f"gamma*t/m = {x} >= {X_MAX}; raise m to shrink the perturbation")
-    return np.linalg.matrix_power(_unitary(p, x) / p.phase, m)
+    return x, _unitary(p, x) / p.phase
 
 
 def repeated_limit(p, gamma: float, t: float, m: int):
@@ -415,7 +413,7 @@ def repeated_limit(p, gamma: float, t: float, m: int):
     Returns (the dense m-fold product, its Frobenius distance to
     exp(-i*gamma*H*t)).  The error decays like 1/m.
     """
-    result = _repeated(p, gamma, t, m)
+    result = np.linalg.matrix_power(_dephased(p, gamma, t, m)[1], m)
     return _dense(p.walk, result), frob(result - expm_eig(p.eigenpairs, gamma * t))
 
 
@@ -426,11 +424,13 @@ class ConvergenceReport:
     fitted_exponent is the least-squares slope of log(error) vs log(x),
     fitted over the smallest half of the x grid to dodge pre-asymptotic
     contamination, and over both values of a two-value grid; it is nan for
-    a single value.
+    a single value.  single_step_errors are a ``convergence_study``'s, one
+    per sample; a ``single_step_study``, whose samples they are, leaves it empty.
     """
 
     samples: tuple
     fitted_exponent: float
+    single_step_errors: tuple = ()
 
 
 def _fit_exponent(samples) -> float:
@@ -444,17 +444,19 @@ def _fit_exponent(samples) -> float:
 
 
 def convergence_study(p, gamma: float, t: float, m_list) -> ConvergenceReport:
-    """Repeated-limit errors over an ascending grid of repetition counts."""
+    """Repeated-limit and single-step errors over an ascending grid of repetition counts,
+    both from one de-phased T(x) per m."""
     m_list = [int(m) for m in m_list]
     if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise DomainExceeded("m_list must be nonempty and strictly ascending")
-    samples, target = [], None
+    samples, single, target = [], [], None
     for m in m_list:
-        result = _repeated(p, gamma, t, m)
+        x, u = _dephased(p, gamma, t, m)
         if target is None:  # exp(-i*gamma*H*t), once the first m is known to be in the domain
             target = expm_eig(p.eigenpairs, gamma * t)
-        samples.append((gamma * t / m, frob(result - target)))
-    return ConvergenceReport(tuple(samples), _fit_exponent(samples))
+        single.append(single_step_error(p, x, u))
+        samples.append((x, frob(np.linalg.matrix_power(u, m) - target)))
+    return ConvergenceReport(tuple(samples), _fit_exponent(samples), tuple(single))
 
 
 def single_step_study(p, x_list) -> ConvergenceReport:

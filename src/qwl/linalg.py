@@ -151,12 +151,15 @@ def expm_eig(eig, s) -> np.ndarray:
     Eigenpairs of a (k, n, n) stack of blocks, values (k, n) and vectors
     (k, n, n), give the stack of the blocks' exponentials, at one s or at k
     values of s, one per block.  A block at s = 0 is exactly the identity.
+    The product V e^(-isW) V^dag is formed as conj(conj(V e^(-isW)) V^T), conjugating in
+    place against a transposed view of V, so no conjugate copy of V is made.
     """
     w, v = eig
     s = np.asarray(s, dtype=float)
     if not s.any():
         return np.broadcast_to(np.eye(v.shape[-1], dtype=complex), v.shape).copy()
-    u = (v * np.exp(-1j * s[..., None] * w)[..., None, :]) @ _adjoint(v)
+    u = v * np.exp(-1j * s[..., None] * w)[..., None, :]
+    u = np.conj(np.conj(u, out=u) @ v.swapaxes(-1, -2), out=u)
     if s.ndim:
         u[s == 0] = np.eye(v.shape[-1])
     return u

@@ -486,6 +486,29 @@ def test_right_normed_closure_spans_the_pairwise_closure():
             assert liealg.member_residual(other, x) <= 1e-10
 
 
+def test_closure_admits_no_rounding_noise_at_dimension_42():
+    """A three-matching walk on 14 vertices (no group) closes to 1 + 8 + 1520 = 1529.
+
+    Every generator commutes with 1_3 x J, J the all-ones 14 x 14 matrix, because each move
+    permutation fixes J; so every element of the closure does.  A rule that judged each
+    normalized bracket on its own admitted the rounding of small brackets here, scaled up by
+    the normalization, and grew the closure to 1763 elements that do not all commute with it.
+    """
+    moves = [[2, 10, 0, 6, 13, 8, 3, 9, 5, 7, 1, 12, 11, 4],
+             [9, 3, 13, 1, 8, 12, 10, 11, 4, 0, 6, 7, 5, 2],
+             [6, 5, 3, 2, 12, 1, 0, 8, 7, 10, 9, 13, 4, 11]]
+    edges = {tuple(sorted((v, row[v]))) for row in moves for v in range(14)}
+    w = walks.CoinedWalk(graphs.graph(14, sorted(edges)), moves)
+    assert w.group is None
+    basis = liealg.walk_closure(w)
+    assert basis.dimension == 1529
+    # each element has unit norm; the rounding of the deepest brackets reaches about 3e-10
+    j = kron(np.eye(3), np.ones((14, 14)))
+    for lo in range(0, basis.dimension, 256):
+        e = basis.elements[lo:lo + 256]
+        assert np.abs(e @ j - j @ e).max() <= 1e-7
+
+
 def test_streamed_generators_are_checked_in_every_chunk(monkeypatch):
     monkeypatch.setattr(liealg, "_CHUNK_BYTES", 16 * 2 ** 2 * 3)  # three 2x2 matrices a chunk
 

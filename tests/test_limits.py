@@ -1,12 +1,14 @@
 """Protocols, effective Hamiltonians, convergence orders, chiral projections."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qwl import graphs, liealg, limits, walks
+from qwl import cli, graphs, liealg, limits, walks
 from qwl.errors import (DimMismatch, DomainExceeded, NotBijective, NotScalarAtZero,
                         NotSkewHermitian, TooSmall)
 from qwl.liealg import u_basis
@@ -135,15 +137,22 @@ def coin_stack(atom):
     return (h + h.conj().swapaxes(-1, -2)) / 2
 
 
-@pytest.mark.parametrize("m_list", [[8], [8, 16], [8, 16, 32, 64]])
-def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
+def converge_protocols():
+    """Atoms on cycle:8, a commutator of a concat on it, and atoms on two triangles (no group)."""
     stream = LcgStream(7)
     a, b, c = (random_orbit_atom(walks.cycle_walk(8), stream, perturbed)
                for perturbed in ({0, 3}, {2, 5}, {1, 6}))
     triangles = two_triangles()
-    protocols = [limits.strauch_protocol(8), limits.evencyc_protocol(8),
-                 limits.Commutator(limits.Concat(a, b), c),
-                 limits.two_step_protocol(triangles), limits.orbit_protocol(triangles)]
+    return {"cycle:8 strauch": limits.strauch_protocol(8),
+            "cycle:8 evencyc": limits.evencyc_protocol(8),
+            "composite": limits.Commutator(limits.Concat(a, b), c),
+            "triangles strauch": limits.two_step_protocol(triangles),
+            "triangles evencyc": limits.orbit_protocol(triangles)}
+
+
+@pytest.mark.parametrize("m_list", [[8], [8, 16], [8, 16, 32, 64]])
+def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
+    protocols = converge_protocols().values()
     eigh = np.linalg.eigh
     args = []
 
@@ -155,10 +164,9 @@ def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
     for p in protocols:
         w = p.walk
         args.clear()
-        # what `qwl converge` computes: the study, then one single-step error per m
-        study = limits.convergence_study(p, 1.0, 1.0, m_list)
-        for x, _ in study.samples:
-            limits.single_step_error(p, x)
+        # what `qwl converge` computes: the study, which takes both errors of each m from one
+        # evaluation of T(x)
+        limits.convergence_study(p, 1.0, 1.0, m_list)
         # each evaluation of T(x) exponentiates each atom's distinct perturbed steps in one
         # call, told apart from H's decomposition by its argument
         rest = args
@@ -166,7 +174,7 @@ def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
             stack = coin_stack(atom)
             assert stack.shape[1:] == (w.coin_dim,) * 2
             same = [np.array_equal(h, stack) for h in rest]
-            assert sum(same) == 2 * len(m_list)
+            assert sum(same) == len(m_list)
             rest = [h for h, s in zip(rest, same) if not s]
         # what is left is one decomposition of H: its momentum blocks on a translation walk,
         # the dense H on a walk without a group
@@ -346,11 +354,18 @@ def test_stored_hamiltonian_and_eigenpairs_match_dense_oracles(p, x):
 
 
 def test_strauch_coin():
-    assert np.array_equal(limits.strauch_coin(0.0), R)
-    assert is_unitary(limits.strauch_coin(0.3), 1e-12)
+    """The coin C exp(i E a x) of two_step_protocol's step is R exp(i D x): R at 0, unitary,
+    and within x^2 of R (1 + i D x)."""
+    step = limits.two_step_protocol(walks.cycle_walk(4)).steps[0]
+
+    def coin(x):
+        return step.coin @ expm_hermitian(1j * step.generator, step.slope * x)
+
+    assert np.array_equal(coin(0.0), R)
+    assert is_unitary(coin(0.3), 1e-12)
     for x in (0.01, 0.05, 0.1):
         lin = R @ (np.eye(2) + 1j * D * x)
-        assert frob(limits.strauch_coin(x) - lin) <= x ** 2
+        assert frob(coin(x) - lin) <= x ** 2
 
 
 def test_reference_phases():
@@ -647,16 +662,47 @@ def test_convergence_study_takes_its_target_once(monkeypatch):
     for p in (limits.evencyc_protocol(8), limits.orbit_protocol(two_triangles())):
         calls.clear()
         study = limits.convergence_study(p, 0.7, 1.5, [8, 16, 32])
-        assert calls == [0.7 * 1.5]
-        # each error is bitwise the one repeated_limit reports for its m
+        # the target once, at gamma*t, and one single-step exponential at each x
+        assert calls == [0.7 * 1.5] + [x for x, _ in study.samples]
+        # each error is bitwise the one repeated_limit, or a standalone single-step error,
+        # reports for its m
         assert [e for _, e in study.samples] == \
             [limits.repeated_limit(p, 0.7, 1.5, m)[1] for m in (8, 16, 32)]
+        assert list(study.single_step_errors) == \
+            [limits.single_step_error(p, x) for x, _ in study.samples]
     # a first x outside [0, X_MAX) is refused before H is decomposed
     for t in (10.0, -1.0):
         p = limits.evencyc_protocol(8)
         with pytest.raises(DomainExceeded):
             limits.convergence_study(p, 1.0, t, [4, 8])
         assert "eigenpairs" not in vars(p)
+
+
+@pytest.mark.parametrize("name", list(converge_protocols()))
+def test_converge_evaluates_each_atom_once_per_m(monkeypatch, tmp_path, name):
+    """`qwl converge` calls Atom.unitary once per m on each atom, and its single-step errors are
+    bitwise those of single_step_error(p, x) called on its own."""
+    p = converge_protocols()[name]
+    calls = []
+    unitary = limits.Atom.unitary
+
+    def counting_unitary(self, x):
+        calls.append(id(self))
+        return unitary(self, x)
+
+    # the command's walk and protocol specs stand in for p, which has no spec of its own
+    monkeypatch.setattr(cli, "resolve_protocol", lambda spec, walk: p)
+    monkeypatch.setattr(limits.Atom, "unitary", counting_unitary)
+    out = tmp_path / "converge.json"
+    m_list = [8, 16, 32]
+    assert cli.main(["converge", "--walk", "cycle:8", "--protocol", "strauch", "--m-list",
+                     ",".join(map(str, m_list)), "--format", "json", "--out", str(out)]) == 0
+    atoms = atoms_of(p)
+    assert sorted(calls) == sorted(id(atom) for atom in atoms for _ in m_list)
+    samples = json.loads(out.read_text())["samples"]
+    assert [s["m"] for s in samples] == m_list
+    for s in samples:
+        assert s["single_step_error"] == limits.single_step_error(p, s["x"])
 
 
 def test_exponent_fitted_on_two_value_grid():

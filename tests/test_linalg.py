@@ -100,6 +100,22 @@ def test_expm_eig_of_a_stack_is_each_blocks_exponential():
     out[0, 0, 0] = 2  # a writable array of its own
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 40), st.sampled_from([0, 1, 5]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_expm_eig_is_bitwise_the_plain_formula(n, k, per_block, seed):
+    """expm_eig equals (v * exp(-i s w)) @ v^dag on a dense matrix (k = 0) and on a (k, n, n)
+    stack, at one s or at k values of s."""
+    rng = np.random.default_rng(seed)
+    h = np.stack([random_matrix(rng, n) for _ in range(max(k, 1))])
+    h = h + h.conj().swapaxes(-1, -2)
+    if k == 0:
+        h = h[0]
+    w, v = np.linalg.eigh(h)
+    s = np.asarray(rng.uniform(-3, 3, k) if k and per_block else rng.uniform(-3, 3))
+    plain = (v * np.exp(-1j * s[..., None] * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    assert np.array_equal(expm_eig((w, v), s), plain)
+
+
 def test_expm_diagonal_phases():
     out = expm_hermitian(np.diag([1.0, -1.0]).astype(complex), np.pi)
     assert frob(out - np.diag([-1.0, -1.0])) <= 1e-12
