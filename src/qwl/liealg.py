@@ -5,7 +5,11 @@ conjugates by powers of the shift; the real span closed under commutators
 characterizes which Hamiltonians the walk can reach in the continuous
 limit (membership of -iH).  A closure is one orthonormal (k, ...) array in
 the real Hilbert-Schmidt geometry; membership and conjugation invariance
-measure distance to it with one projection, applied twice.
+measure distance to it with one projection, applied twice.  The array is
+in a walk's form (``CoinedWalk.form``; ``LieBasis.form``), whose
+operations take an operator to it (``blocks``), back to dense (``dense``)
+and conjugate it by the shift, so this module never asks for the group
+except where ``walk_closure`` chooses its algorithm.
 
 A translation walk (its moves commute and act transitively; see
 ``CoinedWalk.group``) has its closure in closed form.  In momentum blocks
@@ -40,16 +44,8 @@ from .errors import (
     NotSkewHermitian,
     TooSmall,
 )
-from .linalg import as_matrix, frob, is_hermitian, is_skew_hermitian, kron, scaled
-from .walks import (
-    CoinedWalk,
-    checked_shift_order,
-    conjugation_phases,
-    example_walk,
-    from_momentum_blocks,
-    momentum_angles,
-    momentum_blocks,
-)
+from .linalg import as_matrix, frob, is_hermitian, is_skew_hermitian, scaled
+from .walks import CoinedWalk, checked_shift_order, dense_form, example_walk, momentum_angles
 
 __all__ = [
     "LieBasis",
@@ -105,11 +101,11 @@ def generators(w: CoinedWalk):
     """
     r = checked_shift_order(w)
     # S^r = 1, so S^k X S^(r-k) is k gathers X -> S X S^-1 by the inverse shift.
-    inv = np.argsort(w.shift)
-    conj = [kron(b, np.eye(w.walker_dim)) for b in u_basis(w.coin_dim)]
+    form = dense_form(w)
+    conj = [form.lift(b) for b in u_basis(w.coin_dim)]
     for _ in range(r):
         yield from conj
-        conj = [x[np.ix_(inv, inv)] for x in conj]
+        conj = [form.conjugate(x) for x in conj]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +120,10 @@ class LieBasis:
     twice, for a whole chunk of candidates in one matrix product.
 
     With ``walk`` None the elements are dense (n, n) matrices; otherwise
-    they are the walk's (N, c, c) momentum blocks, ``dim_ambient`` is the
-    walk's dim, and ``passes`` is 0, since no bracket was taken.
-    ``member_residual`` and ``conjugation_invariance_residual`` take dense
-    operators either way.
+    they are in the walk's form, its (N, c, c) momentum blocks,
+    ``dim_ambient`` is the walk's dim, and ``passes`` is 0, since no bracket
+    was taken.  ``member_residual`` and ``conjugation_invariance_residual``
+    take dense operators either way.
     """
 
     dim_ambient: int
@@ -140,11 +136,13 @@ class LieBasis:
     def dimension(self) -> int:
         return len(self.elements)
 
+    def form(self, w: CoinedWalk = None):
+        """The form the elements are in: ``walk.form``, or with walk None the dense kind on w."""
+        return dense_form(w) if self.walk is None else self.walk.form
+
     def dense_elements(self) -> np.ndarray:
         """The elements as dense (k, dim_ambient, dim_ambient) matrices."""
-        if self.walk is None:
-            return self.elements
-        return from_momentum_blocks(self.walk, self.elements)
+        return self.form().dense(self.elements)
 
 
 def _project_out(elements: np.ndarray, x: np.ndarray) -> None:
@@ -308,11 +306,8 @@ def member_residual(basis: LieBasis, x) -> float:
     norm = frob(x)
     if norm == 0:
         return 0.0
-    if basis.walk is None:
-        r, off = x, 0.0
-    else:
-        # the part of x off the momentum blocks is orthogonal to every element
-        r, off = momentum_blocks(basis.walk, x)
+    # the part of x off the basis's form is orthogonal to every element
+    r, off = basis.form().blocks(x)
     _project_out(basis.elements, r)
     return math.hypot(frob(r), off) / norm
 
@@ -328,26 +323,19 @@ def is_simulable(basis: LieBasis, h, tol: float) -> bool:
 def conjugation_invariance_residual(basis: LieBasis, w: CoinedWalk) -> float:
     """Worst distance of S b S^-1 from the span, over basis elements b (0 if empty).
 
-    A basis of momentum blocks is conjugated block by block, D_p b_p D_p^-1,
-    which only works for its own walk's shift: any other raises DimMismatch.
+    The basis's form conjugates: a basis of momentum blocks block by block,
+    D_p b_p D_p^-1, which only works for its own walk's shift: any other
+    raises DimMismatch.
     """
     if w.dim != basis.dim_ambient:
         raise DimMismatch("walk dimension does not match the basis")
-    if basis.walk is None:
-        inv = np.argsort(w.shift)
-    elif np.array_equal(w.shift, basis.walk.shift):
-        phase = conjugation_phases(w)
-    else:
+    if basis.walk is not None and not np.array_equal(w.shift, basis.walk.shift):
         raise DimMismatch("a basis of momentum blocks is conjugated by its own walk's shift only")
+    form = basis.form(w)
     m = _chunk_len(math.prod(basis.elements.shape[1:]))
     worst = 0.0
     for lo in range(0, basis.dimension, m):
-        b = basis.elements[lo:lo + m]
-        if basis.walk is None:
-            # the gather need not come out C-ordered
-            conj = np.ascontiguousarray(b[:, inv[:, None], inv])
-        else:
-            conj = b * phase
+        conj = form.conjugate(basis.elements[lo:lo + m])
         _project_out(basis.elements, conj)
         # conjugation by a permutation or by phases keeps each element's unit norm
         worst = max(worst, float(_norms(conj).max()))
@@ -396,4 +384,4 @@ def example_subspace_element() -> np.ndarray:
     w = example_walk()
     trivial = ~momentum_angles(w).any(axis=1)
     blocks = np.where(trivial[:, None, None], np.diag([3j, -3j, 0]), np.diag([1j, -1j, 0]))
-    return from_momentum_blocks(w, blocks)
+    return w.form.dense(blocks)

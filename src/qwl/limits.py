@@ -14,13 +14,15 @@ the walk's graph.
 H depends only on the protocol, and every node keeps it in its walk's form:
 an atom folds its steps once, at construction, into T(0) and H, ``Concat``
 adds its children's H and ``Commutator`` brackets them, and the dense H and
-the eigenpairs are made once, on first use.  The walk's form is, on a walk
-with a translation group, the C-contiguous (N, c, c) stack of momentum
-blocks, in which block p of a step S (C x 1) is diag(D_p) C; on any other
-walk, the dense matrix.  An atom's construction fold and its T(x) multiply
-one factor list in that form; on a walk with a group it folds each run of
-unperturbed steps into one block product, k repeats of one step object by
-the k-th matrix power, so no dim x dim step product is formed.  An atom
+the eigenpairs are made once, on first use.  The walk's form is
+``CoinedWalk.form``, whose operations this module calls without asking for
+the group: on a walk with a translation group, the C-contiguous (N, c, c)
+stack of momentum blocks, in which block p of a step S (C x 1) is
+diag(D_p) C; on any other walk, the dense matrix.  An atom's construction
+fold and its T(x) multiply one factor list in that form; where the form
+folds steps, as the momentum kind does, each run of unperturbed steps is
+one block product, k repeats of one step object the k-th matrix power, so
+no dim x dim step product is formed.  An atom
 works on its distinct step objects as (k, c, c) stacks: T(x) exponentiates
 all of its perturbed steps in one ``expm_hermitian`` call, each block
 bitwise that step's own ``expm_hermitian(i*E, a*x)``, and every repeat of a
@@ -33,7 +35,7 @@ return dense matrices on every walk.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -46,10 +48,9 @@ from .errors import (
     NotUnitary,
     TooSmall,
 )
-from .linalg import (_adjoint, expm_eig, expm_hermitian, frob, hermitian_eig, is_permutation,
-                     is_skew_hermitian, is_unitary)
-from .walks import (CoinedWalk, apply_step, checked_shift_order, conjugation_phases, cycle_walk,
-                    from_momentum_blocks, momentum_blocks, shift_matrix, shift_phases)
+from .linalg import (_adjoint, expm_eig, expm_hermitian, frob, is_permutation, is_skew_hermitian,
+                     is_unitary)
+from .walks import CoinedWalk, checked_shift_order, cycle_walk, dense_form, shift_matrix
 
 __all__ = [
     "ProtocolStep",
@@ -115,7 +116,7 @@ class _Node:
 
     @cached_property
     def _dense_hamiltonian(self):
-        h = _dense(self.walk, self._h)
+        h = self.walk.form.dense(self._h)
         h.setflags(write=False)
         return h
 
@@ -127,15 +128,12 @@ class _Node:
     def eigenpairs(self):
         """(eigenvalues, eigenvectors) of the effective Hamiltonian in the walk's form.
 
-        With a group they are np.linalg.eigh of H's (N, c, c) momentum blocks,
-        symmetrized; otherwise ``hermitian_eig`` of the dense H.
+        They are np.linalg.eigh of H in the form, symmetrized: its (N, c, c)
+        momentum blocks on a walk with a group, else the dense H.
         """
-        h = effective_hamiltonian(self)
-        if self.walk.group is None:
-            return hermitian_eig(h)
         # _h holds these blocks already; this O(dim^2) round trip through the dense H stays only
         # because perfbench/tests/test_perfbench.py pins the effective_hamiltonian span it makes.
-        blocks, _ = momentum_blocks(self.walk, h)
+        blocks, _ = self.walk.form.blocks(effective_hamiltonian(self))
         return np.linalg.eigh((blocks + _adjoint(blocks)) / 2)
 
 
@@ -166,14 +164,15 @@ class Atom(_Node):
             raise NotUnitary("walk shift is not a permutation")
         self.walk = walk
         self.steps = steps
-        self._step, self._one, distinct, self._factors = _factors(walk, steps)
+        form = walk.form
+        distinct, self._factors = _factors(form, steps)
         # T(x)'s coins: one stack of the distinct steps' coins, the k perturbed ones first, whose
         # exponentials exp(a_j E_j x) are one stacked call per x.
         k = sum(1 for st in distinct if st.generator.any())
         self._coins = np.array([st.coin for st in distinct])
         self._gens = 1j * np.array([st.generator for st in distinct[:k]]).reshape(-1, c, c)
         self._slopes = np.array([st.slope for st in distinct[:k]], dtype=float)
-        r = self._one()
+        r = form.one()
         h = np.zeros(r.shape, dtype=complex)
         # F_j = S (C_j x 1); R_j = F_(j+1)...F_m acts before step j (the chain ends at T(0)),
         # P_j = F_1...F_(j-1) after it.  T'(0) = sum_j P_j F_j (a_j E_j x 1) R_j, and T(0) =
@@ -185,9 +184,9 @@ class Atom(_Node):
                 r = f @ r
                 continue
             st = distinct[f]
-            fr = self._step(st.coin, r)
+            fr = form.step(st.coin, r)
             if f < k:
-                h += _adjoint(fr) @ self._step(st.slope * (st.coin @ st.generator), r)
+                h += _adjoint(fr) @ form.step(st.slope * (st.coin @ st.generator), r)
             r = fr
         # The diagonal of T(0) is the mean of its blocks' diagonals, and the Frobenius norm
         # over all blocks is the dense one, so one phi is checked against every block.
@@ -211,49 +210,40 @@ class Atom(_Node):
         if k:
             coins = coins.copy()
             coins[:k] = coins[:k] @ expm_hermitian(self._gens, self._slopes * x)
-        u = self._one()
+        form = self.walk.form
+        u = form.one()
         for f in self._factors:
-            u = f @ u if isinstance(f, np.ndarray) else self._step(coins[f], u)
+            u = f @ u if isinstance(f, np.ndarray) else form.step(coins[f], u)
         return u
 
     # perfbench's tracer wraps Atom.__dict__["hamiltonian"], so Atom binds the method itself.
     hamiltonian = _Node.hamiltonian
 
 
-def _factors(w: CoinedWalk, steps):
-    """(step, one, distinct, factors): how a step S (C x 1) acts in w's form, a maker of that
-    form's identity, the distinct step objects, the perturbed ones first, and T(x)'s factors,
-    the first to act first.
+def _factors(form, steps):
+    """(distinct, factors): the distinct step objects, the perturbed ones first, and T(x)'s
+    factors in the walk's form, the first to act first.
 
-    A factor is the index of its step in ``distinct``, or a folded block
-    product.  On a walk without a group the form is dense: a step is
-    ``apply_step`` and every step is a factor.  On a walk with one it is the
-    (N, c, c) stack, where block p of a step is diag(D_p) C: each maximal run
-    of steps with a zero generator is folded into the read-only product of its
-    blocks, k repeats of one step object as the k-th power of its blocks.
+    A factor is the index of its step in ``distinct``, or a folded product.
+    Each maximal run of steps with a zero generator is folded into one
+    read-only product, k repeats of one step object by the form's ``fold``;
+    where ``fold`` gives None, as the dense kind's does, every step is a factor.
     """
     # stable, so in order of first appearance among the perturbed steps, then the idle ones
     distinct = {id(st): st for st in sorted(steps, key=lambda st: not st.generator.any())}
     index = {key: j for j, key in enumerate(distinct)}
-    distinct = tuple(distinct.values())
-    if w.group is None:
-        return (partial(apply_step, w), partial(np.eye, w.dim, dtype=complex), distinct,
-                tuple(index[id(st)] for st in reversed(steps)))
-    d = shift_phases(w)[:, :, None]
     factors = []
     for key, run in groupby(reversed(steps), key=id):
         run = tuple(run)
-        if run[0].generator.any():
+        block = None if run[0].generator.any() else form.fold(run[0].coin, len(run))
+        if block is None:
             factors += [index[key]] * len(run)
             continue
-        block = np.linalg.matrix_power(d * run[0].coin, len(run))
         if factors and isinstance(factors[-1], np.ndarray):
             block = block @ factors.pop()
         block.setflags(write=False)
         factors.append(block)
-    c = w.coin_dim
-    one = partial(np.broadcast_to, np.eye(c, dtype=complex), (w.walker_dim, c, c))
-    return (lambda coin, m: (d * coin) @ m), one, distinct, tuple(factors)
+    return tuple(distinct.values()), tuple(factors)
 
 
 class _Pair(_Node):
@@ -327,32 +317,28 @@ def orbit_protocol(w: CoinedWalk) -> Atom:
     return Atom(w, [perturbed] + [idle] * (r - 2) + [perturbed])
 
 
+def _orbit_hamiltonian(form):
+    """X x 1 + S (X x 1) S^-1, X = J - 1, in form."""
+    x = form.lift(1 - np.eye(form.walk.coin_dim))
+    return x + form.conjugate(x)
+
+
 def orbit_hamiltonian(w: CoinedWalk) -> np.ndarray:
     """The float64 limit Hamiltonian (J-1) x 1 + S ((J-1) x 1) S^T of ``orbit_protocol(w)``.
 
     (J-1) x 1 joins (k, j) to (l, j) for every pair of coin results k != l;
     conjugating by S moves both ends along w.shift.
     """
-    c, n = w.coin_dim, w.walker_dim
-    k, l = np.nonzero(~np.eye(c, dtype=bool))
-    rows = (k[:, None] * n + np.arange(n)).ravel()
-    cols = (l[:, None] * n + np.arange(n)).ravel()
-    h = np.zeros((w.dim, w.dim))
-    h[rows, cols] = 1
-    h[w.shift[rows], w.shift[cols]] += 1
-    return h
+    return _orbit_hamiltonian(dense_form(w))
 
 
 def orbit_eig(w: CoinedWalk):
-    """Eigenpairs of ``orbit_hamiltonian(w)``, for ``walks.expm_state``.
+    """Eigenpairs of ``orbit_hamiltonian(w)`` in w's form, for ``walks.expm_state``.
 
-    With a group they are np.linalg.eigh of its (N, c, c) momentum blocks
-    X + D_p X D_p^dag, X = J - 1; otherwise ``hermitian_eig`` of the dense H.
+    They are np.linalg.eigh of H, exactly Hermitian: with a group of its
+    (N, c, c) momentum blocks X + D_p X D_p^dag, otherwise of the dense H.
     """
-    if w.group is None:
-        return hermitian_eig(orbit_hamiltonian(w))
-    x = np.ones((w.coin_dim, w.coin_dim)) - np.eye(w.coin_dim)
-    return np.linalg.eigh(x + x * conjugation_phases(w))
+    return np.linalg.eigh(_orbit_hamiltonian(w.form))
 
 
 def evencyc_protocol(n: int) -> Atom:
@@ -365,11 +351,6 @@ def limit_hamiltonian_cycle(n: int) -> np.ndarray:
     return orbit_hamiltonian(cycle_walk(n))
 
 
-def _dense(w: CoinedWalk, u) -> np.ndarray:
-    """The dense matrix of an operator in w's form."""
-    return u if w.group is None else from_momentum_blocks(w, u)
-
-
 def _unitary(p, x: float) -> np.ndarray:
     """T(x) in the form of p's walk, for x in [0, X_MAX)."""
     if not 0 <= x < X_MAX:
@@ -379,7 +360,7 @@ def _unitary(p, x: float) -> np.ndarray:
 
 def protocol_unitary(p, x: float) -> np.ndarray:
     """Evaluate the protocol's product at perturbation x, as a dense matrix."""
-    return _dense(p.walk, _unitary(p, x))
+    return p.walk.form.dense(_unitary(p, x))
 
 
 def effective_hamiltonian(p) -> np.ndarray:
@@ -414,7 +395,7 @@ def repeated_limit(p, gamma: float, t: float, m: int):
     exp(-i*gamma*H*t)).  The error decays like 1/m.
     """
     result = np.linalg.matrix_power(_dephased(p, gamma, t, m)[1], m)
-    return _dense(p.walk, result), frob(result - expm_eig(p.eigenpairs, gamma * t))
+    return p.walk.form.dense(result), frob(result - expm_eig(p.eigenpairs, gamma * t))
 
 
 @dataclass(frozen=True)

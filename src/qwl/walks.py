@@ -14,9 +14,9 @@ translation walk on the abelian group they generate, and the constructor
 builds that group's N characters from the move table alone, for a built-in
 walk and a file walk alike.  In the basis of characters (momenta) the
 shift is diagonal, so ``momentum_blocks`` splits an operator into N coin
-blocks of c x c, block p of a step S (C x 1) is diag(D_p) C with D_p from
-``shift_phases``, and conjugation by S multiplies each block by
-``conjugation_phases``.  The change of basis forms no N x N matrix: it is
+blocks of c x c, block p of a step S (C x 1) is diag(D_p) C, and
+conjugation by S multiplies each block by phases D_p[a] conj(D_p[b]).
+The change of basis forms no N x N matrix: it is
 a mixed-radix transform (Cooley and Tukey 1965) with one stage per coin
 that grew the orbit, a twiddle and an m_k x m_k DFT each, applied by
 ``_to_momenta`` and ``_from_momenta``; a one-stage group (every cycle)
@@ -33,6 +33,16 @@ and ``expm_state`` applies exp(-i s K) to a state from either kind of
 eigenpairs, so no caller chooses.  The dense path is also the test oracle.
 The edge-space form ``EdgeWalk`` is held as index maps from the move
 table, and ``intertwining_residual`` applies them by scatter.
+
+``CoinedWalk.form``, chosen once from the group, is how the limits and the
+Lie algebra hold a walk's operators, so neither module asks for the group:
+the momentum kind, (N, c, c) block stacks, with a group, else the dense
+kind.  Each kind offers a step S (C x 1), the identity, k idle steps folded
+into one factor (the dense kind applies them one by one), operator to form
+(``blocks``) and back (``dense``), X x 1 (``lift``) and S b S^-1
+(``conjugate``).  The momentum kind makes D_p and the conjugation phases
+once per walk.  ``dense_form`` is the dense kind on any walk, the oracle of
+the momentum kind.
 """
 
 import math
@@ -54,7 +64,7 @@ from .errors import (
     TooSmall,
     Unstable,
 )
-from .linalg import as_matrix, expm_hermitian, frob, hermitian_eig, is_unitary
+from .linalg import as_matrix, expm_hermitian, frob, hermitian_eig, is_unitary, kron
 
 __all__ = [
     "CoinedWalk",
@@ -66,14 +76,13 @@ __all__ = [
     "shift_order",
     "checked_shift_order",
     "momentum_angles",
-    "shift_phases",
-    "conjugation_phases",
     "momentum_blocks",
     "from_momentum_blocks",
     "adjacency_spectrum",
     "adjacency_eig",
     "expm_state",
     "apply_step",
+    "dense_form",
     "coined_to_edge_walk",
     "intertwining_residual",
     "ctqw_propagator",
@@ -157,6 +166,12 @@ class CoinedWalk:
     @property
     def dim(self) -> int:
         return self.moves.size
+
+    @cached_property
+    def form(self):
+        """How the walk holds an operator, chosen once from group: in momentum blocks
+        with a group, else dense.  See ``_DenseForm`` for its operations."""
+        return _DenseForm(self) if self.group is None else _MomentumForm(self)
 
     @cached_property
     def _momentum_stages(self):
@@ -356,21 +371,6 @@ def _phases(angles, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (angles % n) / n)
 
 
-def shift_phases(w: CoinedWalk) -> np.ndarray:
-    """(N, c) phases D_p[k] = exp(-2 pi i angles[p, k] / N): block p of S (C x 1) is diag(D_p) C."""
-    return _phases(momentum_angles(w), w.walker_dim)
-
-
-def conjugation_phases(w: CoinedWalk) -> np.ndarray:
-    """(N, c, c) phases D_p[a] conj(D_p[b]): block p of S X S^-1 is X_p times phases[p].
-
-    They are the phases of ``shift_phases`` at the angle differences, each
-    one exact root of unity, not a product of two rounded ones.
-    """
-    angles = momentum_angles(w)
-    return _phases(angles[:, :, None] - angles[:, None, :], w.walker_dim)
-
-
 def _to_momenta(w: CoinedWalk, x) -> np.ndarray:
     """The character transform F^dag along axis 0 of x (N, ...).
 
@@ -506,6 +506,88 @@ def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
     out = np.empty_like(coined)
     out[w.shift] = coined
     return out
+
+
+class _DenseForm:
+    """The dense kind of a walk's form: an operator is its dim x dim matrix.
+
+    It is the form of a walk without a group.  It holds any walk's
+    operators, so it is also the oracle of the momentum kind (``dense_form``).
+    ``blocks`` and ``dense`` are the identity and read no walk.
+    """
+
+    def __init__(self, w):
+        self.walk = w
+
+    def step(self, coin, m):
+        """S (coin x 1) m."""
+        return apply_step(self.walk, coin, m)
+
+    def one(self):
+        """The identity in the form."""
+        return self.lift(np.eye(self.walk.coin_dim, dtype=complex))
+
+    def fold(self, coin, k):
+        """k steps S (coin x 1) as one factor in the form, or None: here each step is applied."""
+        return None
+
+    def blocks(self, x):
+        """(x in the form, the Frobenius mass of x off it) for a dense x, or a stack of them."""
+        return x, 0.0
+
+    def dense(self, u):
+        """The dense matrix of u, or of each of a stack, in the form."""
+        return u
+
+    def lift(self, x):
+        """x (x) 1 in the form, for a coin operator x."""
+        return kron(x, np.eye(self.walk.walker_dim))
+
+    def conjugate(self, b):
+        """S b S^-1 for b, or for each of a stack, in the form."""
+        inv = np.argsort(self.walk.shift)
+        # the gather need not come out C-ordered
+        return np.ascontiguousarray(b[..., inv[:, None], inv])
+
+
+class _MomentumForm(_DenseForm):
+    """The momentum kind, the form of a walk with a group: the (N, c, c) momentum blocks.
+
+    It holds the operators that commute with the translations.  Block p of
+    a step S (C x 1) is diag(D_p) C, and block p of S X S^-1 is X_p times
+    D_p[a] conj(D_p[b]).  Both are made once: ``shift_phases`` (N, c, 1)
+    holds D_p, and ``conjugation_phases`` (N, c, c) the phases at the angle
+    differences, each one exact root of unity, not a product of two rounded ones.
+    """
+
+    def __init__(self, w):
+        super().__init__(w)
+        angles = momentum_angles(w)
+        self.shift_phases = _phases(angles, w.walker_dim)[:, :, None]
+        self.conjugation_phases = _phases(angles[:, :, None] - angles[:, None, :], w.walker_dim)
+
+    def step(self, coin, m):
+        return (self.shift_phases * coin) @ m
+
+    def fold(self, coin, k):
+        return np.linalg.matrix_power(self.shift_phases * coin, k)
+
+    def blocks(self, x):
+        return momentum_blocks(self.walk, x)
+
+    def dense(self, u):
+        return from_momentum_blocks(self.walk, u)
+
+    def lift(self, x):
+        return np.broadcast_to(x, (self.walk.walker_dim,) + np.shape(x))
+
+    def conjugate(self, b):
+        return b * self.conjugation_phases
+
+
+def dense_form(w=None) -> _DenseForm:
+    """The dense kind of form on w, whatever w.group; without w it converts only."""
+    return _DenseForm(w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -392,19 +392,22 @@ def _reference_closure(gens, tol, pairwise=False):
     """Oracle: the one-candidate admission loop, as (elements, passes).
 
     Every candidate, generator or bracket, is normalized, projected twice
-    on the span on its own, and admitted if the remainder exceeds tol.  Each
-    pass brackets the elements spanning the generators, or with pairwise
-    every element, with the elements admitted since the last pass.
+    on the span on its own, and admitted, normalized, when its remainder
+    times its norm exceeds its floor; a candidate whose norm is at most its
+    floor is dropped.  A generator's floor is tol times the largest norm of
+    the generators read up to it, itself included; a bracket's floor is tol.
+    Each pass brackets the elements spanning the generators, or with
+    pairwise every element, with the elements admitted since the last pass.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     n = gens[0].shape[0]
     basis = np.empty((len(gens), n, n), dtype=complex)
     k = 0
 
-    def admit(cand):
+    def admit(cand, floor):
         nonlocal basis, k
         norm = frob(cand)
-        if norm <= tol:
+        if norm <= floor:
             return
         if k == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])
@@ -414,12 +417,14 @@ def _reference_closure(gens, tol, pairwise=False):
         for _ in range(2):
             v -= (v @ rows.T) @ rows
         rnorm = frob(basis[k])
-        if rnorm > tol:
+        if rnorm * norm > floor:
             basis[k] /= rnorm
             k += 1
 
+    largest = 0.0  # the largest generator norm read so far
     for g in gens:
-        admit(g)
+        largest = max(largest, frob(g))
+        admit(g, tol * largest)
     ngen = k
     start, passes = 0, 0
     while True:
@@ -427,7 +432,7 @@ def _reference_closure(gens, tol, pairwise=False):
         size = k
         for i in range(size if pairwise else ngen):
             for j in range(max(i + 1, start), size):
-                admit(basis[i] @ basis[j] - basis[j] @ basis[i])
+                admit(basis[i] @ basis[j] - basis[j] @ basis[i], tol)
         if k == size:
             return basis[:k].copy(), passes
         start = size

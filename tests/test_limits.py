@@ -219,8 +219,8 @@ def test_converge_on_a_translation_walk_stays_in_momentum_blocks(monkeypatch):
         raise AssertionError("a dense walk operator was formed")
 
     # after construction, nothing of size dim x dim: no dense step, no block-to-dense map
-    monkeypatch.setattr(limits, "apply_step", dense)
-    monkeypatch.setattr(limits, "from_momentum_blocks", dense)
+    monkeypatch.setattr(walks, "apply_step", dense)
+    monkeypatch.setattr(walks, "from_momentum_blocks", dense)
     assert limits.convergence_study(p, 1.0, 1.0, [8, 16, 32]) == expected
     assert p.unitary(0.1).shape == (6, 2, 2)
     for x, _ in expected.samples:
@@ -235,7 +235,7 @@ def test_construction_on_a_translation_walk_stays_in_momentum_blocks(monkeypatch
     def dense(*args):
         raise AssertionError("a dense walk step was formed")
 
-    monkeypatch.setattr(limits, "apply_step", dense)
+    monkeypatch.setattr(walks, "apply_step", dense)
     stream = LcgStream(11)
     r = walks.shift_order(w)
     a, b, c = (random_orbit_atom(w, stream, perturbed) for perturbed in ({0}, {1, r - 1}, {0, 2}))
@@ -282,12 +282,13 @@ def test_composites_keep_their_hamiltonian_in_the_walks_form(monkeypatch):
     nested composite is made once, from its own blocks; on a walk without a group, _h is the
     dense H."""
     made = []
+    original = walks.from_momentum_blocks
 
     def counted(w, blocks):
         made.append(blocks.shape)
-        return walks.from_momentum_blocks(w, blocks)
+        return original(w, blocks)
 
-    monkeypatch.setattr(limits, "from_momentum_blocks", counted)
+    monkeypatch.setattr(walks, "from_momentum_blocks", counted)
     w = walks.cycle_walk(8)
     p = limits.Commutator(limits.Concat(limits.strauch_protocol(8), limits.evencyc_protocol(8)),
                           limits.two_step_protocol(w))

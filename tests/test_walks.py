@@ -227,14 +227,58 @@ def _assert_momentum_transform(w, rng):
 def test_shift_phases_are_the_blocks_of_the_shift(make):
     w = make()
     c, n = w.coin_dim, w.walker_dim
-    d = walks.shift_phases(w)
+    form = w.form
+    d = np.diagonal(form.step(np.eye(c), form.one()), axis1=-2, axis2=-1)
     assert d.shape == (n, c)
     s = walks.from_momentum_blocks(w, d[:, :, None] * np.eye(c))
     assert np.abs(s - walks.shift_matrix(w)).max() <= 1e-12
     # conjugation by S puts D_p[a] conj(D_p[b]) on block p, each phase an exact root of unity
-    phases = walks.conjugation_phases(w)
+    phases = form.conjugate(np.ones((n, c, c)))
     assert np.abs(phases - d[:, :, None] * d[:, None, :].conj()).max() <= 1e-15
     assert np.all(phases[:, np.arange(c), np.arange(c)] == 1)
+
+
+@pytest.mark.parametrize("make", [lambda: walks.cycle_walk(5), lambda: walks.lattice_walk(3, 2),
+                                  walks.example_walk, relabelled_cycle, two_triangles,
+                                  turn_or_flip_cycle],
+                         ids=["cycle:5", "lattice:3,2", "example", "relabelled cycle:7",
+                              "two triangles", "turn-or-flip cycle"])
+def test_each_form_matches_the_dense_oracle(make):
+    """The walk's form, and the dense kind on the same walk, against dense numpy: a step,
+    k folded steps, X x 1 and S x S^-1 for a translation-invariant x; the momentum kind's
+    blocks are those of the character matrix's formula."""
+    w = make()
+    c, n, dim = w.coin_dim, w.walker_dim, w.dim
+    rng = np.random.default_rng(c * n)
+    s = walks.shift_matrix(w)
+    coin, x_coin = rng.normal(size=(2, c, c)) + 1j * rng.normal(size=(2, c, c))
+    step = s @ kron(coin, np.eye(n))
+    # sum_k A_k x P_k commutes with every translation of a walk with a group
+    coins = rng.normal(size=(c, c, c)) + 1j * rng.normal(size=(c, c, c))
+    x = sum(kron(a, _translation(row)) for a, row in zip(coins, w.moves))
+    kinds = [w.form, walks.dense_form(w)]
+    # the kind is chosen once, from the group: only the momentum kind folds steps
+    assert [form.fold(coin, 2) is None for form in kinds] == [w.group is None, True]
+    for form in kinds:
+        scale = frob(step)
+        assert np.abs(form.dense(form.step(coin, form.one())) - step).max() <= 1e-12 * scale
+        for k in (1, 3):
+            folded = form.fold(coin, k)
+            if folded is not None:
+                power = np.linalg.matrix_power(step, k)
+                assert np.abs(form.dense(folded) - power).max() <= 1e-12 * frob(power)
+        assert np.abs(form.dense(form.lift(x_coin)) - kron(x_coin, np.eye(n))).max() <= 1e-12
+        blocks, off = form.blocks(x)
+        assert off <= 1e-12 * frob(x)
+        conjugated = form.dense(form.conjugate(blocks))
+        assert conjugated.shape == (dim, dim)
+        assert np.abs(conjugated - s @ x @ s.T).max() <= 1e-12 * frob(x)
+    if w.group is not None:
+        f = _characters(w)
+        # xt[a, b, p, q] = <a,p| x |b,q>
+        xt = f.conj().T @ x.reshape(c, n, c, n).swapaxes(1, 2) @ f
+        expected = np.moveaxis(xt[:, :, np.arange(n), np.arange(n)], -1, 0)
+        assert np.abs(w.form.blocks(x)[0] - expected).max() <= 1e-12 * frob(x)
 
 
 @pytest.mark.parametrize("make", [lambda: walks.cycle_walk(7), lambda: walks.lattice_walk(4, 2),
