@@ -21,7 +21,6 @@ array, anything else entry by entry.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
-import csv
 import io
 import json
 import math
@@ -107,6 +106,7 @@ def _csv_cell(v):
 
 def _csv_text(rows) -> str:
     """CSV with lowercase booleans, %.16e floats and anything else as is."""
+    import csv  # loaded only for CSV output
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows([_csv_cell(v) for v in row] for row in rows)
@@ -308,9 +308,9 @@ def cmd_evolve(args):
         "state": psit.view(float).reshape(-1, 2),
         "norm_residual": norm_residual,
     }
-    rows = [["vertex", "re", "im", "probability"],
-            *([j, z.real, z.imag, abs(z) ** 2] for j, z in enumerate(psit)),
-            ["norm_residual", norm_residual]]
+    rows = chain([["vertex", "re", "im", "probability"]],
+                 ([j, z.real, z.imag, abs(z) ** 2] for j, z in enumerate(psit)),
+                 [["norm_residual", norm_residual]])  # built only if CSV is written
     return report, rows, 0
 
 

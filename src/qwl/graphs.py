@@ -6,7 +6,6 @@ vertices use row-major indexing, (a, b) -> a*n2 + b, which makes the Kronecker-s
 identity for the product adjacency literal: adj(G1 x G2) = kron(A1, I) + kron(I, A2).
 """
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -38,20 +37,17 @@ def _pairs(edges) -> np.ndarray:
         return np.array(edges, dtype=object).reshape(-1, 2)
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph: vertex count plus its edges (u < v) as one read-only sorted array.
 
     Graph(n, edges) takes pairs u < v in any collection, repeats allowed, and refuses the
     first one out of range.  edges is the frozenset of pairs, made on demand."""
 
-    n: int
-    edge_array: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, n: int, edge_array):
+        self.n = n
         if self.n < 1:
             raise TooSmall(f"graph needs at least one vertex, got n={self.n}")
-        e = _pairs(self.edge_array)
+        e = _pairs(edge_array)
         bad = (e[:, 0] < 0) | (e[:, 0] >= e[:, 1]) | (e[:, 1] >= self.n)
         if bad.any():
             u, v = e[bad.argmax()].tolist()
@@ -61,7 +57,7 @@ class Graph:
         keys = keys[np.diff(keys, prepend=-1) != 0]
         e = np.stack([keys // n, keys % n], axis=-1).astype(int)
         e.setflags(write=False)
-        object.__setattr__(self, "edge_array", e)
+        self.edge_array = e
 
     @property
     def edges(self) -> frozenset:

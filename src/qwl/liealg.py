@@ -30,7 +30,6 @@ never all held at once, and no basis may grow past ``MAX_CLOSURE_BYTES``.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -108,7 +107,6 @@ def generators(w: CoinedWalk):
         conj = [form.conjugate(x) for x in conj]
 
 
-@dataclass(frozen=True, eq=False)
 class LieBasis:
     """Orthonormal real-span basis of a bracket-closed skew-Hermitian space.
 
@@ -126,11 +124,10 @@ class LieBasis:
     take dense operators either way.
     """
 
-    dim_ambient: int
-    elements: np.ndarray
-    tol: float
-    passes: int
-    walk: CoinedWalk = None
+    def __init__(self, dim_ambient: int, elements: np.ndarray, tol: float, passes: int,
+                 walk: CoinedWalk = None):
+        self.dim_ambient, self.elements, self.tol, self.passes = dim_ambient, elements, tol, passes
+        self.walk = walk
 
     @property
     def dimension(self) -> int:

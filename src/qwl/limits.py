@@ -34,7 +34,7 @@ transform is unitary, so every Frobenius error is the dense one.
 return dense matrices on every walk.
 """
 
-from dataclasses import dataclass
+import math
 from functools import cached_property
 from itertools import groupby
 
@@ -85,17 +85,12 @@ R_COIN = np.array([[0, -1j], [-1j, 0]])
 D_COIN = np.array([[0, -1], [-1, 0]], dtype=complex)
 
 
-@dataclass(frozen=True)
 class ProtocolStep:
     """One step S (C exp(E*a*x) x 1): a fixed coin plus a linear perturbation."""
 
-    coin: np.ndarray
-    generator: np.ndarray
-    slope: float = 1.0
-
-    def __post_init__(self):
-        coin = np.asarray(self.coin, dtype=complex)
-        gen = np.asarray(self.generator, dtype=complex)
+    def __init__(self, coin, generator, slope: float = 1.0):
+        coin = np.asarray(coin, dtype=complex)
+        gen = np.asarray(generator, dtype=complex)
         if not is_unitary(coin):
             raise NotUnitary("step coin is not unitary within 1e-10")
         if gen.shape != coin.shape:
@@ -103,8 +98,7 @@ class ProtocolStep:
         if not is_skew_hermitian(gen):
             raise NotSkewHermitian(
                 "step generator is not skew-Hermitian within 1e-10 of its largest entry")
-        object.__setattr__(self, "coin", coin)
-        object.__setattr__(self, "generator", gen)
+        self.coin, self.generator, self.slope = coin, gen, slope
 
 
 class _Node:
@@ -398,7 +392,6 @@ def repeated_limit(p, gamma: float, t: float, m: int):
     return p.walk.form.dense(result), frob(result - expm_eig(p.eigenpairs, gamma * t))
 
 
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Sampled errors against the perturbation size plus a log-log slope fit.
 
@@ -409,9 +402,12 @@ class ConvergenceReport:
     per sample; a ``single_step_study``, whose samples they are, leaves it empty.
     """
 
-    samples: tuple
-    fitted_exponent: float
-    single_step_errors: tuple = ()
+    def __init__(self, samples: tuple, fitted_exponent: float, single_step_errors: tuple = ()):
+        self.samples, self.fitted_exponent = samples, fitted_exponent
+        self.single_step_errors = single_step_errors
+
+    def __eq__(self, other):  # the three fields compared in order, as one tuple would be
+        return type(other) is ConvergenceReport and vars(self) == vars(other)
 
 
 def _fit_exponent(samples) -> float:
@@ -490,8 +486,10 @@ def phi_transform(psi_pm, gamma: float, t: float, sign: int) -> np.ndarray:
     """Rescale a chiral combination so it evolves under the Laplacian.
 
     Returns exp(sign*2i*gamma*t)/2 times the input; sign matches the +-
-    label of the combination.
+    label of the combination.  A phase 2*gamma*t that overflows raises DomainExceeded.
     """
     if sign not in (1, -1):
         raise DomainExceeded(f"sign must be +1 or -1, got {sign}")
+    if not math.isfinite(2 * float(gamma) * float(t)):
+        raise DomainExceeded(f"the phase 2 * gamma * t must be finite, got 2 * {gamma} * {t}")
     return np.exp(sign * 2j * gamma * t) / 2 * np.asarray(psi_pm, dtype=complex)

@@ -46,7 +46,6 @@ the momentum kind.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -101,7 +100,6 @@ def _check_dim(coin_dim: int, walker_dim: int):
         raise DomainExceeded(f"walk dimension coin_dim * walker_dim exceeds MAX_DIM = {MAX_DIM}")
 
 
-@dataclass(frozen=True, eq=False)
 class CoinedWalk:
     """Coined walk on a regular graph: per-coin-result vertex moves plus the shift.
 
@@ -123,14 +121,9 @@ class CoinedWalk:
     Otherwise group is None.  Walks compare by identity.
     """
 
-    graph: graphs.Graph
-    moves: np.ndarray
-    shift: np.ndarray = field(init=False)
-    group: tuple = field(init=False)
-
-    def __post_init__(self):
-        g = self.graph
-        moves = np.array(self.moves, dtype=int, ndmin=1)
+    def __init__(self, graph: graphs.Graph, moves):
+        self.graph = g = graph
+        moves = np.array(moves, dtype=int, ndmin=1)
         _check_dim(len(moves), g.n)
         m = graphs.regular_degree(g)
         if m is None:
@@ -151,9 +144,7 @@ class CoinedWalk:
         shift = (np.arange(m)[:, None] * g.n + moves).ravel()
         moves.setflags(write=False)
         shift.setflags(write=False)
-        object.__setattr__(self, "moves", moves)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "group", _translation_group(moves))
+        self.moves, self.shift, self.group = moves, shift, _translation_group(moves)
 
     @property
     def coin_dim(self) -> int:
@@ -484,13 +475,15 @@ def expm_state(w: CoinedWalk, eig, s: float, psi) -> np.ndarray:
     """exp(-i*s*K) psi from the eigenpairs (vals, vecs) of K, dense or of its momentum blocks.
 
     With 1-D vals they are the dense K's, and the result is V (exp(-i*s*vals) * (V^dag psi)).
-    Otherwise they are np.linalg.eigh of K's (N, k, k) blocks, k = 1 on the
-    walker space and c on the walk space; psi (size k*N, coin-major) goes to
-    the characters and back by ``_to_momenta`` and ``_from_momenta``.
+    Otherwise they are np.linalg.eigh of K's (N, k, k) blocks, k = 1 on the walker space and c
+    on the walk space; psi (size k*N, coin-major) goes to the characters and back by
+    ``_to_momenta`` and ``_from_momenta``.  A phase s * vals that overflows raises DomainExceeded.
     """
     if s == 0:
         return np.array(psi, dtype=complex)
     vals, vecs = eig
+    if not math.isfinite(float(s) * float(np.abs(vals).max())):
+        raise DomainExceeded(f"the phase s * eigenvalue must be finite, got s = {s}")
     if np.ndim(vals) == 1:
         return vecs @ (np.exp(-1j * s * vals) * (vecs.conj().T @ psi))
     n, k = vals.shape
@@ -590,7 +583,6 @@ def dense_form(w=None) -> _DenseForm:
     return _DenseForm(w)
 
 
-@dataclass(frozen=True, eq=False)
 class EdgeWalk:
     """Edge-space form of a coined walk, held as index maps on the edge basis.
 
@@ -602,11 +594,8 @@ class EdgeWalk:
     of vertex j, and the per-vertex coin C~ applies coin to out[:, j].
     """
 
-    edge_basis: tuple
-    chi: np.ndarray
-    w: np.ndarray
-    out: np.ndarray
-    coin: np.ndarray
+    def __init__(self, edge_basis: tuple, chi, w, out, coin):
+        self.edge_basis, self.chi, self.w, self.out, self.coin = edge_basis, chi, w, out, coin
 
 
 def coined_to_edge_walk(w: CoinedWalk, coin) -> EdgeWalk:

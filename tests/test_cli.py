@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -643,6 +644,41 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc4.returncode == 2 and proc4.stdout == ""
     assert proc4.stderr == "qwl: --gamma needs a value\n"
+
+
+def test_importing_the_cli_loads_only_numpy_json_and_qwl(tmp_path):
+    script = ("import json, sys\nimport numpy\nbefore = set(sys.modules)\nimport qwl.cli\n"
+              "new = sorted(set(sys.modules) - before)\n"
+              "print(json.dumps([new, qwl.cli.main(sys.argv[1:])]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    args, out = ["evolve", "--walk", "cycle:5", "--seed", "9"], tmp_path / "fresh.csv"
+    proc = subprocess.run([sys.executable, "-c", script, *args, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    new, code = json.loads(proc.stdout)
+    assert code == 0
+    assert [m for m in new if m != "qwl" and not m.startswith("qwl.")] == []
+    # the CSV report, its writer loaded on first use, keeps its bytes
+    w = cli.resolve_walk("cycle:5")
+    psit = walks.expm_state(w, walks.adjacency_eig(w), 1.0, seeded_state(5, 9))
+    expected = "".join(f"{j},{z.real:.16e},{z.imag:.16e},{abs(z) ** 2:.16e}\n"
+                       for j, z in enumerate(psit))
+    norm_residual = abs(np.linalg.norm(psit) - 1.0)
+    expected = f"vertex,re,im,probability\n{expected}norm_residual,{norm_residual:.16e}\n"
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["evolve", "project"])
+def test_an_overflowing_phase_exits_2_and_writes_nothing(tmp_path, capsys, command, fmt):
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--walk", "cycle:3", "--gamma", "1e308", "--format", fmt], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qwl: the phase s * eigenvalue must be finite, got s = 1e+308\n"
+    assert not out.exists()
 
 
 def test_simulable_hermiticity_is_relative_to_the_largest_entry(tmp_path, capsys):

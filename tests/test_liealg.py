@@ -1,7 +1,6 @@
 """Generator sets, numerical closure, membership, and the K4 example."""
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,7 +255,8 @@ def test_block_conjugation_invariance_matches_dense():
         assert liealg.conjugation_invariance_residual(coin_closure, w) > 0.5
         # the worst residual of a random set tells S b S^-1 from S^-1 b S
         for blocks in (coin_closure, _random_block_basis(w, 3, rng)):
-            dense = replace(blocks, elements=blocks.dense_elements(), walk=None)
+            dense = liealg.LieBasis(**{**vars(blocks), "elements": blocks.dense_elements(),
+                                       "walk": None})
             residual = liealg.conjugation_invariance_residual(blocks, w)
             assert abs(residual - liealg.conjugation_invariance_residual(dense, w)) <= 1e-12
             # the same shift from another walk object is the same conjugation

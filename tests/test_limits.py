@@ -1,6 +1,7 @@
 """Protocols, effective Hamiltonians, convergence orders, chiral projections."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -798,3 +799,16 @@ def test_phi_transform_basics():
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(psi) / 2)
     with pytest.raises(DomainExceeded):
         limits.phi_transform(psi, 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("w", [walks.cycle_walk(3), two_triangles()], ids=["cycle:3", "triangles"])
+def test_an_overflowing_phase_is_refused_without_a_warning(w):
+    psi = seeded_state(w.walker_dim, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainExceeded, match=r"phase s \* eigenvalue"):
+            walks.expm_state(w, walks.adjacency_eig(w), 1e308, psi)
+        with pytest.raises(DomainExceeded, match=r"phase 2 \* gamma \* t"):
+            limits.phi_transform(psi, 1e308, 1.0, 1)
+        assert np.isfinite(walks.expm_state(w, walks.adjacency_eig(w), 8e307, psi)).all()
+        assert np.isfinite(limits.phi_transform(psi, 8e307, 1.0, -1)).all()

@@ -1,6 +1,5 @@
 """Coined walks, the edge-space equivalence, and classical/quantum propagators."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -580,7 +579,7 @@ def test_intertwining_residual_sees_a_wrong_map(monkeypatch, field):
 
     def rolled(w, coin):
         ew = build(w, coin)
-        return dataclasses.replace(ew, **{field: np.roll(getattr(ew, field), 1)})
+        return walks.EdgeWalk(**{**vars(ew), field: np.roll(getattr(ew, field), 1)})
 
     monkeypatch.setattr(walks, "coined_to_edge_walk", rolled)
     for w in (walks.cycle_walk(5), walks.example_walk()):
