@@ -16,7 +16,9 @@ written as their nested lists would be; a nonempty finite float64 array is
 formatted in one pass over its entries (``_array_json``).  JSON numbers
 read, matrix entries included, must be finite numbers: bools and strings
 are rejected.  A matrix of plain [re, im] number pairs is read as one
-array, anything else entry by entry.
+array, anything else entry by entry; so are an atom's coins, and its
+generators, when all are such matrices of one shape.  A walk spec that
+atoms name is resolved once per protocol file.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -138,23 +140,27 @@ def _matrix_entry(z) -> complex:
     return complex(_json_float(z[0], "matrix entry"), _json_float(z[1], "matrix entry"))
 
 
-def _flat_matrix(obj):
+def _flat_matrix(obj, stacked=False):
     """obj as a complex array when it is equal rows of [re, im] pairs of finite ints and floats
-    only; None for anything else, which the per-entry path then reads or refuses."""
-    if not obj or type(obj) is not list or set(map(type, obj)) != {list} \
-            or len(set(map(len, obj))) != 1:
+    only, or, stacked, a list of such matrices of one shape; None for anything else, which the
+    per-entry path then reads or refuses."""
+    shape, items = [], [obj]
+    for _ in range(2 + stacked):  # each level nonempty lists of one length
+        if set(map(type, items)) != {list} or len(lengths := set(map(len, items))) != 1 \
+                or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        items = list(chain.from_iterable(items))
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return None
-    entries = list(chain.from_iterable(obj))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    flat = list(chain.from_iterable(entries))
+    flat = list(chain.from_iterable(items))
     if not set(map(type, flat)) <= {int, float}:
         return None
     try:
         a = np.array(flat, dtype=float)
     except OverflowError:  # an int past the largest float
         return None
-    return a.view(complex).reshape(len(obj), -1) if np.isfinite(a).all() else None
+    return a.view(complex).reshape(shape) if np.isfinite(a).all() else None
 
 
 def _matrix_from_json(obj) -> np.ndarray:
@@ -194,22 +200,32 @@ def resolve_walk(spec: str) -> walks.CoinedWalk:
 
 
 def _protocol_steps_from_json(items):
-    """An atom's steps, read and checked one at a time in order.
+    """An atom's steps, read and checked in order.
 
-    One ``ProtocolStep`` is built per distinct step, keyed by the shapes of its coin and
+    When every step is an object whose coins, and whose generators, are matrices of one shape
+    of plain number pairs, all coins are read as one array and all generators as another;
+    otherwise each step is read on its own, so a bad step is named as it comes.  One
+    ``ProtocolStep`` is built per distinct step, keyed by the shapes of its coin and
     generator and the bytes of its coin, generator and slope: -0.0 and 0.0 differ, and a
     reshaped matrix of the same bytes is checked on its own.  A repeat is that same object,
     which T(x) exponentiates once.
     """
     if not isinstance(items, list):
         raise BadSpec(f"protocol 'steps' must be a list, got {type(items).__name__}")
+    coins = gens = None
+    if all(isinstance(item, dict) and "coin" in item and "generator" in item for item in items):
+        coins = _flat_matrix([item["coin"] for item in items], stacked=True)
+        gens = _flat_matrix([item["generator"] for item in items], stacked=True)
+    whole = coins is not None and gens is not None
     made = {}
     steps = []
-    for item in items:
-        if not isinstance(item, dict) or "coin" not in item or "generator" not in item:
+    for j, item in enumerate(items):
+        if whole:
+            coin, gen = coins[j], gens[j]
+        elif not isinstance(item, dict) or "coin" not in item or "generator" not in item:
             raise BadSpec("each protocol step must be an object with 'coin' and 'generator'")
-        coin = _matrix_from_json(item["coin"])
-        gen = _matrix_from_json(item["generator"])
+        else:
+            coin, gen = _matrix_from_json(item["coin"]), _matrix_from_json(item["generator"])
         slope = _json_float(item.get("slope", 1.0), "step slope")
         key = (coin.shape, gen.shape, coin.tobytes(), gen.tobytes(), np.float64(slope).tobytes())
         if key not in made:
@@ -218,8 +234,11 @@ def _protocol_steps_from_json(items):
     return steps
 
 
-def _protocol_from_json(obj, walk, depth=0):
-    """A protocol on walk; an atom that names its walk must name one with walk's moves."""
+def _protocol_from_json(obj, walk, named_walks, depth=0):
+    """A protocol on walk; an atom that names its walk must name one with walk's moves.
+
+    named_walks holds each walk spec string resolved so far, so a spec is resolved once.
+    """
     if not isinstance(obj, dict):
         raise BadSpec(f"a protocol must be a JSON object, got {type(obj).__name__}")
     if depth > MAX_PROTOCOL_DEPTH:
@@ -228,7 +247,9 @@ def _protocol_from_json(obj, walk, depth=0):
     if kind == "atom":
         wspec = obj.get("walk")
         if isinstance(wspec, str):
-            named = resolve_walk(wspec)
+            if wspec not in named_walks:
+                named_walks[wspec] = resolve_walk(wspec)
+            named = named_walks[wspec]
         elif isinstance(wspec, dict):
             named = walks.walk_from_json(wspec)
         elif wspec is None:
@@ -243,7 +264,7 @@ def _protocol_from_json(obj, walk, depth=0):
         children = obj.get("children")
         if not isinstance(children, list) or len(children) != 2:
             raise BadSpec(f"{kind} protocol needs a list of exactly two children")
-        left, right = (_protocol_from_json(c, walk, depth + 1) for c in children)
+        left, right = (_protocol_from_json(c, walk, named_walks, depth + 1) for c in children)
         return limits.Concat(left, right) if kind == "concat" else limits.Commutator(left, right)
     raise BadSpec(f"protocol kind must be atom/concat/commutator, got {kind!r}")
 
@@ -259,7 +280,7 @@ def resolve_protocol(spec: str, walk: walks.CoinedWalk):
     if spec == "evencyc":
         return limits.orbit_protocol(walk)
     if spec.startswith("file:"):
-        return _protocol_from_json(_load_json(spec[5:]), walk)
+        return _protocol_from_json(_load_json(spec[5:]), walk, {})
     raise BadSpec(f"unrecognized protocol spec {spec!r}")
 
 

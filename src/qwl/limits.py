@@ -26,10 +26,17 @@ no dim x dim step product is formed.  An atom
 works on its distinct step objects as (k, c, c) stacks: T(x) exponentiates
 all of its perturbed steps in one ``expm_hermitian`` call, each block
 bitwise that step's own ``expm_hermitian(i*E, a*x)``, and every repeat of a
-step reuses it.  The eigenpairs, the m-fold powers and the errors of a
-convergence study stay in that form, a study takes exp(-i*gamma*H*t) once
-for all its m and both errors of each m from one T(x), and the character
-transform is unitary, so every Frobenius error is the dense one.
+step reuses it.  Every node's T(x) also takes an array of M values of x and
+gives the (M, ...) stack of the T(x), each slice bitwise T(x) at its own x:
+an atom then decomposes its step generators once for all M, and applies
+each factor once to the whole stack.  The eigenpairs, the m-fold powers and
+the errors of a convergence study stay in that form.  A study checks every
+m first, takes exp(-i*gamma*H*t) once for all its m, and evaluates T over
+its grid of x in stacks of as many x as fit ``MAX_STACK_BYTES`` (16 MiB; at
+least one): the dense T(x) of a dim-752 walk one at a time, a translation
+walk's blocks the whole grid at once.  Both errors of each m come from its
+one T(x), and the character transform is unitary, so every Frobenius error
+is the dense one.
 ``effective_hamiltonian``, ``protocol_unitary`` and ``repeated_limit``
 return dense matrices on every walk.
 """
@@ -80,6 +87,9 @@ __all__ = [
 # Perturbations live in [0, X_MAX); repeated limits shrink x = gamma*t/m
 # into this range by raising m.
 X_MAX = 1.0
+# Bytes of the stack of T(x) that ``convergence_study`` evaluates at once: a dense
+# dim-752 T(x) (9 MB) goes one x at a time, a translation walk's blocks the whole grid.
+MAX_STACK_BYTES = 2 ** 24
 
 R_COIN = np.array([[0, -1j], [-1j, 0]])
 D_COIN = np.array([[0, -1], [-1, 0]], dtype=complex)
@@ -161,7 +171,7 @@ class Atom(_Node):
         form = walk.form
         distinct, self._factors = _factors(form, steps)
         # T(x)'s coins: one stack of the distinct steps' coins, the k perturbed ones first, whose
-        # exponentials exp(a_j E_j x) are one stacked call per x.
+        # exponentials exp(a_j E_j x) are one stacked call per evaluation, at one x or at M.
         k = sum(1 for st in distinct if st.generator.any())
         self._coins = np.array([st.coin for st in distinct])
         self._gens = 1j * np.array([st.generator for st in distinct[:k]]).reshape(-1, c, c)
@@ -192,23 +202,29 @@ class Atom(_Node):
         self._h = 1j * h
         self._h.setflags(write=False)
 
-    def unitary(self, x: float) -> np.ndarray:
+    def unitary(self, x) -> np.ndarray:
         """T(x) in the walk's form: one step or block product per factor.
 
+        x is one float or an array of M floats, which gives the (M, ...)
+        stack of the T(x), each factor applied once to the whole stack.
         Step j's coin is C_j exp(E_j a_j x), with every perturbed step's
-        exponential taken in one ``expm_hermitian`` call on the stack of the
-        i E_j at the a_j x.
+        exponential at every x taken in one ``expm_hermitian`` call on the
+        stack of the i E_j at the a_j x, so the i E_j are decomposed once.
         """
-        coins = self._coins
+        x = np.asarray(x, dtype=float)
+        coins = np.broadcast_to(self._coins, x.shape + self._coins.shape)
         k = len(self._slopes)
         if k:
             coins = coins.copy()
-            coins[:k] = coins[:k] @ expm_hermitian(self._gens, self._slopes * x)
+            coins[..., :k, :, :] = coins[..., :k, :, :] @ expm_hermitian(
+                self._gens, x[..., None] * self._slopes)
         form = self.walk.form
         u = form.one()
         for f in self._factors:
-            u = f @ u if isinstance(f, np.ndarray) else form.step(coins[f], u)
-        return u
+            u = f @ u if isinstance(f, np.ndarray) else form.step(coins[..., f, :, :], u)
+        shape = x.shape + self._h.shape
+        # an atom whose every factor is a folded idle run leaves the stack axis out
+        return u if u.shape == shape else np.broadcast_to(u, shape).copy()
 
     # perfbench's tracer wraps Atom.__dict__["hamiltonian"], so Atom binds the method itself.
     hamiltonian = _Node.hamiltonian
@@ -259,7 +275,7 @@ class Concat(_Pair):
         self._h = left._h + right._h
         self._h.setflags(write=False)
 
-    def unitary(self, x: float) -> np.ndarray:
+    def unitary(self, x) -> np.ndarray:
         return self.left.unitary(x) @ self.right.unitary(x)
 
 
@@ -276,7 +292,7 @@ class Commutator(_Pair):
         self._h = -1j * (left._h @ right._h - right._h @ left._h)
         self._h.setflags(write=False)
 
-    def unitary(self, x: float) -> np.ndarray:
+    def unitary(self, x) -> np.ndarray:
         u1 = self.left.unitary(np.sqrt(x))
         u2 = self.right.unitary(np.sqrt(x))
         return u1 @ u2 @ _adjoint(u1) @ _adjoint(u2)
@@ -345,11 +361,16 @@ def limit_hamiltonian_cycle(n: int) -> np.ndarray:
     return orbit_hamiltonian(cycle_walk(n))
 
 
-def _unitary(p, x: float) -> np.ndarray:
-    """T(x) in the form of p's walk, for x in [0, X_MAX)."""
+def _in_domain(x: float) -> float:
+    """x, refused unless it is in [0, X_MAX)."""
     if not 0 <= x < X_MAX:
         raise DomainExceeded(f"perturbation x={x} outside [0, {X_MAX})")
-    return p.unitary(x)
+    return x
+
+
+def _unitary(p, x: float) -> np.ndarray:
+    """T(x) in the form of p's walk, for x in [0, X_MAX)."""
+    return p.unitary(_in_domain(x))
 
 
 def protocol_unitary(p, x: float) -> np.ndarray:
@@ -371,15 +392,15 @@ def single_step_error(p, x: float, u=None) -> float:
     return frob(e)
 
 
-def _dephased(p, gamma: float, t: float, m: int):
-    """(x, phi^-1 T(x)) in the walk's form at x = gamma*t/m."""
+def _perturbation(gamma: float, t: float, m: int) -> float:
+    """x = gamma*t/m, refused unless m >= 1 and x is in [0, X_MAX)."""
     if m < 1:
         raise TooSmall(f"repetition count must be >= 1, got {m}")
     x = gamma * t / m
     if x >= X_MAX:
         raise DomainExceeded(
             f"gamma*t/m = {x} >= {X_MAX}; raise m to shrink the perturbation")
-    return x, _unitary(p, x) / p.phase
+    return _in_domain(x)
 
 
 def repeated_limit(p, gamma: float, t: float, m: int):
@@ -388,7 +409,7 @@ def repeated_limit(p, gamma: float, t: float, m: int):
     Returns (the dense m-fold product, its Frobenius distance to
     exp(-i*gamma*H*t)).  The error decays like 1/m.
     """
-    result = np.linalg.matrix_power(_dephased(p, gamma, t, m)[1], m)
+    result = np.linalg.matrix_power(p.unitary(_perturbation(gamma, t, m)) / p.phase, m)
     return p.walk.form.dense(result), frob(result - expm_eig(p.eigenpairs, gamma * t))
 
 
@@ -421,18 +442,26 @@ def _fit_exponent(samples) -> float:
 
 
 def convergence_study(p, gamma: float, t: float, m_list) -> ConvergenceReport:
-    """Repeated-limit and single-step errors over an ascending grid of repetition counts,
-    both from one de-phased T(x) per m."""
+    """Repeated-limit and single-step errors over an ascending grid of repetition counts.
+
+    Every m is checked first.  T(x) is then evaluated over the grid as (M, ...) stacks of
+    de-phased T(x) in the walk's form, as many x at a time as fit ``MAX_STACK_BYTES`` (at
+    least one), and both errors of each m come from its T(x).
+    """
     m_list = [int(m) for m in m_list]
     if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise DomainExceeded("m_list must be nonempty and strictly ascending")
-    samples, single, target = [], [], None
-    for m in m_list:
-        x, u = _dephased(p, gamma, t, m)
-        if target is None:  # exp(-i*gamma*H*t), once the first m is known to be in the domain
-            target = expm_eig(p.eigenpairs, gamma * t)
-        single.append(single_step_error(p, x, u))
-        samples.append((x, frob(np.linalg.matrix_power(u, m) - target)))
+    xs = [_perturbation(gamma, t, m) for m in m_list]
+    target = expm_eig(p.eigenpairs, gamma * t)
+    chunk = max(1, MAX_STACK_BYTES // p._h.nbytes)
+    samples, single = [], []
+    for lo in range(0, len(xs), chunk):
+        grid = xs[lo:lo + chunk]
+        u = p.unitary(np.array(grid)) / p.phase
+        for x, m, um in zip(grid, m_list[lo:], u):
+            single.append(single_step_error(p, x, um))
+            samples.append((x, frob(np.linalg.matrix_power(um, m) - target)))
+        del u, um  # one stack at a time: this one goes before the next is made
     return ConvergenceReport(tuple(samples), _fit_exponent(samples), tuple(single))
 
 

@@ -150,18 +150,21 @@ def expm_eig(eig, s) -> np.ndarray:
 
     Eigenpairs of a (k, n, n) stack of blocks, values (k, n) and vectors
     (k, n, n), give the stack of the blocks' exponentials, at one s or at k
-    values of s, one per block.  A block at s = 0 is exactly the identity.
+    values of s, one per block.  s broadcasts against the values' leading
+    axes, so s of shape (M, k) gives M stacks of k exponentials, (M, k, n, n).
+    A block at s = 0 is exactly the identity.
     The product V e^(-isW) V^dag is formed as conj(conj(V e^(-isW)) V^T), conjugating in
     place against a transposed view of V, so no conjugate copy of V is made.
     """
     w, v = eig
     s = np.asarray(s, dtype=float)
+    lead = np.broadcast_shapes(s.shape, np.shape(w)[:-1])
     if not s.any():
-        return np.broadcast_to(np.eye(v.shape[-1], dtype=complex), v.shape).copy()
+        return np.broadcast_to(np.eye(v.shape[-1], dtype=complex), lead + v.shape[-2:]).copy()
     u = v * np.exp(-1j * s[..., None] * w)[..., None, :]
     u = np.conj(np.conj(u, out=u) @ v.swapaxes(-1, -2), out=u)
     if s.ndim:
-        u[s == 0] = np.eye(v.shape[-1])
+        u[np.broadcast_to(s == 0, lead)] = np.eye(v.shape[-1])
     return u
 
 

@@ -37,8 +37,10 @@ table, and ``intertwining_residual`` applies them by scatter.
 ``CoinedWalk.form``, chosen once from the group, is how the limits and the
 Lie algebra hold a walk's operators, so neither module asks for the group:
 the momentum kind, (N, c, c) block stacks, with a group, else the dense
-kind.  Each kind offers a step S (C x 1), the identity, k idle steps folded
-into one factor (the dense kind applies them one by one), operator to form
+kind.  Each kind offers a step S (C x 1), for one coin or for a stack of M
+coins at once (then the operator has a leading axis of M, or is shared by
+all M), the identity, k idle steps folded into one factor (the dense kind
+applies them one by one), operator to form
 (``blocks``) and back (``dense``), X x 1 (``lift``) and S b S^-1
 (``conjugate``).  The momentum kind makes D_p and the conjugation phases
 once per walk.  ``dense_form`` is the dense kind on any walk, the oracle of
@@ -513,8 +515,14 @@ class _DenseForm:
         self.walk = w
 
     def step(self, coin, m):
-        """S (coin x 1) m."""
-        return apply_step(self.walk, coin, m)
+        """S (coin x 1) m; a (M, c, c) stack of coins gives the M products, m one or M of them.
+
+        Here each product is ``apply_step`` of its slices, bitwise.
+        """
+        if np.ndim(coin) == 2:
+            return apply_step(self.walk, coin, m)
+        ms = np.broadcast_to(m, coin.shape[:1] + np.shape(m)[-2:])
+        return np.stack([apply_step(self.walk, cj, mj) for cj, mj in zip(coin, ms)])
 
     def one(self):
         """The identity in the form."""
@@ -560,7 +568,7 @@ class _MomentumForm(_DenseForm):
         self.conjugation_phases = _phases(angles[:, :, None] - angles[:, None, :], w.walker_dim)
 
     def step(self, coin, m):
-        return (self.shift_phases * coin) @ m
+        return (self.shift_phases * coin[..., None, :, :]) @ m
 
     def fold(self, coin, k):
         return np.linalg.matrix_power(self.shift_phases * coin, k)

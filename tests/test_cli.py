@@ -1017,6 +1017,46 @@ def test_an_atom_naming_walk_itself_gives_the_same_report(tmp_path):
     assert texts[0] == texts[1] == texts[2]
 
 
+def test_a_named_walk_spec_is_resolved_once_per_protocol(tmp_path, monkeypatch):
+    """A 4-atom tree whose atoms all name lattice:4,2 resolves it once per resolve_protocol; a
+    spec with other moves is still refused."""
+    calls = []
+    resolve = cli.resolve_walk
+
+    def counting_resolve_walk(spec):
+        calls.append(spec)
+        return resolve(spec)
+
+    monkeypatch.setattr(cli, "resolve_walk", counting_resolve_walk)
+    w = walks.lattice_walk(4, 2)
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    perturbed = {"coin": matrix_json(eye), "generator": matrix_json((eye - 1) * 1j)}
+    idle = {"coin": matrix_json(eye), "generator": matrix_json(zero)}
+
+    def atom(spec):
+        return {"kind": "atom", "walk": spec, "steps": [perturbed, idle, idle, perturbed]}
+
+    def tree(a, b, c, d):
+        return {"kind": "concat", "children": [
+            {"kind": "concat", "children": [atom(a), atom(b)]},
+            {"kind": "commutator", "children": [atom(c), atom(d)]}]}
+
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree(*["lattice:4,2"] * 4)))
+    p = cli.resolve_protocol(f"file:{path}", w)
+    assert calls == ["lattice:4,2"]
+    expected = limits.Concat(limits.Concat(limits.orbit_protocol(w), limits.orbit_protocol(w)),
+                             limits.Commutator(limits.orbit_protocol(w), limits.orbit_protocol(w)))
+    assert np.array_equal(limits.effective_hamiltonian(p), limits.effective_hamiltonian(expected))
+    cli.resolve_protocol(f"file:{path}", w)
+    assert calls == ["lattice:4,2"] * 2
+    path.write_text(json.dumps(tree("lattice:4,2", "lattice:4,2", "cycle:16", "lattice:4,2")))
+    calls.clear()
+    with pytest.raises(DimMismatch, match="moves of --walk"):
+        cli.resolve_protocol(f"file:{path}", w)
+    assert calls == ["lattice:4,2", "cycle:16"]
+
+
 @pytest.mark.parametrize("m_list", ["--m-list=0,8", "--m-list=-4,8"])
 def test_m_list_below_one_is_refused_before_the_walk(tmp_path, capsys, monkeypatch, m_list):
     def no_walk(spec):
@@ -1392,3 +1432,27 @@ def test_a_bad_protocol_step_gets_the_per_step_message(items, edits):
     assert _reading(cli._protocol_steps_from_json, items) == oracle
     # every edit but "both-3x3" (a valid step of another coin space) is an error
     assert isinstance(oracle, tuple) or set(edits.values()) == {"both-3x3"}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(protocol_steps_json())
+def test_regular_steps_are_read_as_two_arrays(items):
+    """An atom's steps whose matrices are all plain pairs of one shape are read by one
+    _flat_matrix call for the coins and one for the generators, never entry by entry."""
+    calls = []
+    flat = cli._flat_matrix
+
+    def counting_flat_matrix(obj, stacked=False):
+        calls.append(stacked)
+        return flat(obj, stacked)
+
+    def no_per_step_read(obj):
+        raise AssertionError("a regular step was read on its own")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_flat_matrix", counting_flat_matrix)
+        mp.setattr(cli, "_matrix_from_json", no_per_step_read)
+        steps = cli._protocol_steps_from_json(items)
+    assert calls == [True, True]
+    assert [_step_bytes(step) for step in steps] == \
+        [_step_bytes(step) for step in per_step_steps(items)]

@@ -17,7 +17,8 @@ from qwl.linalg import (commutator, expm_eig, expm_hermitian, frob, hermitian_ei
                          is_hermitian, is_unitary, kron)
 from qwl.rng import LcgStream, seeded_state
 from walk_cases import (cayley_walks, cycle_shift, relabelled, relabelled_cycle,
-                        repeated_target_json, translation_walks, two_triangles)
+                        repeated_target_json, translation_walks, turn_or_flip_cycle,
+                        two_triangles)
 
 R = limits.R_COIN
 D = limits.D_COIN
@@ -153,7 +154,6 @@ def converge_protocols():
 
 @pytest.mark.parametrize("m_list", [[8], [8, 16], [8, 16, 32, 64]])
 def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
-    protocols = converge_protocols().values()
     eigh = np.linalg.eigh
     args = []
 
@@ -162,28 +162,34 @@ def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
         return eigh(h, *rest, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    for p in protocols:
-        w = p.walk
-        args.clear()
-        # what `qwl converge` computes: the study, which takes both errors of each m from one
-        # evaluation of T(x)
-        limits.convergence_study(p, 1.0, 1.0, m_list)
-        # each evaluation of T(x) exponentiates each atom's distinct perturbed steps in one
-        # call, told apart from H's decomposition by its argument
-        rest = args
-        for atom in atoms_of(p):
-            stack = coin_stack(atom)
-            assert stack.shape[1:] == (w.coin_dim,) * 2
-            same = [np.array_equal(h, stack) for h in rest]
-            assert sum(same) == len(m_list)
-            rest = [h for h, s in zip(rest, same) if not s]
-        # what is left is one decomposition of H: its momentum blocks on a translation walk,
-        # the dense H on a walk without a group
-        assert len(rest) == 1
-        h = limits.effective_hamiltonian(p)
-        expected = h if w.group is None else walks.momentum_blocks(w, h)[0]
-        assert rest[0].shape == expected.shape
-        assert frob(rest[0] - expected) <= 1e-12 * max(1.0, frob(h))
+    budget = limits.MAX_STACK_BYTES
+    # the whole grid in one stack, then one x and then three x per stack
+    for per_chunk in (None, 1, 3):
+        for p in converge_protocols().values():
+            w = p.walk
+            monkeypatch.setattr(limits, "MAX_STACK_BYTES",
+                                per_chunk * p._h.nbytes if per_chunk else budget)
+            args.clear()
+            # what `qwl converge` computes: the study, which takes both errors of each m from
+            # one evaluation of T(x)
+            limits.convergence_study(p, 1.0, 1.0, m_list)
+            # each stack of T(x) exponentiates each atom's distinct perturbed steps at all of its
+            # x in one call, told apart from H's decomposition by its argument
+            chunks = 1 if per_chunk is None else -(-len(m_list) // per_chunk)
+            rest = args
+            for atom in atoms_of(p):
+                stack = coin_stack(atom)
+                assert stack.shape[1:] == (w.coin_dim,) * 2
+                same = [np.array_equal(h, stack) for h in rest]
+                assert sum(same) == chunks
+                rest = [h for h, s in zip(rest, same) if not s]
+            # what is left is one decomposition of H: its momentum blocks on a translation walk,
+            # the dense H on a walk without a group
+            assert len(rest) == 1
+            h = limits.effective_hamiltonian(p)
+            expected = h if w.group is None else walks.momentum_blocks(w, h)[0]
+            assert rest[0].shape == expected.shape
+            assert frob(rest[0] - expected) <= 1e-12 * max(1.0, frob(h))
 
 
 @settings(derandomize=True, max_examples=20, deadline=None, database=None)
@@ -661,50 +667,113 @@ def test_convergence_study_takes_its_target_once(monkeypatch):
         return expm_eig(eig, s)
 
     monkeypatch.setattr(limits, "expm_eig", counting_expm_eig)
-    for p in (limits.evencyc_protocol(8), limits.orbit_protocol(two_triangles())):
-        calls.clear()
-        study = limits.convergence_study(p, 0.7, 1.5, [8, 16, 32])
-        # the target once, at gamma*t, and one single-step exponential at each x
-        assert calls == [0.7 * 1.5] + [x for x, _ in study.samples]
-        # each error is bitwise the one repeated_limit, or a standalone single-step error,
-        # reports for its m
-        assert [e for _, e in study.samples] == \
-            [limits.repeated_limit(p, 0.7, 1.5, m)[1] for m in (8, 16, 32)]
-        assert list(study.single_step_errors) == \
-            [limits.single_step_error(p, x) for x, _ in study.samples]
-    # a first x outside [0, X_MAX) is refused before H is decomposed
-    for t in (10.0, -1.0):
+    budget = limits.MAX_STACK_BYTES
+    # the whole grid in one stack, then one x and then two x per stack
+    for per_chunk in (None, 1, 2):
+        for p in (limits.evencyc_protocol(8), limits.orbit_protocol(two_triangles())):
+            monkeypatch.setattr(limits, "MAX_STACK_BYTES",
+                                per_chunk * p._h.nbytes if per_chunk else budget)
+            calls.clear()
+            study = limits.convergence_study(p, 0.7, 1.5, [8, 16, 32])
+            # the target once, at gamma*t, and one single-step exponential at each x
+            assert calls == [0.7 * 1.5] + [x for x, _ in study.samples]
+            # each error is bitwise the one repeated_limit, or a standalone single-step error,
+            # reports for its m
+            assert [e for _, e in study.samples] == \
+                [limits.repeated_limit(p, 0.7, 1.5, m)[1] for m in (8, 16, 32)]
+            assert list(study.single_step_errors) == \
+                [limits.single_step_error(p, x) for x, _ in study.samples]
+    # every x is checked, in order, before H is decomposed or any T(x) is evaluated
+    monkeypatch.setattr(limits.Atom, "unitary", None)
+    for t, m_list, match in ((10.0, [4, 8], r"gamma\*t/m = 2\.5 >="), (-1.0, [4, 8], "x=-0.25"),
+                             (1.0, [0, 2], "repetition")):
         p = limits.evencyc_protocol(8)
-        with pytest.raises(DomainExceeded):
-            limits.convergence_study(p, 1.0, t, [4, 8])
+        with pytest.raises((DomainExceeded, TooSmall), match=match):
+            limits.convergence_study(p, 1.0, t, m_list)
         assert "eigenpairs" not in vars(p)
 
 
 @pytest.mark.parametrize("name", list(converge_protocols()))
 def test_converge_evaluates_each_atom_once_per_m(monkeypatch, tmp_path, name):
-    """`qwl converge` calls Atom.unitary once per m on each atom, and its single-step errors are
-    bitwise those of single_step_error(p, x) called on its own."""
+    """`qwl converge` calls Atom.unitary on each atom once per study chunk, on the stack of that
+    chunk's x: once per m when the budget holds one T(x), once for the grid by default.  Its
+    errors are bitwise those of single_step_error(p, x) and repeated_limit called on their own."""
     p = converge_protocols()[name]
     calls = []
     unitary = limits.Atom.unitary
 
     def counting_unitary(self, x):
-        calls.append(id(self))
+        calls.append((id(self), np.shape(x)))
         return unitary(self, x)
 
     # the command's walk and protocol specs stand in for p, which has no spec of its own
     monkeypatch.setattr(cli, "resolve_protocol", lambda spec, walk: p)
     monkeypatch.setattr(limits.Atom, "unitary", counting_unitary)
-    out = tmp_path / "converge.json"
     m_list = [8, 16, 32]
-    assert cli.main(["converge", "--walk", "cycle:8", "--protocol", "strauch", "--m-list",
-                     ",".join(map(str, m_list)), "--format", "json", "--out", str(out)]) == 0
-    atoms = atoms_of(p)
-    assert sorted(calls) == sorted(id(atom) for atom in atoms for _ in m_list)
-    samples = json.loads(out.read_text())["samples"]
-    assert [s["m"] for s in samples] == m_list
-    for s in samples:
-        assert s["single_step_error"] == limits.single_step_error(p, s["x"])
+    budget = limits.MAX_STACK_BYTES
+    for per_chunk, shapes in ((None, [(3,)]), (1, [(1,)] * 3), (2, [(2,), (1,)])):
+        monkeypatch.setattr(limits, "MAX_STACK_BYTES",
+                            per_chunk * p._h.nbytes if per_chunk else budget)
+        calls.clear()
+        out = tmp_path / "converge.json"
+        assert cli.main(["converge", "--walk", "cycle:8", "--protocol", "strauch", "--m-list",
+                         ",".join(map(str, m_list)), "--format", "json", "--out", str(out)]) == 0
+        assert sorted(calls) == sorted((id(atom), shape)
+                                       for atom in atoms_of(p) for shape in shapes)
+        samples = json.loads(out.read_text())["samples"]
+        assert [s["m"] for s in samples] == m_list
+        for s in samples:
+            assert s["single_step_error"] == limits.single_step_error(p, s["x"])
+            assert s["repeated_error"] == limits.repeated_limit(p, 1.0, 1.0, s["m"])[1]
+
+
+@st.composite
+def study_protocols(draw):
+    """An atom, concat or commutator of shift-orbit atoms on a translation walk or on a walk
+    without a group."""
+    w = draw(st.one_of(translation_walks(), cayley_walks(),
+                       st.sampled_from([two_triangles(), turn_or_flip_cycle()])))
+    a = draw(shift_orbit_atoms(w))
+    kind = draw(st.sampled_from(["atom", "concat", "commutator"]))
+    if kind == "atom":
+        return a
+    b = draw(shift_orbit_atoms(w))
+    return limits.Concat(a, b) if kind == "concat" else limits.Commutator(a, b)
+
+
+def _idle_atom(w):
+    eye, zero = np.eye(w.coin_dim, dtype=complex), np.zeros((w.coin_dim,) * 2, dtype=complex)
+    return limits.Atom(w, [limits.ProtocolStep(eye, zero)] * walks.shift_order(w))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@example(limits.Commutator(limits.orbit_protocol(two_triangles()),
+                           limits.two_step_protocol(two_triangles())), 2.0, [4, 5, 6, 7, 8], 2)
+@example(limits.Concat(limits.orbit_protocol(turn_or_flip_cycle()),
+                       limits.orbit_protocol(turn_or_flip_cycle())), 1.0, [8, 16, 32], 1)
+@example(limits.Commutator(limits.evencyc_protocol(5), limits.strauch_protocol(5)), 1.0,
+         [8, 16, 32, 64, 128], None)
+@example(_idle_atom(walks.lattice_walk(3, 2)), 1.0, [8, 16, 32], 2)
+@example(_idle_atom(walks.lattice_walk(3, 2)), 1.0, [8, 16, 32], None)
+@given(study_protocols(), st.floats(0, 3),
+       st.lists(st.integers(4, 400), min_size=1, max_size=6, unique=True),
+       st.sampled_from([None, 1, 2, 4]))
+def test_the_stacked_study_is_bitwise_each_ms_own_errors(p, t, m_list, per_chunk):
+    """Over a grid stacked whole or in chunks of 1, 2 or 4 x, every T(x) of the stack is bitwise
+    p.unitary(x) alone, and every sample bitwise repeated_limit's and single_step_error's."""
+    m_list.sort()
+    xs = [t / m for m in m_list]
+    with pytest.MonkeyPatch.context() as mp:
+        if per_chunk:
+            mp.setattr(limits, "MAX_STACK_BYTES", per_chunk * p._h.nbytes)
+        study = limits.convergence_study(p, 1.0, t, m_list)
+    stack = p.unitary(np.array(xs))
+    assert stack.shape == (len(xs),) + p._h.shape
+    for x, u in zip(xs, stack):
+        assert np.array_equal(u, p.unitary(x))
+    assert [x for x, _ in study.samples] == xs
+    assert [e for _, e in study.samples] == [limits.repeated_limit(p, 1.0, t, m)[1] for m in m_list]
+    assert list(study.single_step_errors) == [limits.single_step_error(p, x) for x in xs]
 
 
 def test_exponent_fitted_on_two_value_grid():

@@ -100,6 +100,29 @@ def test_expm_eig_of_a_stack_is_each_blocks_exponential():
     out[0, 0, 0] = 2  # a writable array of its own
 
 
+def test_expm_eig_follows_the_shape_of_a_broadcast_s():
+    """s of shape (M, k) or (M, 1) against a (k, n, n) stack gives (M, k, n, n), each block the
+    exponential at its own s, the identity exactly where that s is 0, all zero or not."""
+    rng = np.random.default_rng(5)
+    h = np.stack([random_matrix(rng, 2) for _ in range(2)])
+    h = h + h.conj().swapaxes(-1, -2)
+    eig = hermitian_eig(h)
+    for s in (np.zeros((3, 2)), np.zeros((3, 1)), np.array([[0.4, 0.0], [0.0, 0.0], [0.0, -1.1]]),
+              np.array([[0.5], [0.0], [-0.3]])):
+        out = expm_eig(eig, s)
+        assert out.shape == (3, 2, 2, 2)
+        for j in range(3):
+            for b in range(2):
+                sb = s[j, b % s.shape[1]]
+                if sb == 0:
+                    assert np.array_equal(out[j, b], np.eye(2))
+                else:
+                    assert np.array_equal(out[j, b], expm_eig((eig[0][b], eig[1][b]), sb))
+    out = expm_eig(eig, np.zeros((3, 2)))
+    out[0, 0, 0, 0] = 2  # a writable array of its own
+    assert out[1, 0, 0, 0] == 1
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 40), st.sampled_from([0, 1, 5]), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_expm_eig_is_bitwise_the_plain_formula(n, k, per_block, seed):

@@ -280,6 +280,26 @@ def test_each_form_matches_the_dense_oracle(make):
         assert np.abs(w.form.blocks(x)[0] - expected).max() <= 1e-12 * frob(x)
 
 
+@pytest.mark.parametrize("make", [lambda: walks.cycle_walk(5), lambda: walks.lattice_walk(3, 2),
+                                  two_triangles, turn_or_flip_cycle],
+                         ids=["cycle:5", "lattice:3,2", "two triangles", "turn-or-flip cycle"])
+def test_a_step_on_a_stack_of_coins_is_each_coins_step(make):
+    """Both kinds of form take a (M, c, c) stack of coins, on one operator or on M of them, and
+    give each product bitwise as that coin's own step would."""
+    w = make()
+    c = w.coin_dim
+    rng = np.random.default_rng(c * w.walker_dim)
+    coins = rng.normal(size=(3, c, c)) + 1j * rng.normal(size=(3, c, c))
+    for form in (w.form, walks.dense_form(w)):
+        one = form.one()
+        ops = np.stack([form.step(a, one) for a in coins[::-1]])
+        shared, each = form.step(coins, one), form.step(coins, ops)
+        assert shared.shape == each.shape == (3,) + one.shape
+        for a, op, u, v in zip(coins, ops, shared, each):
+            assert np.array_equal(u, form.step(a, one))
+            assert np.array_equal(v, form.step(a, op))
+
+
 @pytest.mark.parametrize("make", [lambda: walks.cycle_walk(7), lambda: walks.lattice_walk(4, 2),
                                   walks.example_walk, relabelled_cycle],
                          ids=["cycle:7", "lattice:4,2", "example", "relabelled cycle:7"])
