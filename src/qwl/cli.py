@@ -17,8 +17,7 @@ formatted in one pass over its entries (``_array_json``).  JSON numbers
 read, matrix entries included, must be finite numbers: bools and strings
 are rejected.  A matrix of plain [re, im] number pairs is read as one
 array, anything else entry by entry; so are an atom's coins, and its
-generators, when all are such matrices of one shape.  A walk spec that
-atoms name is resolved once per protocol file.
+generators, when all are such matrices of one shape.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -234,11 +233,8 @@ def _protocol_steps_from_json(items):
     return steps
 
 
-def _protocol_from_json(obj, walk, named_walks, depth=0):
-    """A protocol on walk; an atom that names its walk must name one with walk's moves.
-
-    named_walks holds each walk spec string resolved so far, so a spec is resolved once.
-    """
+def _protocol_from_json(obj, walk, depth=0):
+    """A protocol on walk; an atom that names its walk must name one with walk's moves."""
     if not isinstance(obj, dict):
         raise BadSpec(f"a protocol must be a JSON object, got {type(obj).__name__}")
     if depth > MAX_PROTOCOL_DEPTH:
@@ -247,9 +243,7 @@ def _protocol_from_json(obj, walk, named_walks, depth=0):
     if kind == "atom":
         wspec = obj.get("walk")
         if isinstance(wspec, str):
-            if wspec not in named_walks:
-                named_walks[wspec] = resolve_walk(wspec)
-            named = named_walks[wspec]
+            named = resolve_walk(wspec)
         elif isinstance(wspec, dict):
             named = walks.walk_from_json(wspec)
         elif wspec is None:
@@ -264,7 +258,7 @@ def _protocol_from_json(obj, walk, named_walks, depth=0):
         children = obj.get("children")
         if not isinstance(children, list) or len(children) != 2:
             raise BadSpec(f"{kind} protocol needs a list of exactly two children")
-        left, right = (_protocol_from_json(c, walk, named_walks, depth + 1) for c in children)
+        left, right = (_protocol_from_json(c, walk, depth + 1) for c in children)
         return limits.Concat(left, right) if kind == "concat" else limits.Commutator(left, right)
     raise BadSpec(f"protocol kind must be atom/concat/commutator, got {kind!r}")
 
@@ -280,7 +274,7 @@ def resolve_protocol(spec: str, walk: walks.CoinedWalk):
     if spec == "evencyc":
         return limits.orbit_protocol(walk)
     if spec.startswith("file:"):
-        return _protocol_from_json(_load_json(spec[5:]), walk, {})
+        return _protocol_from_json(_load_json(spec[5:]), walk)
     raise BadSpec(f"unrecognized protocol spec {spec!r}")
 
 

@@ -32,8 +32,9 @@ an atom then decomposes its step generators once for all M, and applies
 each factor once to the whole stack.  The eigenpairs, the m-fold powers and
 the errors of a convergence study stay in that form.  A study checks every
 m first, takes exp(-i*gamma*H*t) once for all its m, and evaluates T over
-its grid of x in stacks of as many x as fit ``MAX_STACK_BYTES`` (16 MiB; at
-least one): the dense T(x) of a dim-752 walk one at a time, a translation
+its grid of x in chunks, as many x at a time as let the stacks that its
+T(x) holds at once (``stacks``) fit ``MAX_STACK_BYTES`` (16 MiB; at least
+one x): the dense T(x) of a dim-752 walk one at a time, a translation
 walk's blocks the whole grid at once.  Both errors of each m come from its
 one T(x), and the character transform is unitary, so every Frobenius error
 is the dense one.
@@ -87,7 +88,7 @@ __all__ = [
 # Perturbations live in [0, X_MAX); repeated limits shrink x = gamma*t/m
 # into this range by raising m.
 X_MAX = 1.0
-# Bytes of the stack of T(x) that ``convergence_study`` evaluates at once: a dense
+# Bytes of the (M, ...) stacks that ``convergence_study``'s T(x) holds at once: a dense
 # dim-752 T(x) (9 MB) goes one x at a time, a translation walk's blocks the whole grid.
 MAX_STACK_BYTES = 2 ** 24
 
@@ -116,6 +117,8 @@ class _Node:
 
     ``Concat`` adds and ``Commutator`` brackets its children's ``_h``, as block stacks on a
     walk with a group.  The dense H, read-only, and the eigenpairs are made once, on first use.
+    ``stacks`` is the most arrays the size of the (M, ...) stack of T(x) that ``unitary``
+    holds at once.
     """
 
     @cached_property
@@ -153,6 +156,9 @@ class Atom(_Node):
     are (N, c, c) momentum blocks; on any other walk they are the steps,
     applied to dense dim x dim matrices.
     """
+
+    # a factor's input stack, its product, and the momentum kind's scaled phases in between
+    stacks = 3
 
     def __init__(self, walk: CoinedWalk, steps):
         steps = tuple(steps)
@@ -264,10 +270,14 @@ class _Pair(_Node):
         if not np.array_equal(wl.moves, wr.moves):
             raise DimMismatch("all atoms of a protocol must share the same walk")
         self.walk, self.left, self.right = wl, left, right
+        # the left child's T(x) is held while the right child's is made
+        self.stacks = max(left.stacks, 1 + right.stacks, self.stacks)
 
 
 class Concat(_Pair):
     """Left-to-right product of two protocols; effective Hamiltonians add."""
+
+    stacks = 3  # both children's T(x) and their product
 
     def __init__(self, left, right):
         super().__init__(left, right)
@@ -286,6 +296,7 @@ class Commutator(_Pair):
     """
 
     phase = 1.0 + 0j
+    stacks = 5  # U1, U2, a product, the next one, and the conjugate it reads
 
     def __init__(self, left, right):
         super().__init__(left, right)
@@ -445,19 +456,21 @@ def convergence_study(p, gamma: float, t: float, m_list) -> ConvergenceReport:
     """Repeated-limit and single-step errors over an ascending grid of repetition counts.
 
     Every m is checked first.  T(x) is then evaluated over the grid as (M, ...) stacks of
-    de-phased T(x) in the walk's form, as many x at a time as fit ``MAX_STACK_BYTES`` (at
-    least one), and both errors of each m come from its T(x).
+    de-phased T(x) in the walk's form, as many x at a time as let the ``p.stacks`` arrays of
+    that size fit ``MAX_STACK_BYTES`` (at least one x), and both errors of each m come from
+    its T(x).
     """
     m_list = [int(m) for m in m_list]
     if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise DomainExceeded("m_list must be nonempty and strictly ascending")
     xs = [_perturbation(gamma, t, m) for m in m_list]
     target = expm_eig(p.eigenpairs, gamma * t)
-    chunk = max(1, MAX_STACK_BYTES // p._h.nbytes)
+    chunk = max(1, MAX_STACK_BYTES // (p.stacks * p._h.nbytes))
     samples, single = [], []
     for lo in range(0, len(xs), chunk):
         grid = xs[lo:lo + chunk]
-        u = p.unitary(np.array(grid)) / p.phase
+        u = p.unitary(np.array(grid))
+        u /= p.phase  # in place: a T(x) stack is the node's own
         for x, m, um in zip(grid, m_list[lo:], u):
             single.append(single_step_error(p, x, um))
             samples.append((x, frob(np.linalg.matrix_power(um, m) - target)))

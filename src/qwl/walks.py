@@ -494,11 +494,15 @@ def expm_state(w: CoinedWalk, eig, s: float, psi) -> np.ndarray:
     return _from_momenta(w, np.einsum("pab,pb->pa", vecs, x)).T.ravel()
 
 
-def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """S (coin x 1) m for m of shape (dim,) or (dim, k); coin need not be unitary."""
+def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+    """S (coin x 1) m for m of shape (dim,) or (dim, k); coin need not be unitary.
+
+    The product is written to out, an array of m's shape, when one is given.
+    """
     c, n = w.coin_dim, w.walker_dim
     coined = np.tensordot(coin, m.reshape((c, n) + m.shape[1:]), axes=1).reshape(m.shape)
-    out = np.empty_like(coined)
+    if out is None:
+        out = np.empty_like(coined)
     out[w.shift] = coined
     return out
 
@@ -517,12 +521,14 @@ class _DenseForm:
     def step(self, coin, m):
         """S (coin x 1) m; a (M, c, c) stack of coins gives the M products, m one or M of them.
 
-        Here each product is ``apply_step`` of its slices, bitwise.
+        Here each product is ``apply_step`` of its slices, bitwise, written into one stack.
         """
         if np.ndim(coin) == 2:
             return apply_step(self.walk, coin, m)
-        ms = np.broadcast_to(m, coin.shape[:1] + np.shape(m)[-2:])
-        return np.stack([apply_step(self.walk, cj, mj) for cj, mj in zip(coin, ms)])
+        out = np.empty(coin.shape[:1] + np.shape(m)[-2:], dtype=np.result_type(coin, m))
+        for cj, mj, oj in zip(coin, np.broadcast_to(m, out.shape), out):
+            apply_step(self.walk, cj, mj, oj)
+        return out
 
     def one(self):
         """The identity in the form."""

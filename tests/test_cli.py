@@ -1017,46 +1017,6 @@ def test_an_atom_naming_walk_itself_gives_the_same_report(tmp_path):
     assert texts[0] == texts[1] == texts[2]
 
 
-def test_a_named_walk_spec_is_resolved_once_per_protocol(tmp_path, monkeypatch):
-    """A 4-atom tree whose atoms all name lattice:4,2 resolves it once per resolve_protocol; a
-    spec with other moves is still refused."""
-    calls = []
-    resolve = cli.resolve_walk
-
-    def counting_resolve_walk(spec):
-        calls.append(spec)
-        return resolve(spec)
-
-    monkeypatch.setattr(cli, "resolve_walk", counting_resolve_walk)
-    w = walks.lattice_walk(4, 2)
-    eye, zero = np.eye(4), np.zeros((4, 4))
-    perturbed = {"coin": matrix_json(eye), "generator": matrix_json((eye - 1) * 1j)}
-    idle = {"coin": matrix_json(eye), "generator": matrix_json(zero)}
-
-    def atom(spec):
-        return {"kind": "atom", "walk": spec, "steps": [perturbed, idle, idle, perturbed]}
-
-    def tree(a, b, c, d):
-        return {"kind": "concat", "children": [
-            {"kind": "concat", "children": [atom(a), atom(b)]},
-            {"kind": "commutator", "children": [atom(c), atom(d)]}]}
-
-    path = tmp_path / "tree.json"
-    path.write_text(json.dumps(tree(*["lattice:4,2"] * 4)))
-    p = cli.resolve_protocol(f"file:{path}", w)
-    assert calls == ["lattice:4,2"]
-    expected = limits.Concat(limits.Concat(limits.orbit_protocol(w), limits.orbit_protocol(w)),
-                             limits.Commutator(limits.orbit_protocol(w), limits.orbit_protocol(w)))
-    assert np.array_equal(limits.effective_hamiltonian(p), limits.effective_hamiltonian(expected))
-    cli.resolve_protocol(f"file:{path}", w)
-    assert calls == ["lattice:4,2"] * 2
-    path.write_text(json.dumps(tree("lattice:4,2", "lattice:4,2", "cycle:16", "lattice:4,2")))
-    calls.clear()
-    with pytest.raises(DimMismatch, match="moves of --walk"):
-        cli.resolve_protocol(f"file:{path}", w)
-    assert calls == ["lattice:4,2", "cycle:16"]
-
-
 @pytest.mark.parametrize("m_list", ["--m-list=0,8", "--m-list=-4,8"])
 def test_m_list_below_one_is_refused_before_the_walk(tmp_path, capsys, monkeypatch, m_list):
     def no_walk(spec):

@@ -168,7 +168,7 @@ def test_converge_decomposes_each_hamiltonian_once(monkeypatch, m_list):
         for p in converge_protocols().values():
             w = p.walk
             monkeypatch.setattr(limits, "MAX_STACK_BYTES",
-                                per_chunk * p._h.nbytes if per_chunk else budget)
+                                per_chunk * p.stacks * p._h.nbytes if per_chunk else budget)
             args.clear()
             # what `qwl converge` computes: the study, which takes both errors of each m from
             # one evaluation of T(x)
@@ -672,7 +672,7 @@ def test_convergence_study_takes_its_target_once(monkeypatch):
     for per_chunk in (None, 1, 2):
         for p in (limits.evencyc_protocol(8), limits.orbit_protocol(two_triangles())):
             monkeypatch.setattr(limits, "MAX_STACK_BYTES",
-                                per_chunk * p._h.nbytes if per_chunk else budget)
+                                per_chunk * p.stacks * p._h.nbytes if per_chunk else budget)
             calls.clear()
             study = limits.convergence_study(p, 0.7, 1.5, [8, 16, 32])
             # the target once, at gamma*t, and one single-step exponential at each x
@@ -713,7 +713,7 @@ def test_converge_evaluates_each_atom_once_per_m(monkeypatch, tmp_path, name):
     budget = limits.MAX_STACK_BYTES
     for per_chunk, shapes in ((None, [(3,)]), (1, [(1,)] * 3), (2, [(2,), (1,)])):
         monkeypatch.setattr(limits, "MAX_STACK_BYTES",
-                            per_chunk * p._h.nbytes if per_chunk else budget)
+                            per_chunk * p.stacks * p._h.nbytes if per_chunk else budget)
         calls.clear()
         out = tmp_path / "converge.json"
         assert cli.main(["converge", "--walk", "cycle:8", "--protocol", "strauch", "--m-list",
@@ -765,7 +765,7 @@ def test_the_stacked_study_is_bitwise_each_ms_own_errors(p, t, m_list, per_chunk
     xs = [t / m for m in m_list]
     with pytest.MonkeyPatch.context() as mp:
         if per_chunk:
-            mp.setattr(limits, "MAX_STACK_BYTES", per_chunk * p._h.nbytes)
+            mp.setattr(limits, "MAX_STACK_BYTES", per_chunk * p.stacks * p._h.nbytes)
         study = limits.convergence_study(p, 1.0, t, m_list)
     stack = p.unitary(np.array(xs))
     assert stack.shape == (len(xs),) + p._h.shape
@@ -774,6 +774,43 @@ def test_the_stacked_study_is_bitwise_each_ms_own_errors(p, t, m_list, per_chunk
     assert [x for x, _ in study.samples] == xs
     assert [e for _, e in study.samples] == [limits.repeated_limit(p, 1.0, t, m)[1] for m in m_list]
     assert list(study.single_step_errors) == [limits.single_step_error(p, x) for x in xs]
+
+
+def _two_cycles(a, b):
+    """A two-coin walk on an a-cycle beside a b-cycle, forward on coin 0 and back on coin 1;
+    for a != b it has no group."""
+    forward = [(j + 1) % a for j in range(a)] + [a + (j + 1) % b for j in range(b)]
+    back = [forward.index(j) for j in range(a + b)]
+    return walks.CoinedWalk(graphs.graph(a + b, [(j, forward[j]) for j in range(a + b)]),
+                            [forward, back])
+
+
+@pytest.mark.parametrize("w", [_two_cycles(15, 17), walks.lattice_walk(8, 2)],
+                         ids=["two-cycles", "lattice:8,2"])
+def test_a_study_holds_no_more_than_its_stack_budget(monkeypatch, w):
+    """Every array a study's T(x) holds at once counts against MAX_STACK_BYTES, so a chunk's
+    traced peak stays within the budget and a few single T(x) of the per-m errors."""
+    import tracemalloc
+
+    def atom():
+        return limits.orbit_protocol(w) if w.coin_dim != 2 else limits.two_step_protocol(w)
+
+    built = {"atom": atom(),
+             "commutator": limits.Commutator(limits.orbit_protocol(w), atom()),
+             "nested": limits.Commutator(limits.Concat(limits.orbit_protocol(w), atom()),
+                                         limits.Commutator(atom(), limits.orbit_protocol(w)))}
+    for name, p in built.items():
+        assert p.stacks == {"atom": 3, "commutator": 5, "nested": 6}[name]
+        one = p._h.nbytes
+        monkeypatch.setattr(limits, "MAX_STACK_BYTES", 40 * one)
+        p.eigenpairs  # made once per protocol, not per study chunk
+        tracemalloc.start()
+        try:
+            limits.convergence_study(p, 1.0, 1.0, list(range(8, 32)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * one, (name, peak / one)
 
 
 def test_exponent_fitted_on_two_value_grid():
