@@ -443,13 +443,14 @@ class ConvergenceReport:
 
 
 def _fit_exponent(samples) -> float:
+    """The least-squares slope of log error against log x over the tail of the samples."""
     tail = samples[min(len(samples) // 2, len(samples) - 2):]
     if len(tail) < 2 or any(x <= 0 for x, _ in tail):
         return float("nan")
-    xs = np.array([x for x, _ in tail])
-    errs = np.array([max(e, 1e-300) for _, e in tail])
-    slope = np.polyfit(np.log(xs), np.log(errs), 1)[0]
-    return float(slope)
+    u = np.log([x for x, _ in tail])
+    v = np.log([max(e, 1e-300) for _, e in tail])
+    u -= u.mean()
+    return float(u @ (v - v.mean()) / (u @ u))
 
 
 def convergence_study(p, gamma: float, t: float, m_list) -> ConvergenceReport:

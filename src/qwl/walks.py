@@ -17,14 +17,16 @@ shift is diagonal, so ``momentum_blocks`` splits an operator into N coin
 blocks of c x c, block p of a step S (C x 1) is diag(D_p) C, and
 conjugation by S multiplies each block by phases D_p[a] conj(D_p[b]).
 The change of basis forms no N x N matrix: it is
-a mixed-radix transform (Cooley and Tukey 1965) with one stage per coin
-that grew the orbit, a twiddle and an m_k x m_k DFT each, applied by
-``_to_momenta`` and ``_from_momenta``; a one-stage group (every cycle)
-has one N x N DFT.  An operator's blocks come from its mean along the
-translations, read from a (c, N, c, N) view of it through the cached N x N
-table of the group law that a search from vertex 0 along the moves grows,
-so only c^2 vectors of size N are transformed, and its mass off the blocks
-is its distance from that mean.
+a mixed-radix transform (Cooley and Tukey 1965) with one stage per
+generator that grew the orbit, a twiddle and an m_k x m_k DFT each, applied
+by ``_to_momenta`` and ``_from_momenta``.  A generator is a coin's move or
+a power of it: a move whose m x m DFT would outgrow the walk grows the orbit
+in two stages of about sqrt m, so an N-cycle has stages 40 x 50 at N = 2000,
+and keeps one N x N DFT only at a prime N.  An operator's blocks come from
+its mean along the translations, read from a (c, N, c, N) view of it
+through the cached N x N table of the group law that a search from vertex 0
+along the moves grows, so only c^2 vectors of size N are transformed, and
+its mass off the blocks is its distance from that mean.
 The continuous-time operators are diagonal there too: when every vertex's
 coins reach distinct neighbours, the adjacency is sum_k P_k, with
 eigenvalue sum_k cos(2 pi angles[p, k] / N) at momentum p.
@@ -117,8 +119,9 @@ class CoinedWalk:
     group is found from the moves table.  If the moves commute and act
     transitively, they generate an abelian group acting regularly on the
     vertices, and group is (chars, exps), two read-only (N, r) integer
-    arrays with r <= log2 N: vertex v is P_1^e_1 ... P_r^e_r 0 for the
-    exponents e = exps[v] of the r coins that grew the orbit of vertex 0,
+    arrays with r <= log2 N: vertex v is g_1^e_1 ... g_r^e_r 0 for the
+    exponents e = exps[v] of the r generators that grew the orbit of vertex 0,
+    each a coin's move P_k or a power of it (see ``_translation_group``),
     and character p takes vertex v to exp(2 pi i (chars[p] . exps[v] mod N) / N).
     Otherwise group is None.  Walks compare by identity.
     """
@@ -171,11 +174,11 @@ class CoinedWalk:
         """The character transform's factors: (grid, stages), built once per walk from group.
 
         Vertex v sits at grid[v], the mixed-radix index of exps[v] with e_1
-        most significant.  Stage k, for the k-th coin that grew the orbit of
-        vertex 0 m_k-fold, is (twiddles, dft): the (A_k, m_k) phases
-        exp(-2 pi i t_k e_k / N), A_k = m_1 ... m_(k-1), or None where all are 1,
-        and the symmetric m_k x m_k DFT exp(-2 pi i j e / m_k) / sqrt(m_k).
-        Row p of chars is t_k + j_k N / m_k in column k, with the digits j of p
+        most significant.  Stage k, for the k-th generator (a coin's move or a
+        power of it) that grew the orbit of vertex 0 m_k-fold, is
+        (twiddles, dft): the (A_k, m_k) phases exp(-2 pi i t_k e_k / N),
+        A_k = m_1 ... m_(k-1), or None where all are 1, and the symmetric
+        m_k x m_k DFT exp(-2 pi i j e / m_k) / sqrt(m_k).  Row p of chars is t_k + j_k N / m_k in column k, with the digits j of p
         in mixed radix, j_1 most significant, and t_k a function of
         j_1 ... j_(k-1) alone.  Both factors are read from one table of the
         N roots exp(-2 pi i l / N) at integer angles l mod N.
@@ -225,13 +228,18 @@ class CoinedWalk:
 def _translation_group(moves: np.ndarray):
     """(chars, exps) of the group the moves generate, or None (see CoinedWalk).
 
-    The orbit of vertex 0 grows one coin at a time, with each vertex's
-    exponents of the coins that grew it.  Coin k multiplies the orbit by the
-    least m_k with P_k^m_k 0 in the orbit so far, and each character of the
-    group found so far then extends in m_k ways: its angle at P_k 0 is an
-    m_k-th part of its known angle a at P_k^m_k 0, a / m_k + j N / m_k for
-    j < m_k.  Every character value is an N-th root of unity, so a is a
-    multiple of m_k and the division is exact.
+    The orbit of vertex 0 grows one generator at a time, with each vertex's
+    exponents of the generators that grew it.  Coin k would multiply the
+    orbit by the least m with P_k^m 0 in the orbit so far; one pass along
+    P_k finds m and the m cosets P_k^i times the orbit.  Where its m x m DFT
+    would outgrow the walk (m^2 > N) and a split lowers the work per entry,
+    m = a b with a the largest divisor of m up to sqrt m and a + b < m, the
+    orbit grows first by P_k^b (order a) and then by P_k (order b); else by
+    P_k alone.  A generator g of order m_g grows it m_g-fold, and each
+    character of the group found so far then extends in m_g ways: its angle
+    at g 0 is an m_g-th part of its known angle a at g^m_g 0,
+    a / m_g + j N / m_g for j < m_g.  Every character value is an N-th root
+    of unity, so a is a multiple of m_g and the division is exact.
     """
     n = moves.shape[1]
     products = moves[:, moves]  # products[a, b] = P_a P_b
@@ -250,12 +258,21 @@ def _translation_group(moves: np.ndarray):
         m = len(cosets)
         if m == 1:
             continue
-        # a character's angle is below n and an exponent below m, so the sum stays below r n^2
-        roots = (chars @ exps[where[x]] % n // m)[:, None] + np.arange(m) * (n // m)
-        chars = np.hstack([np.repeat(chars, m, axis=0), roots.reshape(-1, 1)])
-        exps = np.hstack([np.tile(exps, (m, 1)), np.repeat(np.arange(m), len(orbit))[:, None]])
-        orbit = np.concatenate(cosets)
-        where[orbit] = np.arange(len(orbit))
+        a = max(d for d in range(1, math.isqrt(m) + 1) if m % d == 0)
+        b = m // a
+        steps = [(cosets, x)]  # (the cosets a generator g grows the orbit by, g^order 0)
+        if m * m > n and a + b < m:
+            # P^b of order a, then P of order b: coset i + j b is P^i (P^b)^j times the orbit
+            steps = [(cosets[::b], x),
+                     ([np.concatenate(cosets[i::b]) for i in range(b)], cosets[b][0])]
+        for grown, x in steps:
+            m = len(grown)
+            # a character's angle is below n and an exponent below m, so the sum stays below r n^2
+            roots = (chars @ exps[where[x]] % n // m)[:, None] + np.arange(m) * (n // m)
+            chars = np.hstack([np.repeat(chars, m, axis=0), roots.reshape(-1, 1)])
+            exps = np.hstack([np.tile(exps, (m, 1)), np.repeat(np.arange(m), len(orbit))[:, None]])
+            orbit = np.concatenate(grown)
+            where[orbit] = np.arange(len(orbit))
     if len(orbit) < n:
         return None
     exps = exps[where]  # row v holds the exponents of vertex v
@@ -370,8 +387,8 @@ def _to_momenta(w: CoinedWalk, x) -> np.ndarray:
     Row p of F^dag x is <p| x = N^(-1/2) sum_v conj(chi_p(v)) x[v].  x is
     scattered to the grid of exponents, and stage k multiplies by its
     twiddles, then applies its DFT along axis e_k with one matmul, so the
-    cost per column is N (m_1 + ... + m_r).  A one-stage group's DFT is the
-    N x N matrix F^dag itself, in grid order.
+    cost per column is N (m_1 + ... + m_r).  A one-stage group's DFT (Z_N at
+    a prime N, or at N = 4) is the N x N matrix F^dag itself, in grid order.
     """
     grid, stages = w._momentum_stages
     y = np.empty(np.shape(x), dtype=complex)

@@ -29,6 +29,7 @@ from walk_cases import (
     CYCLE8_CHORDS,
     cayley_walks,
     cycle_shift,
+    larger_translation_walks,
     relabelled,
     relabelled_cycle,
     repeated_target_json,
@@ -344,6 +345,93 @@ def test_non_split_towers_transform_through_their_twiddles(n, offsets):
     for walk in (w, relabelled(w, rng.permutation(n))):
         _assert_characters(walk, rng)
         _assert_momentum_transform(walk, rng)
+
+
+def _assert_characters_on_columns(w, rng):
+    """_assert_characters without its N^3 products, for a walk too large for them: F's
+    columns are orthonormal on a few vectors, every move maps column p of F to itself times
+    exp(-2 pi i angles[p, k] / N), and the staged transforms apply F^dag and F within 1e-12."""
+    n = w.walker_dim
+    f = _characters(w)
+    x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    assert np.abs(f.conj().T @ (f @ x) - x).max() <= 1e-12
+    angles = walks.momentum_angles(w)
+    p = rng.choice(n, size=64, replace=False)
+    for k, row in enumerate(w.moves):
+        moved = np.empty((n, len(p)), dtype=complex)
+        moved[row] = f[:, p]  # P_k e_v = e_row[v]
+        assert np.abs(moved - f[:, p] * np.exp(-2j * np.pi * angles[p, k] / n)).max() <= 1e-12
+    assert np.abs(walks._to_momenta(w, x) - f.conj().T @ x).max() <= 1e-12
+    assert np.abs(walks._from_momenta(w, x) - f @ x).max() <= 1e-12
+    assert np.abs(walks._from_momenta(w, walks._to_momenta(w, x)) - x).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, sizes", [(128, [8, 16]), (256, [16, 16]), (2000, [40, 50])])
+def test_a_long_cycle_transforms_in_two_balanced_stages(n, sizes):
+    """The cycle's coin grows the orbit n-fold, and an n x n DFT would outgrow the walk, so
+    the orbit grows by P^b (order a, the largest divisor of n up to sqrt n) and then by P
+    (order b).  The staged transform is the character formula's, on the walk built and
+    read relabelled from JSON, and its DFT tables hold at most 3N entries in all."""
+    rng = np.random.default_rng(n)
+    w = walks.cycle_walk(n)
+    for walk in (w, relabelled(w, rng.permutation(n))):
+        _, stages = walk._momentum_stages
+        assert [len(dft) for _, dft in stages] == sizes
+        assert sum(dft.size for _, dft in stages) <= 3 * n
+        # P^b 0 has angle 0 at every character of the first stage, so only the second twiddles
+        assert stages[0][0] is None and stages[1][0].shape == (sizes[0], sizes[1])
+        if n <= 256:
+            _assert_characters(walk, rng)
+            _assert_momentum_transform(walk, rng)
+        else:  # dense (2, 4000, 4000) operators would take over 1 GB
+            _assert_characters_on_columns(walk, rng)
+
+
+@pytest.mark.parametrize("make, sizes", [(lambda: walks.cycle_walk(31), [31]),
+                                         (lambda: walks.cycle_walk(4), [4]),
+                                         (lambda: walks.lattice_walk(8, 2), [8, 8])],
+                         ids=["cycle:31", "cycle:4", "lattice:8,2"])
+def test_orbits_that_no_split_shrinks_keep_one_stage_per_coin(make, sizes):
+    """A prime orbit factor has no split, 4 = 2 x 2 saves no work per entry, and on
+    lattice:8,2 each coin's 8 x 8 DFT is smaller than the walk."""
+    _, stages = make()._momentum_stages
+    assert [len(dft) for _, dft in stages] == sizes
+
+
+@pytest.mark.parametrize("make, shape", [(lambda: walks.lattice_walk(10, 3), (10, 10, 10)),
+                                         (lambda: walks.lattice_walk(3, 2), (3, 3)),
+                                         (walks.example_walk, (2, 2))],
+                         ids=["lattice:10,3", "lattice:3,2", "example"])
+def test_product_groups_keep_their_group_bitwise(make, shape):
+    """Each forward coin of Z_n^d grows the orbit n-fold, an n x n DFT smaller than the walk:
+    exps[v] are the coordinates of v and chars[p] its digits times N / n, as integers."""
+    chars, exps = make().group
+    digits = np.indices(shape).reshape(len(shape), -1).T
+    assert exps.dtype == chars.dtype == np.dtype(int)
+    assert np.array_equal(exps, digits)
+    assert np.array_equal(chars, digits * (math.prod(shape) // shape[0]))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(larger_translation_walks(), st.integers(0, 2 ** 32 - 1))
+def test_larger_translation_walks_round_trip_their_blocks_and_keep_the_norm(w, seed):
+    """On walks of up to 300 vertices, built and relabelled, often with split stages: the
+    blocks of from_momentum_blocks(b) are b within 1e-12 and nothing is off them; expm_state
+    keeps the norm of a walk state, and on the walker space it is the dense exponential."""
+    rng = np.random.default_rng(seed)
+    for walk in (w, relabelled(w, rng.permutation(w.walker_dim))):
+        c, n = walk.coin_dim, walk.walker_dim
+        b = rng.normal(size=(n, c, c)) + 1j * rng.normal(size=(n, c, c))
+        back, off = walks.momentum_blocks(walk, walks.from_momentum_blocks(walk, b))
+        assert np.abs(back - b).max() <= 1e-12 and off <= 1e-12 * frob(b)
+        psi = rng.normal(size=walk.dim) + 1j * rng.normal(size=walk.dim)
+        psi /= np.linalg.norm(psi)
+        state = walks.expm_state(walk, np.linalg.eigh(b + b.conj().swapaxes(-1, -2)), 0.7, psi)
+        assert abs(np.linalg.norm(state) - 1) <= 1e-12
+        phi = psi[:n] / np.linalg.norm(psi[:n])
+        expected = expm_eig(hermitian_eig(graphs.adjacency(walk.graph)), 0.7) @ phi
+        state = walks.expm_state(walk, walks.adjacency_eig(walk), 0.7, phi)
+        assert np.abs(state - expected).max() <= 1e-12
 
 
 def _non_split(n, offsets):

@@ -125,3 +125,31 @@ def translation_walks(draw):
     offsets = [tuple(t - draw(st.integers(0, 1)) * n for t, n in zip(off, shape))
                for off in elements]
     return walks._translation_walk(shape, offsets)
+
+
+def _composite(n) -> bool:
+    return any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
+
+
+@st.composite
+def larger_translation_walks(draw):
+    """Translation walk on Z_n, n composite up to 300, or on Z_n1 x Z_n2 up to 300 vertices.
+
+    A coin's orbit factor m is then often over sqrt N and composite, so the
+    group grows it in two stages.  The offsets generate the group and come in
+    +- pairs, in random coin order, each with a random representative mod the shape.
+    """
+    if draw(st.booleans()):
+        shape = (draw(st.integers(4, 300).filter(_composite)),)
+    else:
+        n1 = draw(st.integers(2, 17))
+        shape = (n1, draw(st.integers(max(2, 4 // n1), 300 // n1)))
+    half = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in shape)),
+                         min_size=1, max_size=2, unique=True))
+    elements = {tuple(s * t % n for t, n in zip(h, shape)) for h in half for s in (1, -1)}
+    elements -= {(0,) * len(shape)}
+    assume(generates(shape, elements))
+    elements = draw(st.permutations(sorted(elements)))
+    offsets = [tuple(t - draw(st.integers(0, 1)) * n for t, n in zip(off, shape))
+               for off in elements]
+    return walks._translation_walk(shape, offsets)
