@@ -26,16 +26,20 @@ no dim x dim step product is formed.  An atom
 works on its distinct step objects as (k, c, c) stacks: T(x) exponentiates
 all of its perturbed steps in one ``expm_hermitian`` call, each block
 bitwise that step's own ``expm_hermitian(i*E, a*x)``, and every repeat of a
-step reuses it.  Every node's T(x) also takes an array of M values of x and
+step reuses it.  Every product of block stacks, and every m-fold power, is
+``linalg._matmul_blocks`` or ``linalg._power``: broadcast multiply-adds for
+c <= 3, ``@`` and ``np.linalg.matrix_power``'s order for any larger c and
+for dense matrices.  Every node's T(x) also takes an array of M values of x and
 gives the (M, ...) stack of the T(x), each slice bitwise T(x) at its own x:
 an atom then decomposes its step generators once for all M, and applies
 each factor once to the whole stack.  The eigenpairs, the m-fold powers and
 the errors of a convergence study stay in that form.  A study checks every
 m first, takes exp(-i*gamma*H*t) once for all its m, and evaluates T over
 its grid of x in chunks, as many x at a time as let the stacks that its
-T(x) holds at once (``stacks``) fit ``MAX_STACK_BYTES`` (16 MiB; at least
-one x): the dense T(x) of a dim-752 walk one at a time, a translation
-walk's blocks the whole grid at once.  Both errors of each m come from its
+T(x) holds at once (``stacks``, the buffer of a block product among them)
+fit ``MAX_STACK_BYTES`` (16 MiB; at least one x): the dense T(x) of a
+dim-752 walk one at a time, a translation walk's blocks the whole grid at
+once.  Both errors of each m come from its
 one T(x), and the character transform is unitary, so every Frobenius error
 is the dense one.
 ``effective_hamiltonian``, ``protocol_unitary`` and ``repeated_limit``
@@ -56,8 +60,8 @@ from .errors import (
     NotUnitary,
     TooSmall,
 )
-from .linalg import (_adjoint, expm_eig, expm_hermitian, frob, is_permutation, is_skew_hermitian,
-                     is_unitary)
+from .linalg import (_adjoint, _matmul_blocks, _power, expm_eig, expm_hermitian, frob,
+                     is_permutation, is_skew_hermitian, is_unitary)
 from .walks import CoinedWalk, checked_shift_order, cycle_walk, dense_form, shift_matrix
 
 __all__ = [
@@ -157,8 +161,9 @@ class Atom(_Node):
     applied to dense dim x dim matrices.
     """
 
-    # a factor's input stack, its product, and the momentum kind's scaled phases in between
-    stacks = 3
+    # a factor's input stack, its product and the product's buffer (``_matmul_blocks``), and
+    # the momentum kind's scaled phases in between
+    stacks = 4
 
     def __init__(self, walk: CoinedWalk, steps):
         steps = tuple(steps)
@@ -191,12 +196,12 @@ class Atom(_Node):
         # block by block when the walk has a group.  A folded idle run adds nothing to H.
         for f in self._factors:
             if isinstance(f, np.ndarray):
-                r = f @ r
+                r = _matmul_blocks(f, r)
                 continue
             st = distinct[f]
             fr = form.step(st.coin, r)
             if f < k:
-                h += _adjoint(fr) @ form.step(st.slope * (st.coin @ st.generator), r)
+                h += _matmul_blocks(_adjoint(fr), form.step(st.slope * (st.coin @ st.generator), r))
             r = fr
         # The diagonal of T(0) is the mean of its blocks' diagonals, and the Frobenius norm
         # over all blocks is the dense one, so one phi is checked against every block.
@@ -222,12 +227,15 @@ class Atom(_Node):
         k = len(self._slopes)
         if k:
             coins = coins.copy()
-            coins[..., :k, :, :] = coins[..., :k, :, :] @ expm_hermitian(
-                self._gens, x[..., None] * self._slopes)
+            coins[..., :k, :, :] = _matmul_blocks(coins[..., :k, :, :], expm_hermitian(
+                self._gens, x[..., None] * self._slopes))
         form = self.walk.form
         u = form.one()
         for f in self._factors:
-            u = f @ u if isinstance(f, np.ndarray) else form.step(coins[..., f, :, :], u)
+            if isinstance(f, np.ndarray):
+                u = _matmul_blocks(f, u)
+            else:
+                u = form.step(coins[..., f, :, :], u)
         shape = x.shape + self._h.shape
         # an atom whose every factor is a folded idle run leaves the stack axis out
         return u if u.shape == shape else np.broadcast_to(u, shape).copy()
@@ -256,7 +264,7 @@ def _factors(form, steps):
             factors += [index[key]] * len(run)
             continue
         if factors and isinstance(factors[-1], np.ndarray):
-            block = block @ factors.pop()
+            block = _matmul_blocks(block, factors.pop())
         block.setflags(write=False)
         factors.append(block)
     return tuple(distinct.values()), tuple(factors)
@@ -277,7 +285,7 @@ class _Pair(_Node):
 class Concat(_Pair):
     """Left-to-right product of two protocols; effective Hamiltonians add."""
 
-    stacks = 3  # both children's T(x) and their product
+    stacks = 4  # both children's T(x), their product and its buffer
 
     def __init__(self, left, right):
         super().__init__(left, right)
@@ -286,7 +294,7 @@ class Concat(_Pair):
         self._h.setflags(write=False)
 
     def unitary(self, x) -> np.ndarray:
-        return self.left.unitary(x) @ self.right.unitary(x)
+        return _matmul_blocks(self.left.unitary(x), self.right.unitary(x))
 
 
 class Commutator(_Pair):
@@ -296,17 +304,18 @@ class Commutator(_Pair):
     """
 
     phase = 1.0 + 0j
-    stacks = 5  # U1, U2, a product, the next one, and the conjugate it reads
+    stacks = 6  # U1, U2, a product, the next one and its buffer, and the conjugate it reads
 
     def __init__(self, left, right):
         super().__init__(left, right)
-        self._h = -1j * (left._h @ right._h - right._h @ left._h)
+        self._h = -1j * (_matmul_blocks(left._h, right._h) - _matmul_blocks(right._h, left._h))
         self._h.setflags(write=False)
 
     def unitary(self, x) -> np.ndarray:
         u1 = self.left.unitary(np.sqrt(x))
         u2 = self.right.unitary(np.sqrt(x))
-        return u1 @ u2 @ _adjoint(u1) @ _adjoint(u2)
+        u = _matmul_blocks(_matmul_blocks(u1, u2), _adjoint(u1))
+        return _matmul_blocks(u, _adjoint(u2))
 
 
 def two_step_protocol(w: CoinedWalk) -> Atom:
@@ -420,7 +429,7 @@ def repeated_limit(p, gamma: float, t: float, m: int):
     Returns (the dense m-fold product, its Frobenius distance to
     exp(-i*gamma*H*t)).  The error decays like 1/m.
     """
-    result = np.linalg.matrix_power(p.unitary(_perturbation(gamma, t, m)) / p.phase, m)
+    result = _power(p.unitary(_perturbation(gamma, t, m)) / p.phase, m)
     return p.walk.form.dense(result), frob(result - expm_eig(p.eigenpairs, gamma * t))
 
 
@@ -474,7 +483,7 @@ def convergence_study(p, gamma: float, t: float, m_list) -> ConvergenceReport:
         u /= p.phase  # in place: a T(x) stack is the node's own
         for x, m, um in zip(grid, m_list[lo:], u):
             single.append(single_step_error(p, x, um))
-            samples.append((x, frob(np.linalg.matrix_power(um, m) - target)))
+            samples.append((x, frob(_power(um, m) - target)))
         del u, um  # one stack at a time: this one goes before the next is made
     return ConvergenceReport(tuple(samples), _fit_exponent(samples), tuple(single))
 

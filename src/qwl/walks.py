@@ -67,7 +67,8 @@ from .errors import (
     TooSmall,
     Unstable,
 )
-from .linalg import as_matrix, expm_hermitian, frob, hermitian_eig, is_unitary, kron
+from .linalg import (_matmul_blocks, _power, as_matrix, expm_hermitian, frob, hermitian_eig,
+                     is_unitary, kron)
 
 __all__ = [
     "CoinedWalk",
@@ -591,10 +592,10 @@ class _MomentumForm(_DenseForm):
         self.conjugation_phases = _phases(angles[:, :, None] - angles[:, None, :], w.walker_dim)
 
     def step(self, coin, m):
-        return (self.shift_phases * coin[..., None, :, :]) @ m
+        return _matmul_blocks(self.shift_phases * coin[..., None, :, :], m)
 
     def fold(self, coin, k):
-        return np.linalg.matrix_power(self.shift_phases * coin, k)
+        return _power(self.shift_phases * coin, k)
 
     def blocks(self, x):
         return momentum_blocks(self.walk, x)

@@ -785,11 +785,14 @@ def _two_cycles(a, b):
                             [forward, back])
 
 
-@pytest.mark.parametrize("w", [_two_cycles(15, 17), walks.lattice_walk(8, 2)],
-                         ids=["two-cycles", "lattice:8,2"])
+@pytest.mark.parametrize("w", [_two_cycles(15, 17), walks.lattice_walk(8, 2),
+                               walks.cycle_walk(1000),
+                               walks._translation_walk((400,), [(1,), (-1,), (200,)])],
+                         ids=["two-cycles", "lattice:8,2", "cycle:1000", "Z_400-c3"])
 def test_a_study_holds_no_more_than_its_stack_budget(monkeypatch, w):
     """Every array a study's T(x) holds at once counts against MAX_STACK_BYTES, so a chunk's
-    traced peak stays within the budget and a few single T(x) of the per-m errors."""
+    traced peak stays within the budget and a few single T(x) of the per-m errors: on a dense
+    walk, with c = 4, and with c = 2 and 3, where the block product holds a buffer of its own."""
     import tracemalloc
 
     def atom():
@@ -800,7 +803,7 @@ def test_a_study_holds_no_more_than_its_stack_budget(monkeypatch, w):
              "nested": limits.Commutator(limits.Concat(limits.orbit_protocol(w), atom()),
                                          limits.Commutator(atom(), limits.orbit_protocol(w)))}
     for name, p in built.items():
-        assert p.stacks == {"atom": 3, "commutator": 5, "nested": 6}[name]
+        assert p.stacks == {"atom": 4, "commutator": 6, "nested": 7}[name]
         one = p._h.nbytes
         monkeypatch.setattr(limits, "MAX_STACK_BYTES", 40 * one)
         p.eigenpairs  # made once per protocol, not per study chunk

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qwl import graphs
 from qwl.errors import DimMismatch, NonHermitian
 from qwl.linalg import (
+    _matmul_blocks,
+    _power,
     commutator,
     expm_eig,
     expm_hermitian,
@@ -125,9 +127,12 @@ def test_expm_eig_follows_the_shape_of_a_broadcast_s():
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 40), st.sampled_from([0, 1, 5]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(2, 5, True, 1)
+@example(3, 0, False, 2)
 def test_expm_eig_is_bitwise_the_plain_formula(n, k, per_block, seed):
-    """expm_eig equals (v * exp(-i s w)) @ v^dag on a dense matrix (k = 0) and on a (k, n, n)
-    stack, at one s or at k values of s."""
+    """expm_eig is bitwise the block product of v * exp(-i s w) and v^dag on a dense matrix
+    (k = 0) and on a (k, n, n) stack, at one s or at k values of s: within 1e-14 of the same
+    formula by ``@``, and bitwise it for n > 3, where the block product is ``@``."""
     rng = np.random.default_rng(seed)
     h = np.stack([random_matrix(rng, n) for _ in range(max(k, 1))])
     h = h + h.conj().swapaxes(-1, -2)
@@ -135,8 +140,71 @@ def test_expm_eig_is_bitwise_the_plain_formula(n, k, per_block, seed):
         h = h[0]
     w, v = np.linalg.eigh(h)
     s = np.asarray(rng.uniform(-3, 3, k) if k and per_block else rng.uniform(-3, 3))
-    plain = (v * np.exp(-1j * s[..., None] * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    assert np.array_equal(expm_eig((w, v), s), plain)
+    scaled, adjoint = v * np.exp(-1j * s[..., None] * w)[..., None, :], v.conj().swapaxes(-1, -2)
+    out = expm_eig((w, v), s)
+    assert np.array_equal(out, _matmul_blocks(scaled, adjoint))
+    plain = scaled @ adjoint
+    assert np.abs(out - plain).max() <= 1e-14
+    if n > 3:
+        assert np.array_equal(out, plain)
+
+
+@st.composite
+def block_products(draw):
+    """(a, b) for ``_matmul_blocks``: c x c matrices, c = 1 ... 6, on both sides of its cutoff,
+    as 2-D matrices, (N, c, c) or (M, N, c, c) stacks, or a shared (N, c, c) operand on either
+    side of an (M, N, c, c) stack; complex, b now and then real, blocks of scales 1e-3 to 1e3."""
+    c, n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    shapes = {"matrix": [(), ()], "stack": [(n,), (n,)], "stacks": [(m, n), (m, n)],
+              "shared left": [(n,), (m, n)], "shared right": [(m, n), (n,)]}
+    lead_a, lead_b = shapes[draw(st.sampled_from(sorted(shapes)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def blocks(lead, real=False):
+        x = rng.standard_normal(lead + (c, c))
+        if not real:
+            x = x + 1j * rng.standard_normal(lead + (c, c))
+        return x * 10.0 ** rng.uniform(-3, 3, lead + (1, 1))
+
+    return blocks(lead_a), blocks(lead_b, draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(block_products())
+def test_block_product_is_matmul_block_by_block(case):
+    """Each block of ``_matmul_blocks`` is within 1e-14 ||a|| ||b|| of ``np.matmul``'s (Frobenius
+    norms of that block's factors), bitwise it for c > 3, and bitwise that block's own product."""
+    a, b = case
+    out, ref = _matmul_blocks(a, b), np.matmul(a, b)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))
+    assert np.all(np.linalg.norm(out - ref, axis=(-2, -1)) <= 1e-14 * scale)
+    if a.shape[-1] > 3:
+        assert np.array_equal(out, ref)
+    a, b = np.broadcast_arrays(a, b)
+    for j in np.ndindex(out.shape[:-2]):
+        assert np.array_equal(out[j], _matmul_blocks(a[j], b[j]))
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+def test_power_is_matrix_power(c):
+    """``_power`` is within 1e-12 of ``np.linalg.matrix_power`` on a stack of unitary blocks, and
+    bitwise it for c > 3; the first power is a copy.  Blocks whose products are exact, phases
+    1, i, -1, -i on a permutation, stay finite and exact over 2^1000 steps."""
+    rng = np.random.default_rng(c)
+    u = np.linalg.qr(rng.standard_normal((7, c, c)) + 1j * rng.standard_normal((7, c, c)))[0]
+    for m in (1, 2, 3, 5, 1024):
+        got, want = _power(u, m), np.linalg.matrix_power(u, m)
+        assert np.abs(got - want).max() <= 1e-12
+        if c > 3:
+            assert np.array_equal(got, want)
+    first = _power(u, 1)
+    assert np.array_equal(first, u) and not np.shares_memory(first, u)
+    exact = np.array([np.eye(c)[rng.permutation(c)] * 1j ** rng.integers(0, 4, c)
+                      for _ in range(7)])
+    big = _power(exact, 2 ** 1000)
+    assert np.all(np.isfinite(big))
+    assert np.array_equal(big, np.linalg.matrix_power(exact, 2 ** 1000))
 
 
 def test_expm_diagonal_phases():
