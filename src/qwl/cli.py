@@ -94,8 +94,6 @@ def _json_dumps(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj) if math.isfinite(obj) else "null"
-    if obj is None:
-        return "null"
     return json.dumps(obj)
 
 
@@ -390,12 +388,12 @@ def cmd_simulable(args):
     if not args.hamiltonian:
         raise BadSpec("simulable needs --hamiltonian PATH")
     w = resolve_walk(args.walk)
+    basis = liealg.walk_closure(w, args.tol)
     h = _matrix_from_json(_load_json(args.hamiltonian))
     if h.shape != (w.dim, w.dim):
         raise DimMismatch(f"Hamiltonian is {h.shape}, walk space is {w.dim}x{w.dim}")
     if not is_hermitian(h):
         raise NonHermitian("Hamiltonian file is not Hermitian within 1e-10 of its largest entry")
-    basis = liealg.walk_closure(w, args.tol)
     residual = liealg.member_residual(basis, -1j * h)
     report = {
         "residual": residual,

@@ -347,14 +347,11 @@ def spectrum_multiset(h, digits: int = 8):
     refer to the Hermitian counterpart in the skew case.
     """
     h = as_matrix(h)
-    if is_hermitian(h):
-        vals = np.linalg.eigvalsh((h + h.conj().T) / 2)
-    elif is_skew_hermitian(h):
-        m = 1j * h
-        vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    else:
-        raise NonNormalInput("spectrum needs a Hermitian or skew-Hermitian matrix")
-    return eigenvalue_multiset(vals, digits)
+    if not is_hermitian(h):
+        if not is_skew_hermitian(h):
+            raise NonNormalInput("spectrum needs a Hermitian or skew-Hermitian matrix")
+        h = 1j * h
+    return eigenvalue_multiset(np.linalg.eigvalsh((h + h.conj().T) / 2), digits)
 
 
 def eigenvalue_multiset(vals, digits: int = 8):

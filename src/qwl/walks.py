@@ -3,12 +3,13 @@
 Basis ordering on the coin x walker space is coin-major throughout:
 state (c_k, j) sits at index k*N + j.  Every dense matrix in the package
 relies on this convention.  ``apply_step`` applies a walk step S (C x 1) as
-a coin contraction and a row permutation; ``shift_matrix`` is the dense
+a coin contraction and a row permutation, for one coin or, as one batched
+product, for a stack of them; ``shift_matrix`` is the dense
 float64 reference for S.  ``CoinedWalk(graph, moves)`` is the one constructor,
 and it checks the size cap ``MAX_DIM`` and the move table, all rows at once,
 so every walk's shift is a permutation.  The built-in walks are translation
 walks on Z_n, Z_n^d and Z_2^2, built from their move tables by ``_translation_walk``;
-``cycle_walk`` and ``lattice_walk`` check the cap before they build a table.
+``lattice_walk``, which ``cycle_walk`` is at d = 1, checks the cap before it builds a table.
 Any walk whose moves commute and act transitively on the vertices is a
 translation walk on the abelian group they generate, and the constructor
 builds that group's N characters from the move table alone, for a built-in
@@ -299,12 +300,9 @@ def _translation_walk(shape, offsets) -> CoinedWalk:
 def cycle_walk(n: int) -> CoinedWalk:
     """Two-coin translation walk on Z_n: coin 0 steps forward, coin 1 backward.
 
-    The dense shift equals diag(F, F^T) under coin-major ordering.
+    The dense shift equals diag(F, F^T) under coin-major ordering.  It is ``lattice_walk(n, 1)``.
     """
-    if n < 3:
-        raise TooSmall(f"cycle walk needs n >= 3, got {n}")
-    _check_dim(2, n)
-    return _translation_walk((n,), [(1,), (-1,)])
+    return lattice_walk(n, 1)
 
 
 def lattice_walk(n: int, d: int) -> CoinedWalk:
@@ -512,17 +510,19 @@ def expm_state(w: CoinedWalk, eig, s: float, psi) -> np.ndarray:
     return _from_momenta(w, np.einsum("pab,pb->pa", vecs, x)).T.ravel()
 
 
-def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+def apply_step(w: CoinedWalk, coin: np.ndarray, m: np.ndarray) -> np.ndarray:
     """S (coin x 1) m for m of shape (dim,) or (dim, k); coin need not be unitary.
 
-    The product is written to out, an array of m's shape, when one is given.
+    A (M, c, c) stack of coins gives the (M, dim, k) stack of the M products, for m one
+    (dim, k) operand or a stack (M, dim, k) of them, as one batched product: each product
+    is bitwise the one its coin gives alone.
     """
-    c, n = w.coin_dim, w.walker_dim
-    coined = np.tensordot(coin, m.reshape((c, n) + m.shape[1:]), axes=1).reshape(m.shape)
-    if out is None:
-        out = np.empty_like(coined)
-    out[w.shift] = coined
-    return out
+    lead = np.shape(m)[:-2] if np.ndim(coin) == 3 else ()
+    coined = np.matmul(coin, np.reshape(m, lead + (w.coin_dim, -1)))
+    coined = coined.reshape(coined.shape[:-2] + (w.dim, -1))
+    out = np.empty_like(coined)
+    out[..., w.shift, :] = coined
+    return out.reshape(coined.shape[:-2] + np.shape(m)[len(lead):])
 
 
 class _DenseForm:
@@ -539,14 +539,9 @@ class _DenseForm:
     def step(self, coin, m):
         """S (coin x 1) m; a (M, c, c) stack of coins gives the M products, m one or M of them.
 
-        Here each product is ``apply_step`` of its slices, bitwise, written into one stack.
+        Here it is ``apply_step``.
         """
-        if np.ndim(coin) == 2:
-            return apply_step(self.walk, coin, m)
-        out = np.empty(coin.shape[:1] + np.shape(m)[-2:], dtype=np.result_type(coin, m))
-        for cj, mj, oj in zip(coin, np.broadcast_to(m, out.shape), out):
-            apply_step(self.walk, cj, mj, oj)
-        return out
+        return apply_step(self.walk, coin, m)
 
     def one(self):
         """The identity in the form."""

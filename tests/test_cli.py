@@ -897,6 +897,21 @@ def test_closure_over_memory_cap_writes_nothing(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().out == ""
 
 
+def test_simulable_refuses_an_oversize_closure_before_reading_the_hamiltonian(
+        tmp_path, capsys, monkeypatch):
+    """lattice:7,3's closed-form basis is over MAX_CLOSURE_BYTES, so the matrix file is never read."""
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_load_json", unread)
+    out = tmp_path / "never.csv"
+    assert run(["simulable", "--walk", "lattice:7,3", "--hamiltonian", "h.json"], out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_CLOSURE_BYTES" in captured.err
+    assert not out.exists()
+
+
 def test_relabelled_file_walk_closure_report_is_the_cycles(tmp_path):
     path = tmp_path / "walk.json"
     perm = np.random.default_rng(40).permutation(40)
